@@ -9,7 +9,6 @@ namespace livo::metrics {
 namespace {
 
 using pointcloud::GridIndex;
-using pointcloud::Point;
 using pointcloud::PointCloud;
 
 double Luminance(const pointcloud::PointColor& c) {
@@ -25,32 +24,31 @@ struct LocalFeatures {
   bool valid = false;
 };
 
+// `knn` is the caller's neighbour buffer, reused across anchors.
 LocalFeatures FeaturesAt(const PointCloud& cloud, const GridIndex& index,
-                         const geom::Vec3& anchor, int k, double radius) {
+                         const geom::Vec3& anchor, int k, double radius,
+                         std::vector<GridIndex::Neighbour>& knn) {
   LocalFeatures f;
-  const auto knn = index.KNearest(anchor, k, radius);
+  index.KNearest(anchor, k, radius, knn);
   if (knn.size() < 2) return f;
 
+  const auto luminance = [&cloud](const GridIndex::Neighbour& nb) {
+    return Luminance(cloud.points()[static_cast<std::size_t>(nb.index)].color);
+  };
   double dist_mean = 0.0, lum_mean = 0.0;
-  std::vector<double> dists, lums;
-  dists.reserve(knn.size());
-  lums.reserve(knn.size());
-  for (int idx : knn) {
-    const Point& p = cloud.points()[static_cast<std::size_t>(idx)];
-    const double d = (p.position - anchor).Norm();
-    const double l = Luminance(p.color);
-    dists.push_back(d);
-    lums.push_back(l);
-    dist_mean += d;
-    lum_mean += l;
+  for (const GridIndex::Neighbour& nb : knn) {
+    dist_mean += std::sqrt(nb.distance_sq);
+    lum_mean += luminance(nb);
   }
   const double n = static_cast<double>(knn.size());
   dist_mean /= n;
   lum_mean /= n;
   double dist_var = 0.0, lum_var = 0.0;
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    dist_var += (dists[i] - dist_mean) * (dists[i] - dist_mean);
-    lum_var += (lums[i] - lum_mean) * (lums[i] - lum_mean);
+  for (const GridIndex::Neighbour& nb : knn) {
+    const double d = std::sqrt(nb.distance_sq);
+    const double l = luminance(nb);
+    dist_var += (d - dist_mean) * (d - dist_mean);
+    lum_var += (l - lum_mean) * (l - lum_mean);
   }
   // Mean distance also enters the geometry feature: it captures local
   // density, which depth errors perturb even when dispersion is stable.
@@ -98,18 +96,19 @@ PointSsimResult OneWay(const PointCloud& from, const GridIndex& from_index,
   constexpr double kGeomEps = 1e-3;
   constexpr double kColorEps = 1.0;
 
+  std::vector<GridIndex::Neighbour> knn;
   for (std::size_t ai : anchors) {
     const geom::Vec3& anchor = from.points()[ai].position;
     const LocalFeatures fa = FeaturesAt(from, from_index, anchor,
-                                        config.neighbours, config.max_radius_m);
+                                        config.neighbours, config.max_radius_m,
+                                        knn);
     if (!fa.valid) continue;
-    // Match the anchor into the other cloud; an unmatched anchor (hole)
+    // An anchor with no usable neighbourhood in the other cloud (a hole)
     // counts as zero similarity rather than being silently dropped.
-    const int match = to_index.Nearest(anchor, config.max_radius_m);
     ++counted;
-    if (match < 0) continue;
     const LocalFeatures fb = FeaturesAt(to, to_index, anchor,
-                                        config.neighbours, config.max_radius_m);
+                                        config.neighbours, config.max_radius_m,
+                                        knn);
     if (!fb.valid) continue;
     geom_sum += FeatureSimilarity(fa.geometry, fb.geometry, kGeomEps);
     color_sum += FeatureSimilarity(fa.color, fb.color, kColorEps);

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <unordered_map>
 
 namespace livo::pointcloud {
 
@@ -121,12 +125,71 @@ PointCloud VoxelDownsample(const PointCloud& cloud, double voxel_size_m) {
   return out;
 }
 
+namespace {
+
+// Box-size guard: a table may hold up to this many cells per point, plus
+// kCellSlack, before the cell edge doubles.
+constexpr double kMaxCellsPerPoint = 16.0;
+constexpr double kCellSlack = 64.0;
+
+}  // namespace
+
 GridIndex::GridIndex(const PointCloud& cloud, double cell_size_m)
-    : cloud_(cloud), cell_size_(cell_size_m) {
-  cells_.reserve(cloud.size());
-  for (std::size_t i = 0; i < cloud.size(); ++i) {
-    cells_[KeyFor(cloud.points()[i].position)].push_back(static_cast<int>(i));
+    : cell_size_(cell_size_m) {
+  if (!(cell_size_m > 0.0)) {
+    throw std::invalid_argument("GridIndex: cell_size_m must be positive");
   }
+  if (cloud.empty()) return;
+
+  geom::Vec3 lo, hi;
+  cloud.Bounds(lo, hi);
+  // floor(v / cell) is monotone in v, so the box of occupied cells spans
+  // the keys of the bounds. Counted in double: a sparse cloud's box can
+  // exceed any integer type before the guard shrinks it.
+  const auto box_cells = [&] {
+    const auto span = [this](double a, double b) {
+      return std::floor(b / cell_size_) - std::floor(a / cell_size_) + 1.0;
+    };
+    return span(lo.x, hi.x) * span(lo.y, hi.y) * span(lo.z, hi.z);
+  };
+  const double max_cells =
+      kMaxCellsPerPoint * static_cast<double>(cloud.size()) + kCellSlack;
+  while (box_cells() > max_cells) cell_size_ *= 2.0;
+  lo_ = KeyFor(lo);
+  hi_ = KeyFor(hi);
+  nx_ = static_cast<std::size_t>(hi_.x - lo_.x) + 1;
+  ny_ = static_cast<std::size_t>(hi_.y - lo_.y) + 1;
+  const std::size_t nz = static_cast<std::size_t>(hi_.z - lo_.z) + 1;
+
+  // Counting sort by table cell: count into cell_start_[c + 1], prefix-sum
+  // to starts, place each point at its cell's cursor (which leaves each
+  // start at the next cell's), then shift the starts back.
+  const std::vector<Point>& points = cloud.points();
+  std::vector<std::size_t> cell_of(points.size());
+  cell_start_.assign(nx_ * ny_ * nz + 1, 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const CellKey key = KeyFor(points[i].position);
+    cell_of[i] = (static_cast<std::size_t>(key.z - lo_.z) * ny_ +
+                  static_cast<std::size_t>(key.y - lo_.y)) *
+                     nx_ +
+                 static_cast<std::size_t>(key.x - lo_.x);
+    ++cell_start_[cell_of[i] + 1];
+  }
+  std::partial_sum(cell_start_.begin(), cell_start_.end(), cell_start_.begin());
+  index_.resize(points.size());
+  x_.resize(points.size());
+  y_.resize(points.size());
+  z_.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto slot = static_cast<std::size_t>(cell_start_[cell_of[i]]++);
+    index_[slot] = static_cast<int>(i);
+    x_[slot] = points[i].position.x;
+    y_[slot] = points[i].position.y;
+    z_[slot] = points[i].position.z;
+  }
+  std::copy_backward(cell_start_.begin(), cell_start_.end() - 1,
+                     cell_start_.end());
+  cell_start_[0] = 0;
 }
 
 GridIndex::CellKey GridIndex::KeyFor(const geom::Vec3& p) const {
@@ -136,56 +199,91 @@ GridIndex::CellKey GridIndex::KeyFor(const geom::Vec3& p) const {
 }
 
 int GridIndex::Nearest(const geom::Vec3& query, double max_radius_m) const {
-  const auto knn = KNearest(query, 1, max_radius_m);
-  return knn.empty() ? -1 : knn.front();
+  std::vector<Neighbour> found;
+  KNearest(query, 1, max_radius_m, found);
+  return found.empty() ? -1 : found.front().index;
 }
 
 std::vector<int> GridIndex::KNearest(const geom::Vec3& query, int k,
                                      double max_radius_m) const {
-  std::vector<std::pair<double, int>> found;  // (distance^2, index)
+  std::vector<Neighbour> found;
+  KNearest(query, k, max_radius_m, found);
+  std::vector<int> result;
+  result.reserve(found.size());
+  for (const Neighbour& n : found) result.push_back(n.index);
+  return result;
+}
+
+void GridIndex::KNearest(const geom::Vec3& query, int k, double max_radius_m,
+                         std::vector<Neighbour>& out) const {
+  out.clear();
+  if (k <= 0 || index_.empty()) return;
+  const auto kk = static_cast<std::size_t>(k);
+  const double max_distance_sq = max_radius_m * max_radius_m;
   const CellKey center = KeyFor(query);
   const int max_ring = static_cast<int>(std::ceil(max_radius_m / cell_size_));
 
   // Expand rings of cells outward; stop once the k-th best distance is
-  // smaller than the closest possible point in the next ring.
+  // smaller than the closest possible point in the next ring. `out` is a
+  // max-heap of the best k so far, so its front is the k-th best.
   for (int ring = 0; ring <= max_ring; ++ring) {
     const double ring_min_dist = (ring - 1) * cell_size_;
-    if (static_cast<int>(found.size()) >= k) {
-      std::nth_element(found.begin(), found.begin() + (k - 1), found.end());
-      if (found[static_cast<std::size_t>(k - 1)].first <
-          ring_min_dist * ring_min_dist) {
-        break;
-      }
+    if (out.size() == kk &&
+        out.front().distance_sq < ring_min_dist * ring_min_dist) {
+      break;
     }
-    for (int dz = -ring; dz <= ring; ++dz) {
-      for (int dy = -ring; dy <= ring; ++dy) {
-        for (int dx = -ring; dx <= ring; ++dx) {
-          // Only the shell of the ring (interior was visited earlier).
-          if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) != ring) {
-            continue;
-          }
-          const auto it =
-              cells_.find({center.x + dx, center.y + dy, center.z + dz});
-          if (it == cells_.end()) continue;
-          for (int idx : it->second) {
-            const double d2 =
-                (cloud_.points()[static_cast<std::size_t>(idx)].position - query)
-                    .NormSq();
-            if (d2 <= max_radius_m * max_radius_m) found.emplace_back(d2, idx);
-          }
+    // Only the shell of the ring (the interior was visited earlier),
+    // clipped to the occupied box.
+    const int x_lo = std::max(center.x - ring, lo_.x);
+    const int x_hi = std::min(center.x + ring, hi_.x);
+    const int y_lo = std::max(center.y - ring, lo_.y);
+    const int y_hi = std::min(center.y + ring, hi_.y);
+    const int z_lo = std::max(center.z - ring, lo_.z);
+    const int z_hi = std::min(center.z + ring, hi_.z);
+    if (x_lo > x_hi) continue;
+    for (int z = z_lo; z <= z_hi; ++z) {
+      const bool z_face = std::abs(z - center.z) == ring;
+      for (int y = y_lo; y <= y_hi; ++y) {
+        const std::size_t row = (static_cast<std::size_t>(z - lo_.z) * ny_ +
+                                 static_cast<std::size_t>(y - lo_.y)) *
+                                nx_;
+        if (z_face || std::abs(y - center.y) == ring) {
+          ScanRow(row, x_lo, x_hi, query, max_distance_sq, kk, out);
+          continue;
+        }
+        // Inside the shell's z and y faces only the row's two end cells
+        // are on the shell.
+        if (x_lo == center.x - ring) {
+          ScanRow(row, x_lo, x_lo, query, max_distance_sq, kk, out);
+        }
+        if (x_hi == center.x + ring) {
+          ScanRow(row, x_hi, x_hi, query, max_distance_sq, kk, out);
         }
       }
     }
   }
+  std::sort_heap(out.begin(), out.end());
+}
 
-  const int count = std::min<int>(k, static_cast<int>(found.size()));
-  std::partial_sort(found.begin(), found.begin() + count, found.end());
-  std::vector<int> result;
-  result.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    result.push_back(found[static_cast<std::size_t>(i)].second);
+void GridIndex::ScanRow(std::size_t row, int x_lo, int x_hi,
+                        const geom::Vec3& query, double max_distance_sq,
+                        std::size_t k, std::vector<Neighbour>& out) const {
+  const int begin = cell_start_[row + static_cast<std::size_t>(x_lo - lo_.x)];
+  const int end = cell_start_[row + static_cast<std::size_t>(x_hi - lo_.x) + 1];
+  for (int j = begin; j < end; ++j) {
+    const auto s = static_cast<std::size_t>(j);
+    const double d2 = (geom::Vec3{x_[s], y_[s], z_[s]} - query).NormSq();
+    if (!(d2 <= max_distance_sq)) continue;
+    const Neighbour candidate{d2, index_[s]};
+    if (out.size() < k) {
+      out.push_back(candidate);
+      std::push_heap(out.begin(), out.end());
+    } else if (candidate < out.front()) {
+      std::pop_heap(out.begin(), out.end());
+      out.back() = candidate;
+      std::push_heap(out.begin(), out.end());
+    }
   }
-  return result;
 }
 
 }  // namespace livo::pointcloud

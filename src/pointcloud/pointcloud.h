@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/camera.h"
@@ -74,39 +73,72 @@ PointCloud ReconstructFromViews(const std::vector<image::RgbdFrame>& views,
 // by the centroid of its points with the average color.
 PointCloud VoxelDownsample(const PointCloud& cloud, double voxel_size_m);
 
-// Uniform spatial hash grid for nearest-neighbour queries (used by the
-// PointSSIM and point-to-point metrics).
+// Exact k-nearest-neighbour index (used by the PointSSIM and point-to-point
+// metrics). A dense table over the box of cubic cells the cloud occupies:
+// a counting sort stores the point indices and their coordinates in (z, y,
+// x) cell order, so each x-row of cells is one contiguous range. It copies
+// what it needs; the cloud may go away after construction.
+//
+// Contract: a query returns exactly the points whose squared distance
+// (Vec3::NormSq of the difference) is <= max_radius_m², ordered by
+// (squared distance, index), truncated to k. Rings of cells are searched
+// outward until the k-th best is closer than the next ring can be, so the
+// answer does not depend on the cell size. A sparse cloud whose box would
+// need more than 16 cells per point (plus a small constant) gets a
+// doubled cell size until the table fits.
 class GridIndex {
  public:
+  struct Neighbour {
+    double distance_sq = 0.0;
+    int index = 0;
+
+    bool operator<(const Neighbour& o) const {
+      return distance_sq < o.distance_sq ||
+             (distance_sq == o.distance_sq && index < o.index);
+    }
+    bool operator==(const Neighbour&) const = default;
+  };
+
+  // Throws std::invalid_argument unless cell_size_m > 0.
   GridIndex(const PointCloud& cloud, double cell_size_m);
 
   // Index of the nearest point to `query`, or -1 for an empty cloud.
   // `max_radius_m` bounds the search (returns -1 if nothing within it).
   int Nearest(const geom::Vec3& query, double max_radius_m = 1.0) const;
 
-  // Indices of up to `k` nearest points within `max_radius_m`, closest first.
+  // Indices of up to `k` nearest points within `max_radius_m`, closest
+  // first; none for k <= 0.
   std::vector<int> KNearest(const geom::Vec3& query, int k,
                             double max_radius_m = 1.0) const;
+
+  // The same search, written into `out` (cleared first) as neighbours,
+  // closest first, so a caller looping over queries reuses one buffer.
+  void KNearest(const geom::Vec3& query, int k, double max_radius_m,
+                std::vector<Neighbour>& out) const;
+
+  // Cell edge in use: the constructor's, or larger for a sparse cloud.
+  double cell_size_m() const { return cell_size_; }
 
  private:
   struct CellKey {
     int x, y, z;
-    bool operator==(const CellKey&) const = default;
-  };
-  struct CellHash {
-    std::size_t operator()(const CellKey& k) const {
-      // Large-prime mixing; collisions are harmless (bucket chaining).
-      return static_cast<std::size_t>(k.x) * 73856093u ^
-             static_cast<std::size_t>(k.y) * 19349663u ^
-             static_cast<std::size_t>(k.z) * 83492791u;
-    }
   };
 
   CellKey KeyFor(const geom::Vec3& p) const;
+  // Offers the points of cells [x_lo, x_hi] of the row starting at table
+  // cell `row` (the cell of x = lo_.x) to the max-heap `out`.
+  void ScanRow(std::size_t row, int x_lo, int x_hi, const geom::Vec3& query,
+               double max_distance_sq, std::size_t k,
+               std::vector<Neighbour>& out) const;
 
-  const PointCloud& cloud_;
   double cell_size_;
-  std::unordered_map<CellKey, std::vector<int>, CellHash> cells_;
+  CellKey lo_{}, hi_{};  // occupied box, inclusive cell keys
+  std::size_t nx_ = 0, ny_ = 0;
+  // Points of table cell c are [cell_start_[c], cell_start_[c + 1]) of the
+  // arrays below.
+  std::vector<int> cell_start_;
+  std::vector<int> index_;
+  std::vector<double> x_, y_, z_;
 };
 
 }  // namespace livo::pointcloud

@@ -206,9 +206,15 @@ void SessionActor::OnFramesReleased(std::vector<net::ReceivedFrame> frames,
             static_cast<std::uint32_t>(
                 std::max(1, spec_.options.metric_every)) ==
         0) {
-      const pointcloud::PointCloud reference = core::GroundTruthCloud(
-          spec_.sequence->frames[rf.frame_index], spec_.sequence->rig,
-          live_frustum, spec_.options.receiver);
+      // The spans sit here because livo_metrics does not link livo_obs.
+      pointcloud::PointCloud reference;
+      {
+        LIVO_SPAN("session.ground_truth");
+        reference = core::GroundTruthCloud(
+            spec_.sequence->frames[rf.frame_index], spec_.sequence->rig,
+            live_frustum, spec_.options.receiver);
+      }
+      LIVO_SPAN("metrics.pssim");
       const metrics::PointSsimResult pssim =
           metrics::PointSsim(reference, rf.cloud, pssim_config_);
       rec.pssim_geometry = pssim.geometry;

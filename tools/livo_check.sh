@@ -10,12 +10,16 @@
 #     toolchain supports it, ThreadSanitizer, then runs the combined
 #     binary. TSan is the real gate for the M-threads-M-loops runtime:
 #     cross-loop sends and barrier hand-offs race-check here.
-#  2. ASan+UBSan pass — builds the kernel-equivalence, codec, runtime, and
-#     conference suites (test_kernels + test_golden_bitstream + test_video
-#     + test_video_parallel + test_runtime + test_conference) with
-#     AddressSanitizer + UndefinedBehaviorSanitizer so out-of-bounds SIMD
-#     loads and UB in the intrinsics code surface; the cross-loop stress
-#     and cascade tests repeat here for lifetime bugs TSan cannot see.
+#  2. ASan+UBSan pass — builds the kernel-equivalence, codec, runtime,
+#     conference, point-cloud and metrics suites (test_kernels +
+#     test_golden_bitstream + test_video + test_video_parallel +
+#     test_runtime + test_conference + test_fec + test_report +
+#     test_pointcloud + test_metrics) with AddressSanitizer +
+#     UndefinedBehaviorSanitizer and libstdc++'s bounds-checked containers
+#     (-D_GLIBCXX_ASSERTIONS) so out-of-bounds SIMD loads, UB in the
+#     intrinsics code and bad indices into the nearest-neighbour index's
+#     cell table surface; the cross-loop stress and cascade tests repeat
+#     here for lifetime bugs TSan cannot see.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
 #     (bench_conference --parties=8 --fresh under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
@@ -45,7 +49,7 @@ CMAKE_BIN="${CMAKE_COMMAND:-cmake}"
 
 STRICT_FLAGS="-Wall -Wextra -Werror"
 TSAN_FLAGS="-fsanitize=thread -g -O1"
-ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1 -D_GLIBCXX_ASSERTIONS"
 
 # Probe whether TSan links on this toolchain (it needs libtsan installed);
 # fall back to a plain -Werror build rather than failing the gate.
@@ -84,7 +88,7 @@ fi
 echo "[livo_check] running livo_check_tests"
 "${BUILD_DIR}/tests/livo_check_tests" --gtest_brief=1
 
-# --- Pass 2: ASan + UBSan over the kernel and codec suites ---
+# --- Pass 2: ASan + UBSan with bounds-checked containers ---
 
 asan_works() {
   local probe_dir
