@@ -320,5 +320,26 @@ TEST(FecLossDeterminism, GilbertElliottRunsAreReproducible) {
             ConferenceCacheKey(specs, iid));
 }
 
+// ---- Golden fingerprints ----
+
+// The behaviour contract across builds: these values were captured once
+// and must never be re-captured to make a change pass. Every other
+// fingerprint test compares two runs of one build, so only this one
+// catches a refactor that moves a decision. The direct 8-party roster
+// hits congestion, budget and awaiting-key drops and layer switches; the
+// lossy 2-region cascade adds layer-incomplete drops, evictions, salvage,
+// FEC, and relay admits and drops.
+TEST(ConferenceGolden, FingerprintsPinnedOnDirectAndCascadedRosters) {
+  const int kFrames = 24;
+  EXPECT_EQ(RunConference(MixedRoster(8, kFrames), BaseOptions())
+                .Fingerprint(),
+            0x67b1815ecf3da11bull);
+
+  ConferenceOptions cascade = LossyFecOptions(0.05);
+  cascade.regions = 2;
+  EXPECT_EQ(RunConference(MixedRoster(4, kFrames), cascade).Fingerprint(),
+            0x4aeeba2192c37354ull);
+}
+
 }  // namespace
 }  // namespace livo::conference
