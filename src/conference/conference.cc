@@ -98,6 +98,12 @@ void Validate(const std::vector<ParticipantSpec>& specs,
           "RunConference: participant spec without a capture sequence");
     }
   }
+  // The SFU advances its allocation clock by this step until it passes
+  // the current event; a step that is not positive never gets there.
+  if (!(options.allocation_interval_ms > 0.0)) {
+    throw std::invalid_argument(
+        "RunConference: allocation_interval_ms must be positive");
+  }
   if (options.regions > 1) {
     if (options.regions > n) {
       throw std::invalid_argument(
