@@ -84,9 +84,9 @@ std::vector<SessionSummary> RunOrLoadMatrix(const MatrixConfig& config,
 
 // Mean of a field over summaries matching the given filters ("" = any).
 struct Filter {
-  std::string scheme;
-  std::string video;
-  std::string net_trace;
+  std::string scheme = "";
+  std::string video = "";
+  std::string net_trace = "";
 };
 
 std::vector<const SessionSummary*> Select(

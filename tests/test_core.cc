@@ -422,7 +422,9 @@ void ExpectOverloadsAgree(const LiVoConfig& config,
       EXPECT_FALSE(clouds[i].cloud.empty());
       EXPECT_TRUE(checked[i].cloud.empty());
       // Frame 4 re-keys both streams, so its marker must read back intact.
-      if (checked[i].frame_index == 4) EXPECT_TRUE(checked[i].marker_verified);
+      if (checked[i].frame_index == 4) {
+        EXPECT_TRUE(checked[i].marker_verified);
+      }
       rendered.push_back(checked[i].frame_index);
     }
     EXPECT_EQ(with_cloud.skipped_frames(), without_cloud.skipped_frames());
