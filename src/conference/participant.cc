@@ -54,7 +54,7 @@ ParticipantActor::ParticipantActor(runtime::EventLoop& loop, int index,
   receivers_.reserve((specs.size() - 1) * static_cast<std::size_t>(layers_));
   for (int slot = 0; slot < static_cast<int>(specs.size()) - 1; ++slot) {
     const ParticipantSpec& remote =
-        specs[static_cast<std::size_t>(OriginOfSlot(slot))];
+        specs[static_cast<std::size_t>(OriginOfSlot(index_, slot))];
     for (int q = 0; q < layers_; ++q) {
       const bool low = layers_ > 1 && q == 0;
       receivers_.push_back(std::make_unique<core::LiVoReceiver>(
@@ -63,7 +63,7 @@ ParticipantActor::ParticipantActor(runtime::EventLoop& loop, int index,
     }
     RemoteStreamResult& stream =
         result_.streams[static_cast<std::size_t>(slot)];
-    stream.origin = OriginOfSlot(slot);
+    stream.origin = OriginOfSlot(index_, slot);
     stream.forwarded_by_layer.assign(static_cast<std::size_t>(layers_), 0);
     const int remote_frames = static_cast<int>(remote.sequence->frames.size());
     const double remote_interval = 1000.0 / remote.config.fps;
@@ -91,12 +91,11 @@ ParticipantActor::ParticipantActor(runtime::EventLoop& loop, int index,
                std::uint32_t frame_index, double now_ms, std::size_t bytes) {
           obs::FrameLedger& ledger = obs::FrameLedger::Get();
           if (!ledger.enabled()) return;
-          const int slot = static_cast<int>(
-              stream_id / (2u * static_cast<std::uint32_t>(layers_)));
-          ledger.Record(OriginOfSlot(slot),
-                        static_cast<std::int32_t>(frame_index), index_,
-                        FecLedgerHop(event), now_ms, bytes, false,
-                        static_cast<std::int32_t>(stream_id));
+          ledger.Record(
+              OriginOfSlot(index_, SlotOfDownlinkStream(layers_, stream_id)),
+              static_cast<std::int32_t>(frame_index), index_,
+              FecLedgerHop(event), now_ms, bytes, false,
+              static_cast<std::int32_t>(stream_id));
         });
   }
 }
@@ -261,19 +260,23 @@ void ParticipantActor::OnDownlinkFrames(std::vector<net::ReceivedFrame> frames,
   const bool ledger_on = ledger.enabled();
   // Regroup the (slot, layer)-addressed downlink streams into per-(remote,
   // layer) batches with canonical stream ids for the matching receiver.
-  // Stream id = 2*(slot*L + q) + is_depth (sfu.h DownlinkStream).
   for (std::size_t r = 0; r < receivers_.size(); ++r) {
     const std::size_t slot = r / static_cast<std::size_t>(layers_);
+    const int q = static_cast<int>(r % static_cast<std::size_t>(layers_));
+    const std::uint32_t color_id =
+        DownlinkStream(layers_, static_cast<int>(slot), q, false);
+    const std::uint32_t depth_id =
+        DownlinkStream(layers_, static_cast<int>(slot), q, true);
     std::vector<net::ReceivedFrame> batch;
     for (const net::ReceivedFrame& frame : frames) {
-      if (frame.stream_id / 2 != r) continue;
+      if (frame.stream_id != color_id && frame.stream_id != depth_id) continue;
       net::ReceivedFrame remapped = frame;
       remapped.stream_id =
-          frame.stream_id % 2 == 0 ? core::kColorStream : core::kDepthStream;
+          frame.stream_id == color_id ? core::kColorStream : core::kDepthStream;
       if (ledger_on && frame.frame_index < delivered_[slot].size() &&
           !delivered_[slot][frame.frame_index]) {
         delivered_[slot][frame.frame_index] = true;
-        ledger.Record(OriginOfSlot(static_cast<int>(slot)),
+        ledger.Record(OriginOfSlot(index_, static_cast<int>(slot)),
                       static_cast<std::int32_t>(frame.frame_index), index_,
                       obs::LedgerHop::kDelivered, now_ms,
                       frame.data ? frame.data->size() : 0, frame.keyframe);
@@ -295,7 +298,7 @@ void ParticipantActor::OnDownlinkFrames(std::vector<net::ReceivedFrame> frames,
       rec.latency_ms = rf.render_time_ms - rec.capture_time_ms;
       ++stream.pairs_rendered;
       if (ledger_on) {
-        ledger.Record(OriginOfSlot(static_cast<int>(slot)),
+        ledger.Record(OriginOfSlot(index_, static_cast<int>(slot)),
                       static_cast<std::int32_t>(rf.frame_index), index_,
                       obs::LedgerHop::kDisplayed, rf.render_time_ms,
                       rec.bytes);
@@ -339,9 +342,9 @@ ParticipantResult ParticipantActor::TakeResult() {
   for (std::size_t slot = 0; slot < result_.streams.size(); ++slot) {
     RemoteStreamResult& stream = result_.streams[slot];
     for (int q = 0; q < layers_; ++q) {
-      for (int lane = 0; lane < 2; ++lane) {
-        const auto id = static_cast<std::uint32_t>(
-            2 * (static_cast<int>(slot) * layers_ + q) + lane);
+      for (const bool depth : {false, true}) {
+        const std::uint32_t id =
+            DownlinkStream(layers_, static_cast<int>(slot), q, depth);
         stream.keyframe_requests += downlink_->StreamKeyframeRequests(id);
         stream.nacks += downlink_->StreamNacks(id);
         stream.fragments_recovered += downlink_->StreamRecovered(id);

@@ -12,9 +12,8 @@
 // SfuActor::OnNetworkActivity calls so deliveries and pose feeds happen
 // at event fidelity.
 //
-// Downlink streams are (slot, layer)-addressed: subscriber s orders its
-// remotes by ascending participant index (slot = origin < s ? origin :
-// origin - 1) and the SFU sends remote `slot`'s ladder layer q on stream
+// Downlink streams are (slot, layer)-addressed (topology.h SlotOf and
+// DownlinkStream): the SFU sends remote `slot`'s ladder layer q on stream
 // ids 2*(slot*L+q) (color) and +1 (depth); the participant remaps them
 // back to the canonical kColorStream/kDepthStream pair before the
 // per-(remote, layer) receiver. With L == 1 this is the classic 2*slot
@@ -156,7 +155,6 @@ class ParticipantActor {
  private:
   void OnWake(double now_ms);
   void ScheduleNext(double now_ms);
-  int OriginOfSlot(int slot) const { return slot < index_ ? slot : slot + 1; }
 
   runtime::EventLoop& loop_;
   int index_ = 0;

@@ -14,6 +14,7 @@
 // RunConference, the tests, and bench_conference.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,29 @@ inline int RegionOf(int participant, int parties, int regions) {
   if (regions <= 1) return 0;
   return static_cast<int>(
       (static_cast<long long>(participant) * regions) / parties);
+}
+
+// Roster addressing. Subscriber s orders its remotes by ascending
+// participant index, skipping itself: `origin`'s slot is origin for
+// origin < s and origin - 1 above it.
+inline int SlotOf(int subscriber, int origin) {
+  return origin < subscriber ? origin : origin - 1;
+}
+inline int OriginOfSlot(int subscriber, int slot) {
+  return slot < subscriber ? slot : slot + 1;
+}
+
+// Downlink stream id of remote `slot`'s ladder layer q: 2*(slot*layers+q)
+// for color, +1 for depth. With one layer this is the classic
+// 2*slot / 2*slot+1 pair.
+inline std::uint32_t DownlinkStream(int layers, int slot, int q, bool depth) {
+  return 2u * static_cast<std::uint32_t>(slot * layers + q) +
+         (depth ? 1u : 0u);
+}
+// Remote slot a downlink stream id belongs to (inverse of DownlinkStream).
+inline int SlotOfDownlinkStream(int layers, std::uint32_t stream_id) {
+  return static_cast<int>(stream_id /
+                          (2u * static_cast<std::uint32_t>(layers)));
 }
 
 }  // namespace livo::conference
