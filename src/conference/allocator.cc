@@ -4,9 +4,67 @@
 #include <numeric>
 #include <string>
 
+#include "fec/fec.h"
 #include "obs/metrics.h"
 
 namespace livo::conference {
+namespace {
+
+// Sustained-price EMA: weight of the newest P ladder, and the share of the
+// first keyframe ladder's bytes that seeds the average.
+constexpr double kEmaAlpha = 0.2;
+constexpr double kKeyframeSeedScale = 0.25;
+
+}  // namespace
+
+AllocatorConfig MakeAllocatorConfig(const ConferenceOptions& options,
+                                    int parties) {
+  AllocatorConfig config;
+  config.interval_ms = options.allocation_interval_ms;
+  config.burst_credit_intervals = options.burst_credit_intervals;
+  config.share_floor = options.share_floor;
+  config.layers = EffectiveLadderLayers(options, parties);
+  config.split = options.forward_split;
+  // Token buckets price the FEC parity that will ride each forwarded
+  // pair, planned from the downlink's mean loss rate (the per-stream
+  // redundancy tracks the live estimate; the planner only needs the
+  // stationary envelope).
+  const net::LinkConfig& downlink =
+      options.downlink_mode == LinkMode::kShared
+          ? options.shared_downlink_config
+          : options.downlink_channel.link;
+  config.parity_overhead =
+      fec::PlanningOverhead(options.fec, net::MeanLossRate(downlink));
+  return config;
+}
+
+LadderPricer::LadderPricer(int origins, int layers,
+                           double allocation_interval_ms)
+    : allocation_interval_ms_(allocation_interval_ms),
+      ema_(static_cast<std::size_t>(origins),
+           std::vector<double>(static_cast<std::size_t>(layers), 0.0)) {}
+
+void LadderPricer::Price(int origin, bool key_pair,
+                         double capture_interval_ms,
+                         std::vector<LayerPairBytes>& candidates) {
+  std::vector<double>& ema = ema_[static_cast<std::size_t>(origin)];
+  const double pairs_per_interval =
+      capture_interval_ms > 0.0
+          ? allocation_interval_ms_ / capture_interval_ms
+          : 0.0;
+  for (std::size_t q = 0; q < candidates.size() && q < ema.size(); ++q) {
+    LayerPairBytes& c = candidates[q];
+    if (!c.valid) continue;
+    const auto bytes = static_cast<double>(c.color_bytes + c.depth_bytes);
+    double& avg = ema[q];
+    if (key_pair) {
+      if (avg <= 0.0) avg = kKeyframeSeedScale * bytes;
+    } else {
+      avg = avg <= 0.0 ? bytes : (1.0 - kEmaAlpha) * avg + kEmaAlpha * bytes;
+    }
+    c.sustained_interval_bytes = avg * pairs_per_interval;
+  }
+}
 
 DownlinkAllocator::DownlinkAllocator(int participants,
                                      const AllocatorConfig& config)
@@ -20,6 +78,7 @@ DownlinkAllocator::DownlinkAllocator(int participants,
     sub.depth_credit.assign(static_cast<std::size_t>(slots_), 0.0);
     sub.split.assign(static_cast<std::size_t>(slots_),
                      core::SplitController(config_.split));
+    sub.current_layer.assign(static_cast<std::size_t>(slots_), -1);
   }
 }
 
@@ -105,50 +164,62 @@ void DownlinkAllocator::BeginInterval(int subscriber, double start_ms,
   }
 }
 
-bool DownlinkAllocator::DebitPair(Subscriber& sub, std::size_t slot,
-                                  bool keyframe, double media_color,
-                                  double media_depth) {
+bool DownlinkAllocator::DebitPair(Subscriber& sub, std::size_t slot, int q,
+                                  const LayerPairBytes& layer) {
   const std::size_t i = slot;
+  const auto media_color = static_cast<double>(layer.color_bytes);
+  const auto media_depth = static_cast<double>(layer.depth_bytes);
   // FEC surcharge: the buckets pay for the parity packets that ride this
   // pair, but forwarded_bytes (audited against the ledger's media hops)
   // records media only.
   const double po = 1.0 + std::max(0.0, config_.parity_overhead);
   const double color = media_color * po;
   const double depth = media_depth * po;
-  if (keyframe) {
-    // Pooling rule: a keyframe pair restarts a clean decode, so it may
-    // borrow across the remote's two stream buckets. Each stream spends
-    // its own bucket first and borrows only its shortfall — draining one
-    // bucket wholesale would zero it for every P-pair left in the
-    // interval even when the sibling holds plenty of credit.
-    if (color + depth > sub.color_credit[i] + sub.depth_credit[i]) {
-      return false;
-    }
-    const double color_own = std::min(color, sub.color_credit[i]);
-    sub.color_credit[i] -= color_own;
-    sub.depth_credit[i] -= color - color_own;  // fits: pair <= cc + dc
-    const double depth_own = std::min(depth, sub.depth_credit[i]);
-    sub.depth_credit[i] -= depth_own;
-    sub.color_credit[i] -= depth - depth_own;
-  } else {
-    if (color > sub.color_credit[i] || depth > sub.depth_credit[i]) {
-      return false;
-    }
-    sub.color_credit[i] -= color;
-    sub.depth_credit[i] -= depth;
+  // Pooled: each half spends its own bucket first and borrows only its
+  // shortfall. Draining one bucket wholesale would zero it for every pair
+  // left in the interval even when the sibling holds plenty of credit,
+  // and bouncing a pair off one starved half while the sibling holds
+  // credit would cost a PLI round-trip for nothing.
+  if (color + depth > sub.color_credit[i] + sub.depth_credit[i]) {
+    return false;
   }
+  const double color_own = std::min(color, sub.color_credit[i]);
+  sub.color_credit[i] -= color_own;
+  sub.depth_credit[i] -= color - color_own;  // fits: pair <= cc + dc
+  const double depth_own = std::min(depth, sub.depth_credit[i]);
+  sub.depth_credit[i] -= depth_own;
+  sub.color_credit[i] -= depth - depth_own;
   sub.forwarded_bytes += media_color + media_depth;
+  if (static_cast<std::size_t>(q) < sub.forwarded_by_layer.size()) {
+    ++sub.forwarded_by_layer[static_cast<std::size_t>(q)];
+  }
   return true;
 }
 
-bool DownlinkAllocator::TryForwardPair(int subscriber, int slot, bool keyframe,
-                                       std::size_t color_bytes,
-                                       std::size_t depth_bytes) {
+int DownlinkAllocator::Admit(int subscriber, int slot, bool key_pair,
+                             const std::vector<LayerPairBytes>& candidates) {
   Subscriber& sub = subscribers_[static_cast<std::size_t>(subscriber)];
-  if (sub.interval_start_ms < 0.0) return true;  // downlink still unknown
-  return DebitPair(sub, static_cast<std::size_t>(slot), keyframe,
-                   static_cast<double>(color_bytes),
-                   static_cast<double>(depth_bytes));
+  int& current = sub.current_layer[static_cast<std::size_t>(slot)];
+  if (key_pair) {
+    const int chosen = TryForwardLayered(subscriber, slot, true, candidates);
+    if (chosen < 0) return kOverBudget;
+    current = chosen;
+    return chosen;
+  }
+  if (current < 0 ||
+      !candidates[static_cast<std::size_t>(current)].valid) {
+    return kNoCurrentLayer;
+  }
+  if (sub.interval_start_ms < 0.0) return current;  // downlink still unknown
+  return DebitPair(sub, static_cast<std::size_t>(slot), current,
+                   candidates[static_cast<std::size_t>(current)])
+             ? current
+             : kOverBudget;
+}
+
+int DownlinkAllocator::CurrentLayer(int subscriber, int slot) const {
+  return subscribers_[static_cast<std::size_t>(subscriber)]
+      .current_layer[static_cast<std::size_t>(slot)];
 }
 
 int DownlinkAllocator::TryForwardLayered(
@@ -198,20 +269,7 @@ int DownlinkAllocator::TryForwardLayered(
         continue;
       }
     }
-    // Forwarding is pair-atomic — both halves go or neither — so the
-    // color/depth bucket boundary is pure accounting here: price every
-    // pair against the slot's combined credit (pool=true), spending each
-    // half's own bucket first. A P-pair bounced off one starved half
-    // while the sibling held credit would cost a PLI round-trip for
-    // nothing.
-    if (DebitPair(sub, static_cast<std::size_t>(slot), /*keyframe=*/true,
-                  static_cast<double>(layer.color_bytes),
-                  static_cast<double>(layer.depth_bytes))) {
-      if (static_cast<std::size_t>(q) < sub.forwarded_by_layer.size()) {
-        ++sub.forwarded_by_layer[static_cast<std::size_t>(q)];
-      }
-      return q;
-    }
+    if (DebitPair(sub, static_cast<std::size_t>(slot), q, layer)) return q;
   }
   return -1;
 }

@@ -1,61 +1,16 @@
 #include "conference/cascade.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "fec/fec.h"
 #include "obs/obs.h"
 
 namespace livo::conference {
 namespace {
 
-// Same sustained-price EMA constants as sfu.cc, applied to cumulative
-// prefix bytes instead of single-layer pairs.
-constexpr double kEmaAlpha = 0.2;
-constexpr double kKeyframeSeedScale = 0.25;
-
-AllocatorConfig RelayAllocatorConfig(const ConferenceOptions& options,
-                                     int parties) {
-  AllocatorConfig config;
-  config.interval_ms = options.allocation_interval_ms;
-  config.burst_credit_intervals = options.burst_credit_intervals;
-  config.share_floor = options.share_floor;
-  config.layers = EffectiveLadderLayers(options, parties);
-  config.split = options.forward_split;
-  // Relay pipes are lossless, but everything a relay admits is eventually
-  // re-sent on a lossy destination downlink carrying parity — price that
-  // surcharge here so the pipe never admits a prefix the FEC-inflated
-  // downlinks cannot actually carry (the cascade's stand-in for
-  // packet-level parity, which cannot cross a frame-level relay).
-  config.parity_overhead = fec::PlanningOverhead(
-      options.fec, net::MeanLossRate(options.downlink_channel.link));
-  return config;
-}
-
 double PipeIntervalBytes(const ConferenceOptions& options) {
   return options.relay_rate_mbps * 1e6 / 8.0 *
          options.allocation_interval_ms / 1000.0;
-}
-
-// The relay's mid-GOP rule plus the allocator verdict: a keyframe ladder
-// may re-anchor at any affordable prefix (recorded into `current`); a P
-// ladder must continue `current` exactly — growing it would ship P-layers
-// no destination decoder can anchor, shrinking it would break streams
-// riding the trimmed layers. Returns the admitted prefix end, or -1.
-int AdmitPrefix(DownlinkAllocator& alloc, int slot, const RelayLadder& ladder,
-                const std::vector<LayerPairBytes>& candidates, int& current) {
-  if (ladder.key_pair) {
-    const int chosen = alloc.TryForwardLayered(0, slot, true, candidates);
-    if (chosen >= 0) current = chosen;
-    return chosen;
-  }
-  if (current < 0 ||
-      !candidates[static_cast<std::size_t>(current)].valid) {
-    return -1;
-  }
-  std::vector<LayerPairBytes> only(candidates.size());
-  only[static_cast<std::size_t>(current)] =
-      candidates[static_cast<std::size_t>(current)];
-  return alloc.TryForwardLayered(0, slot, false, only);
 }
 
 }  // namespace
@@ -83,66 +38,74 @@ double RelayPipe::SendArrivalMs(double now_ms, std::uint64_t bytes) {
   return busy_until_ms_ + hop_delay_ms_;
 }
 
-PrefixPricer::PrefixPricer(int parties, int layers,
-                           double allocation_interval_ms)
-    : layers_(layers), allocation_interval_ms_(allocation_interval_ms) {
-  ema_.assign(static_cast<std::size_t>(parties),
-              std::vector<double>(static_cast<std::size_t>(layers), 0.0));
-}
+RelayStage::RelayStage(int slots, int ledger_subscriber,
+                       const ConferenceOptions& options, int parties)
+    : alloc(slots + 1, MakeAllocatorConfig(options, parties)),
+      pricer(parties, EffectiveLadderLayers(options, parties),
+             options.allocation_interval_ms),
+      pipe(options.relay_rate_mbps, options.relay_hop_delay_ms),
+      ledger_subscriber(ledger_subscriber) {}
 
-std::vector<LayerPairBytes> PrefixPricer::Price(const RelayLadder& ladder) {
-  std::vector<LayerPairBytes> candidates(static_cast<std::size_t>(layers_));
-  auto& ema = ema_[static_cast<std::size_t>(ladder.origin)];
-  const double pairs_per_interval =
-      ladder.capture_interval_ms > 0.0
-          ? allocation_interval_ms_ / ladder.capture_interval_ms
-          : 0.0;
+std::optional<RelayStage::Hop> RelayStage::Offer(int slot,
+                                                 const RelayLadder& ladder,
+                                                 double now_ms,
+                                                 RelayStats& stats) {
+  if (ladder.has_stats && ladder.stats.rmse_depth >= 0.0) {
+    alloc.ObserveProbe(0, slot, ladder.stats.rmse_depth,
+                       ladder.stats.rmse_color);
+  }
+  // Cumulative price sheet: candidate q is valid iff layer q survived, and
+  // costs every surviving layer <= q (the whole prefix crosses the pipe).
+  std::vector<LayerPairBytes> candidates(ladder.layers.size());
   std::size_t cum_color = 0;
   std::size_t cum_depth = 0;
-  const int in_layers =
-      std::min(layers_, static_cast<int>(ladder.layers.size()));
-  for (int q = 0; q < in_layers; ++q) {
-    const RelayLadder::Layer& layer =
-        ladder.layers[static_cast<std::size_t>(q)];
-    if (!layer.Valid()) continue;
+  for (std::size_t q = 0; q < ladder.layers.size(); ++q) {
+    const LadderPair& layer = ladder.layers[q];
+    if (!layer.Complete()) continue;
     cum_color += layer.color->size();
     cum_depth += layer.depth->size();
-    LayerPairBytes& c = candidates[static_cast<std::size_t>(q)];
-    c.color_bytes = cum_color;
-    c.depth_bytes = cum_depth;
-    c.valid = true;
-    const auto bytes = static_cast<double>(cum_color + cum_depth);
-    double& avg = ema[static_cast<std::size_t>(q)];
-    if (ladder.key_pair) {
-      if (avg <= 0.0) avg = kKeyframeSeedScale * bytes;
-    } else {
-      avg = avg <= 0.0 ? bytes : (1.0 - kEmaAlpha) * avg + kEmaAlpha * bytes;
+    candidates[q].color_bytes = cum_color;
+    candidates[q].depth_bytes = cum_depth;
+    candidates[q].valid = true;
+  }
+  pricer.Price(ladder.origin, ladder.key_pair, ladder.capture_interval_ms,
+               candidates);
+  const int prefix = alloc.Admit(0, slot, ladder.key_pair, candidates);
+  obs::FrameLedger& ledger = obs::FrameLedger::Get();
+  const auto frame = static_cast<std::int32_t>(ladder.frame_index);
+  if (prefix < 0) {
+    ++stats.prefixes_dropped_budget;
+    if (ledger.enabled()) {
+      ledger.Record(ladder.origin, frame, ledger_subscriber,
+                    obs::LedgerHop::kRelayDropped, now_ms,
+                    cum_color + cum_depth, ladder.key_pair, -1);
     }
-    c.sustained_interval_bytes = avg * pairs_per_interval;
+    return std::nullopt;
   }
-  return candidates;
-}
-
-std::uint64_t PrefixBytes(const RelayLadder& ladder, int prefix) {
-  std::uint64_t bytes = 0;
-  const int limit =
-      std::min(prefix, static_cast<int>(ladder.layers.size()) - 1);
-  for (int q = 0; q <= limit; ++q) {
-    const RelayLadder::Layer& layer =
-        ladder.layers[static_cast<std::size_t>(q)];
-    if (!layer.Valid()) continue;
-    bytes += layer.color->size() + layer.depth->size();
+  Hop hop;
+  hop.ladder = ladder;
+  for (std::size_t q = 0; q < ladder.layers.size(); ++q) {
+    const LadderPair& layer = ladder.layers[q];
+    if (static_cast<int>(q) > prefix) {
+      hop.ladder.layers[q] = LadderPair{};
+      continue;
+    }
+    if (!layer.Complete()) continue;
+    ++stats.layers_relayed;
+    if (ledger.enabled()) {
+      ledger.Record(ladder.origin, frame, ledger_subscriber,
+                    obs::LedgerHop::kRelayForwarded, now_ms,
+                    layer.color->size() + layer.depth->size(),
+                    ladder.key_pair, static_cast<int>(q));
+    }
   }
-  return bytes;
-}
-
-RelayLadder TrimToPrefix(const RelayLadder& ladder, int prefix) {
-  RelayLadder out = ladder;
-  for (std::size_t q = static_cast<std::size_t>(prefix) + 1;
-       q < out.layers.size(); ++q) {
-    out.layers[q] = RelayLadder::Layer{};
-  }
-  return out;
+  const LayerPairBytes& admitted =
+      candidates[static_cast<std::size_t>(prefix)];
+  const std::uint64_t bytes = admitted.color_bytes + admitted.depth_bytes;
+  ++stats.prefixes_admitted;
+  stats.relay_bytes += bytes;
+  hop.arrival_ms = pipe.SendArrivalMs(now_ms, bytes);
+  return hop;
 }
 
 EdgeRelay::EdgeRelay(int region, const std::vector<int>& region_of,
@@ -155,14 +118,9 @@ EdgeRelay::EdgeRelay(int region, const std::vector<int>& region_of,
       to_root_(to_root),
       root_(root),
       sfu_(local_sfu),
-      alloc_(static_cast<int>(std::count(region_of.begin(), region_of.end(),
-                                         region)) +
-                 1,
-             RelayAllocatorConfig(options, parties)),
-      pricer_(parties, EffectiveLadderLayers(options, parties),
-              options.allocation_interval_ms),
-      pipe_(options.relay_rate_mbps, options.relay_hop_delay_ms),
-      current_prefix_(region_of.size(), -1) {
+      stage_(static_cast<int>(
+                 std::count(region_of.begin(), region_of.end(), region)),
+             -1, options, parties) {
   for (std::size_t p = 0; p < region_of.size(); ++p) {
     if (region_of[p] == region) local_rank_[p] = local_n_++;
   }
@@ -171,48 +129,19 @@ EdgeRelay::EdgeRelay(int region, const std::vector<int>& region_of,
 
 void EdgeRelay::OfferLadder(const RelayLadder& ladder, double now_ms) {
   ++stats_.ladders_offered;
-  const int slot = local_rank_[static_cast<std::size_t>(ladder.origin)];
-  if (ladder.has_stats && ladder.stats.rmse_depth >= 0.0) {
-    alloc_.ObserveProbe(0, slot, ladder.stats.rmse_depth,
-                        ladder.stats.rmse_color);
-  }
-  const std::vector<LayerPairBytes> candidates = pricer_.Price(ladder);
-  obs::FrameLedger& ledger = obs::FrameLedger::Get();
-  int& current = current_prefix_[static_cast<std::size_t>(ladder.origin)];
-  const int prefix = AdmitPrefix(alloc_, slot, ladder, candidates, current);
-  const auto frame = static_cast<std::int32_t>(ladder.frame_index);
-  if (prefix < 0) {
-    ++stats_.prefixes_dropped_budget;
-    if (ledger.enabled()) {
-      ledger.Record(ladder.origin, frame, -1, obs::LedgerHop::kRelayDropped,
-                    now_ms, PrefixBytes(ladder, options_.ladder_layers),
-                    ladder.key_pair, -1);
-    }
+  std::optional<RelayStage::Hop> hop = stage_.Offer(
+      local_rank_[static_cast<std::size_t>(ladder.origin)], ladder, now_ms,
+      stats_);
+  if (!hop) {
     // Remote streams riding this origin cannot extend past the gap; ask
     // for a re-key so the next offer may re-anchor at a cheaper prefix
     // (OnRemoteKeyframeRequest routes to the origin, throttled).
     sfu_->OnRemoteKeyframeRequest(ladder.origin, now_ms);
     return;
   }
-  const std::uint64_t bytes = PrefixBytes(ladder, prefix);
-  ++stats_.prefixes_admitted;
-  stats_.relay_bytes += bytes;
-  for (int q = 0; q <= prefix; ++q) {
-    const RelayLadder::Layer& layer =
-        ladder.layers[static_cast<std::size_t>(q)];
-    if (!layer.Valid()) continue;
-    ++stats_.layers_relayed;
-    if (ledger.enabled()) {
-      ledger.Record(ladder.origin, frame, -1,
-                    obs::LedgerHop::kRelayForwarded, now_ms,
-                    layer.color->size() + layer.depth->size(),
-                    ladder.key_pair, q);
-    }
-  }
-  const double arrival_ms = pipe_.SendArrivalMs(now_ms, bytes);
   RootRelay* root = root_;
-  to_root_->Send(now_ms, arrival_ms - now_ms,
-                 [root, msg = TrimToPrefix(ladder, prefix)](double t) {
+  to_root_->Send(now_ms, hop->arrival_ms - now_ms,
+                 [root, msg = std::move(hop->ladder)](double t) {
                    root->OnEdgeLadder(msg, t);
                  });
 }
@@ -235,15 +164,15 @@ void EdgeRelay::OnAllocationInterval(double start_ms,
                  [root, region, start_ms, demand](double t) {
                    root->OnEdgeDemand(region, start_ms, demand, t);
                  });
-  alloc_.BeginInterval(0, start_ms, PipeIntervalBytes(options_),
-                       upstream_weights_);
+  stage_.alloc.BeginInterval(0, start_ms, PipeIntervalBytes(options_),
+                             upstream_weights_);
 }
 
 double EdgeRelay::RelayBudgetBps(int origin) const {
-  if (!alloc_.Initialized(0)) return -1.0;
+  if (!stage_.alloc.Initialized(0)) return -1.0;
   const int slot = local_rank_[static_cast<std::size_t>(origin)];
   if (slot < 0) return -1.0;
-  return alloc_.ShareOf(0, slot) * options_.relay_rate_mbps * 1e6;
+  return stage_.alloc.ShareOf(0, slot) * options_.relay_rate_mbps * 1e6;
 }
 
 void EdgeRelay::OnUpstreamWeights(const std::vector<double>& weights) {
@@ -270,14 +199,8 @@ RootRelay::RootRelay(const std::vector<int>& region_of,
       if (region_of_[static_cast<std::size_t>(o)] == d) continue;
       dest.slot_of_origin[static_cast<std::size_t>(o)] = dest.slots++;
     }
-    dest.alloc = std::make_unique<DownlinkAllocator>(
-        dest.slots + 1, RelayAllocatorConfig(options, parties));
-    dest.pricer = std::make_unique<PrefixPricer>(
-        parties, EffectiveLadderLayers(options, parties),
-        options.allocation_interval_ms);
-    dest.pipe = std::make_unique<RelayPipe>(options.relay_rate_mbps,
-                                            options.relay_hop_delay_ms);
-    dest.current_prefix.assign(static_cast<std::size_t>(parties_), -1);
+    dest.stage =
+        std::make_unique<RelayStage>(dest.slots, -2 - d, options, parties);
   }
 }
 
@@ -303,8 +226,8 @@ void RootRelay::OnEdgeDemand(int region, double start_ms,
     visibility[static_cast<std::size_t>(slot)] =
         demand[static_cast<std::size_t>(o)];
   }
-  dest.alloc->BeginInterval(0, start_ms, PipeIntervalBytes(options_),
-                            visibility);
+  dest.stage->alloc.BeginInterval(0, start_ms, PipeIntervalBytes(options_),
+                                 visibility);
   // Refresh every other edge's upstream weights: for each of its local
   // origins, the max demand any remote region has reported so far.
   for (int e = 0; e < regions_; ++e) {
@@ -336,52 +259,19 @@ void RootRelay::OnEdgeDemand(int region, double start_ms,
 
 void RootRelay::OnEdgeLadder(const RelayLadder& ladder, double now_ms) {
   const int origin_region = region_of_[static_cast<std::size_t>(ladder.origin)];
-  obs::FrameLedger& ledger = obs::FrameLedger::Get();
-  const auto frame = static_cast<std::int32_t>(ladder.frame_index);
   for (int d = 0; d < regions_; ++d) {
     if (d == origin_region) continue;
     Dest& dest = dests_[static_cast<std::size_t>(d)];
-    const int slot = dest.slot_of_origin[static_cast<std::size_t>(ladder.origin)];
-    if (ladder.has_stats && ladder.stats.rmse_depth >= 0.0) {
-      dest.alloc->ObserveProbe(0, slot, ladder.stats.rmse_depth,
-                               ladder.stats.rmse_color);
-    }
-    const std::vector<LayerPairBytes> candidates =
-        dest.pricer->Price(ladder);
-    int& current =
-        dest.current_prefix[static_cast<std::size_t>(ladder.origin)];
-    const int prefix =
-        AdmitPrefix(*dest.alloc, slot, ladder, candidates, current);
-    if (prefix < 0) {
-      ++stats_.prefixes_dropped_budget;
-      if (ledger.enabled()) {
-        ledger.Record(ladder.origin, frame, -2 - d,
-                      obs::LedgerHop::kRelayDropped, now_ms,
-                      PrefixBytes(ladder, options_.ladder_layers),
-                      ladder.key_pair, -1);
-      }
+    std::optional<RelayStage::Hop> hop = dest.stage->Offer(
+        dest.slot_of_origin[static_cast<std::size_t>(ladder.origin)], ladder,
+        now_ms, stats_);
+    if (!hop) {
       RelayKeyframeRequest(ladder.origin, now_ms);
       continue;
     }
-    const std::uint64_t bytes = PrefixBytes(ladder, prefix);
-    ++stats_.prefixes_admitted;
-    stats_.relay_bytes += bytes;
-    for (int q = 0; q <= prefix; ++q) {
-      const RelayLadder::Layer& layer =
-          ladder.layers[static_cast<std::size_t>(q)];
-      if (!layer.Valid()) continue;
-      ++stats_.layers_relayed;
-      if (ledger.enabled()) {
-        ledger.Record(ladder.origin, frame, -2 - d,
-                      obs::LedgerHop::kRelayForwarded, now_ms,
-                      layer.color->size() + layer.depth->size(),
-                      ladder.key_pair, q);
-      }
-    }
-    const double arrival_ms = dest.pipe->SendArrivalMs(now_ms, bytes);
     SfuActor* sfu = dest.sfu;
-    dest.to_edge->Send(now_ms, arrival_ms - now_ms,
-                       [sfu, msg = TrimToPrefix(ladder, prefix)](double t) {
+    dest.to_edge->Send(now_ms, hop->arrival_ms - now_ms,
+                       [sfu, msg = std::move(hop->ladder)](double t) {
                          sfu->OnRelayLadder(msg, t);
                        });
   }
