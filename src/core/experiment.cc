@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "obs/log.h"
+#include "util/fnv1a.h"
 
 namespace livo::core {
 
@@ -170,15 +171,12 @@ std::string MatrixConfig::CacheKey() const {
   os << "|";
   for (const auto& v : videos) os << v << ",";
   os << "|" << both_traces;
-  // FNV-1a over the description.
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : os.str()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  const std::string description = os.str();
+  util::Fnv1a h;
+  h.MixBytes(description.data(), description.size());
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(h.value()));
   return buf;
 }
 

@@ -1,13 +1,13 @@
 #include "runtime/multi_session.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <utility>
 
 #include "obs/obs.h"
 #include "runtime/loop_group.h"
 #include "util/clock.h"
+#include "util/fnv1a.h"
 
 namespace livo::runtime {
 
@@ -69,27 +69,8 @@ MultiSessionResult RunMultiSession(std::vector<SessionSpec> specs,
   return result;
 }
 
-namespace {
-
-class Fnv1a {
- public:
-  void Mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void Mix(double v) { Mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ull;
-};
-
-}  // namespace
-
 std::uint64_t MultiSessionFingerprint(const MultiSessionResult& result) {
-  Fnv1a h;
+  util::Fnv1a h;
   h.Mix(static_cast<std::uint64_t>(result.sessions.size()));
   for (const core::SessionResult& session : result.sessions) {
     h.Mix(static_cast<std::uint64_t>(session.frames.size()));

@@ -20,22 +20,16 @@
 #include "image/tiling.h"
 #include "kernels/kernels.h"
 #include "sim/dataset.h"
+#include "util/fnv1a.h"
 #include "video/color_convert.h"
 #include "video/video_codec.h"
 
 namespace livo {
 namespace {
 
-std::uint64_t Fnv1a64(const std::vector<std::uint8_t>& bytes,
-                      std::uint64_t h) {
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
+void MixBytes(util::Fnv1a& h, const std::vector<std::uint8_t>& bytes) {
+  h.MixBytes(bytes.data(), bytes.size());
 }
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
 struct GoldenEntry {
   const char* sequence;
@@ -59,7 +53,7 @@ std::uint64_t EncodeAndHash(const sim::CapturedSequence& capture,
   video::VideoEncoder color_encoder(config.ColorCodecConfig(), 3);
   video::VideoEncoder depth_encoder(config.DepthCodecConfig(), 1);
 
-  std::uint64_t h = kFnvOffset;
+  util::Fnv1a h;
   for (std::uint32_t f = 0; f < capture.frames.size(); ++f) {
     const image::TiledFramePair tiled =
         image::Tile(config.layout, capture.frames[f], f);
@@ -72,10 +66,10 @@ std::uint64_t EncodeAndHash(const sim::CapturedSequence& capture,
 
     auto color = color_encoder.EncodeAtQp(color_planes, 24);
     auto depth_result = depth_encoder.EncodeAtQp(depth_planes, 42);
-    h = Fnv1a64(video::SerializeFrame(color.frame), h);
-    h = Fnv1a64(video::SerializeFrame(depth_result.frame), h);
+    MixBytes(h, video::SerializeFrame(color.frame));
+    MixBytes(h, video::SerializeFrame(depth_result.frame));
   }
-  return h;
+  return h.value();
 }
 
 // ---- Simulcast ladder golden hashes ----
@@ -111,7 +105,7 @@ TEST(GoldenBitstream, LadderLayersPinnedAcrossSimdLevelsAndThreadCounts) {
       config.enable_adaptation = false;  // fixed QPs per layer
       config.dynamic_split = false;
       core::LiVoSender sender(config, capture.rig);
-      std::uint64_t hashes[3] = {kFnvOffset, kFnvOffset, kFnvOffset};
+      util::Fnv1a hashes[3];
       for (std::uint32_t f = 0; f < capture.frames.size(); ++f) {
         const core::SenderOutput out =
             sender.ProcessFrame(capture.frames[f], f, 20e6);
@@ -119,17 +113,17 @@ TEST(GoldenBitstream, LadderLayersPinnedAcrossSimdLevelsAndThreadCounts) {
         for (int q = 0; q < 2; ++q) {
           const core::SenderLayerOutput& layer =
               out.lower_layers[static_cast<std::size_t>(q)];
-          hashes[q] = Fnv1a64(*layer.color_frame, hashes[q]);
-          hashes[q] = Fnv1a64(*layer.depth_frame, hashes[q]);
+          MixBytes(hashes[q], *layer.color_frame);
+          MixBytes(hashes[q], *layer.depth_frame);
         }
-        hashes[2] = Fnv1a64(*out.color_frame, hashes[2]);
-        hashes[2] = Fnv1a64(*out.depth_frame, hashes[2]);
+        MixBytes(hashes[2], *out.color_frame);
+        MixBytes(hashes[2], *out.depth_frame);
       }
       for (int q = 0; q < 3; ++q) {
-        EXPECT_EQ(hashes[q], kGoldenLadder[q])
+        EXPECT_EQ(hashes[q].value(), kGoldenLadder[q])
             << "layer " << q << " at level " << kernels::ToString(level)
             << " with codec_threads=" << threads << ": hash 0x" << std::hex
-            << hashes[q] << " != pinned 0x" << kGoldenLadder[q];
+            << hashes[q].value() << " != pinned 0x" << kGoldenLadder[q];
       }
     }
   }
