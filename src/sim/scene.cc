@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
+
+#include "util/thread_pool.h"
 
 namespace livo::sim {
 namespace {
@@ -138,6 +139,99 @@ Vec3 LocalNormal(const Primitive& prim, const Vec3& local) {
   return {0, 1, 0};
 }
 
+// Radius of a sphere about the primitive's local origin that encloses its
+// shape, inflated so that rounding in the world-frame sphere test can never
+// reject a ray the exact local-frame intersection would hit.
+double BoundingRadius(const Primitive& prim) {
+  const Vec3& h = prim.half_size;
+  double r = 0.0;
+  switch (prim.kind) {
+    case PrimitiveKind::kEllipsoid:
+      r = std::max({std::abs(h.x), std::abs(h.y), std::abs(h.z)});
+      break;
+    case PrimitiveKind::kBox:
+      r = h.Norm();  // the corners
+      break;
+    case PrimitiveKind::kCylinder:
+      r = std::hypot(h.x, h.y);  // the rims
+      break;
+  }
+  return r * (1.0 + 1e-9) + 1e-6;
+}
+
+// One primitive posed at one instant and seen from one ray origin: what
+// every ray from that origin (a camera's rays, or one traced ray) shares.
+struct PosedPrimitive {
+  const Primitive* prim = nullptr;
+  Mat4 to_local;
+  Vec3 local_origin;       // the ray origin in the primitive's frame
+  Vec3 to_center;          // world vector from the ray origin to the centre
+  double outside_sq = 0.0; // |to_center|^2 - radius^2; > 0 when outside
+};
+
+std::vector<PosedPrimitive> PosePrimitives(
+    const std::vector<Primitive>& primitives, const Vec3& origin,
+    double t_s) {
+  std::vector<PosedPrimitive> posed;
+  posed.reserve(primitives.size());
+  for (const Primitive& prim : primitives) {
+    const Pose pose = prim.PoseAt(t_s);
+    PosedPrimitive p;
+    p.prim = &prim;
+    p.to_local = pose.WorldToLocal();
+    p.local_origin = p.to_local.TransformPoint(origin);
+    p.to_center = pose.position - origin;
+    const double radius = BoundingRadius(prim);
+    p.outside_sq = p.to_center.Dot(p.to_center) - radius * radius;
+    posed.push_back(p);
+  }
+  return posed;
+}
+
+// Nearest hit of the ray (origin, dir) among primitives posed for `origin`.
+// A ray skips a primitive only when the origin lies outside its bounding
+// sphere and the ray either points away from the centre or passes farther
+// from it than the radius; the rest get the exact intersection, in
+// primitive order, and a later primitive wins only when strictly nearer.
+std::optional<RayHit> TracePosed(const std::vector<PosedPrimitive>& posed,
+                                 const Vec3& origin, const Vec3& dir) {
+  const double dir_sq = dir.Dot(dir);
+  std::optional<RayHit> best;
+  for (const PosedPrimitive& p : posed) {
+    const double along = p.to_center.Dot(dir);
+    // Closest approach^2 = |to_center|^2 - along^2 / dir_sq > radius^2.
+    if (p.outside_sq > 0.0 &&
+        (along < 0.0 || p.outside_sq * dir_sq > along * along)) {
+      continue;
+    }
+    const Vec3& lo = p.local_origin;
+    const Vec3 ld = p.to_local.TransformDirection(dir);
+
+    std::optional<double> t;
+    switch (p.prim->kind) {
+      case PrimitiveKind::kEllipsoid:
+        t = IntersectEllipsoidLocal(lo, ld, p.prim->half_size);
+        break;
+      case PrimitiveKind::kBox:
+        t = IntersectBoxLocal(lo, ld, p.prim->half_size);
+        break;
+      case PrimitiveKind::kCylinder:
+        t = IntersectCylinderLocal(lo, ld, p.prim->half_size);
+        break;
+    }
+    if (!t) continue;
+    if (!best || *t < best->t) {
+      RayHit hit;
+      hit.t = *t;
+      hit.position = origin + dir * *t;
+      hit.local = lo + ld * *t;
+      hit.primitive = p.prim;
+      best = hit;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 Pose Primitive::PoseAt(double t_s) const {
@@ -177,36 +271,7 @@ Pose Primitive::PoseAt(double t_s) const {
 
 std::optional<RayHit> Scene::Trace(const Vec3& origin, const Vec3& dir,
                                    double t_s) const {
-  std::optional<RayHit> best;
-  for (const Primitive& prim : primitives_) {
-    const Pose pose = prim.PoseAt(t_s);
-    const Mat4 to_local = pose.WorldToLocal();
-    const Vec3 lo = to_local.TransformPoint(origin);
-    const Vec3 ld = to_local.TransformDirection(dir);
-
-    std::optional<double> t;
-    switch (prim.kind) {
-      case PrimitiveKind::kEllipsoid:
-        t = IntersectEllipsoidLocal(lo, ld, prim.half_size);
-        break;
-      case PrimitiveKind::kBox:
-        t = IntersectBoxLocal(lo, ld, prim.half_size);
-        break;
-      case PrimitiveKind::kCylinder:
-        t = IntersectCylinderLocal(lo, ld, prim.half_size);
-        break;
-    }
-    if (!t) continue;
-    if (!best || *t < best->t) {
-      RayHit hit;
-      hit.t = *t;
-      hit.position = origin + dir * *t;
-      hit.local = lo + ld * *t;
-      hit.primitive = &prim;
-      best = hit;
-    }
-  }
-  return best;
+  return TracePosed(PosePrimitives(primitives_, origin, t_s), origin, dir);
 }
 
 void ShadeHit(const RayHit& hit, std::uint8_t& r, std::uint8_t& g,
@@ -254,12 +319,14 @@ image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
   const Mat4 to_world = camera.extrinsics.CameraToWorld();
   const Vec3 origin = camera.extrinsics.pose.position;
   const Vec3 fwd = camera.extrinsics.pose.Forward();
+  const std::vector<PosedPrimitive> posed =
+      PosePrimitives(scene.primitives(), origin, t_s);
 
   for (int y = 0; y < k.height; ++y) {
     for (int x = 0; x < k.width; ++x) {
       const Vec3 local_dir = k.Unproject(x + 0.5, y + 0.5, 1.0);
       const Vec3 dir = to_world.TransformDirection(local_dir).Normalized();
-      const auto hit = scene.Trace(origin, dir, t_s);
+      const auto hit = TracePosed(posed, origin, dir);
       if (!hit) continue;  // depth stays 0 (no return), color stays black
 
       // Sensor depth is distance along the optical axis (z-depth), the
@@ -297,19 +364,15 @@ std::vector<image::RgbdFrame> RenderRig(const Scene& scene,
                                         const std::vector<geom::RgbdCamera>& rig,
                                         double t_s, std::uint32_t frame_index,
                                         const SensorNoise& noise) {
-  // One task per camera: views are independent (the paper parallelizes
-  // view generation the same way, §A.1).
-  std::vector<std::future<image::RgbdFrame>> tasks;
-  tasks.reserve(rig.size());
-  for (std::size_t i = 0; i < rig.size(); ++i) {
-    tasks.push_back(std::async(std::launch::async, [&, i] {
-      return RenderView(scene, rig[i], t_s, frame_index,
-                        static_cast<std::uint32_t>(i), noise);
-    }));
-  }
-  std::vector<image::RgbdFrame> views;
-  views.reserve(rig.size());
-  for (auto& task : tasks) views.push_back(task.get());
+  // Views are independent (the paper parallelizes view generation the same
+  // way, §A.1), and each task writes only its own slot.
+  std::vector<image::RgbdFrame> views(rig.size());
+  util::SharedPool().ParallelFor(
+      static_cast<int>(rig.size()), 0, [&](int i) {
+        const auto camera = static_cast<std::size_t>(i);
+        views[camera] = RenderView(scene, rig[camera], t_s, frame_index,
+                                   static_cast<std::uint32_t>(i), noise);
+      });
   return views;
 }
 
