@@ -111,11 +111,9 @@ void SfuActor::SetSharedLinks(runtime::SharedLink* uplink,
   shared_downlink_ = downlink;
 }
 
-void SfuActor::ConfigureCascade(RelayPort* relay, int region,
-                                const std::vector<int>& region_of) {
+void SfuActor::ConfigureCascade(RelayPort* relay, int region) {
   relay_ = relay;
   region_ = region;
-  region_of_ = region_of;
   // A remote subscriber sits two relay hops away in each direction
   // (edge -> root -> edge for frames, the same path back for feedback).
   cascade_rtt_ms_ = 4.0 * options_.relay_hop_delay_ms;

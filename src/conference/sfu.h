@@ -167,8 +167,7 @@ class SfuActor {
   // fan-out, PLIs for remote origins are routed through it, and
   // OriginBudgetBps gains the relay-pipe grant. `relay` must outlive the
   // actor. Call before Start().
-  void ConfigureCascade(RelayPort* relay, int region,
-                        const std::vector<int>& region_of);
+  void ConfigureCascade(RelayPort* relay, int region);
 
   void Start();
 
@@ -259,12 +258,9 @@ class SfuActor {
   std::vector<std::vector<bool>> awaiting_key_;  // [subscriber][slot]
   std::vector<double> last_key_relay_ms_;        // by origin
 
-  // Cascade wiring (null/empty for a direct conference). region_of_ maps
-  // every roster slot to its region so gate loops can skip remote
-  // subscribers without touching their (absent) actors.
+  // Cascade wiring (null for a direct conference).
   RelayPort* relay_ = nullptr;
   int region_ = 0;
-  std::vector<int> region_of_;
   // Extra RTT a remote subscriber adds over the cascade (two relay hops
   // each way); folded into MaxSubscriberDownlinkRttMs when any subscriber
   // of `origin` is remote.

@@ -284,8 +284,6 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
             video::SerializeFrame(color_low.frame));
         layer.depth_frame = std::make_shared<const std::vector<std::uint8_t>>(
             video::SerializeFrame(depth_low.frame));
-        out.stats.ladder_bytes +=
-            layer.color_frame->size() + layer.depth_frame->size();
         video::ReleaseReconstruction(color_low);
         video::ReleaseReconstruction(depth_low);
       }

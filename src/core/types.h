@@ -152,9 +152,6 @@ struct SenderFrameStats {
   std::size_t color_bytes = 0;
   std::size_t depth_bytes = 0;
   double cull_kept_fraction = 1.0;
-  // Serialized bytes of all lower simulcast layers combined (0 for
-  // single-layer senders; color_bytes/depth_bytes stay top-layer only).
-  std::size_t ladder_bytes = 0;
   double rmse_color = -1.0;  // -1 when the probe did not run this frame
   double rmse_depth = -1.0;
   double cull_ms = 0.0;
