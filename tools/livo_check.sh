@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Strict-mode gate for the sanitizer-sensitive parts of the tree, in two
+# Strict-mode gate for the sanitizer-sensitive parts of the tree, in four
 # passes:
 #
 #  1. TSan pass — builds test_util + test_obs + test_video_parallel +
-#     test_runtime + test_conference (the sharded LoopGroup scheduler with
-#     its cross-loop ring stress test, thread-pool codec interaction,
-#     multi-session runs, and the N-party SFU conference including the
-#     cascaded edge-SFU topology) with -Wall -Wextra -Werror and, when the
+#     test_runtime + test_conference + test_fec + test_report +
+#     test_kernels + test_sim (the sharded LoopGroup scheduler with its
+#     cross-loop ring stress test, thread-pool codec interaction,
+#     multi-session runs, the N-party SFU conference including the
+#     cascaded edge-SFU topology, and capture, whose RenderRig fans views
+#     out on the shared pool) with -Wall -Wextra -Werror and, when the
 #     toolchain supports it, ThreadSanitizer, then runs the combined
 #     binary. TSan is the real gate for the M-threads-M-loops runtime:
 #     cross-loop sends and barrier hand-offs race-check here.
 #  2. ASan+UBSan pass — builds the kernel-equivalence, codec, runtime,
-#     conference, point-cloud and metrics suites (test_kernels +
+#     conference, point-cloud, metrics and capture suites (test_kernels +
 #     test_golden_bitstream + test_video + test_video_parallel +
 #     test_runtime + test_conference + test_fec + test_report +
-#     test_pointcloud + test_metrics) with AddressSanitizer +
+#     test_pointcloud + test_metrics + test_sim) with AddressSanitizer +
 #     UndefinedBehaviorSanitizer and libstdc++'s bounds-checked containers
 #     (-D_GLIBCXX_ASSERTIONS) so out-of-bounds SIMD loads, UB in the
 #     intrinsics code and bad indices into the nearest-neighbour index's
