@@ -34,8 +34,7 @@ void Describe(std::ostream& os, const net::ChannelConfig& c) {
   Describe(os, c.link);
   os << "|gcc:" << c.gcc.initial_bps << ',' << c.gcc.min_bps << ','
      << c.gcc.max_bps << "|ch:" << c.jitter_buffer_ms << ','
-     << c.feedback_interval_ms << ',' << c.enable_nack << ','
-     << c.copy_payloads;
+     << c.feedback_interval_ms << ',' << c.enable_nack;
   if (c.enable_fec) {
     os << "|fec:" << c.fec_redundancy_cap;
   }
@@ -512,7 +511,7 @@ std::string ConferenceCacheKey(const std::vector<ParticipantSpec>& specs,
      << options.burst_credit_intervals << ',' << options.share_floor << ','
      << options.forward_split.initial << ',' << options.forward_split.step
      << ',' << options.keyframe_relay_throttle_ms << ','
-     << options.encode_headroom << ',' << options.max_parties << ','
+     << options.max_parties << ','
      << options.seats.radius_m << ',' << options.seats.samples_per_axis
      << ',' << options.receiver.voxel_size_m << ','
      << options.receiver.max_pair_lag << ',' << options.scheme_name;

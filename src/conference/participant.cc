@@ -208,8 +208,7 @@ void ParticipantActor::OnWake(double now_ms) {
         layers_, spec_.config.ladder_qp_step);
     double target_bps = uplink_->TargetBitrateBps() / ladder_overhead;
     if (sfu_ != nullptr) {
-      target_bps = std::min(
-          target_bps, sfu_->OriginBudgetBps(index_) * options_.encode_headroom);
+      target_bps = std::min(target_bps, sfu_->OriginBudgetBps(index_));
     }
     core::SenderOutput out = sender_->ProcessFrame(
         spec_.sequence->frames[static_cast<std::size_t>(f)],

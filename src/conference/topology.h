@@ -121,9 +121,6 @@ struct ConferenceOptions {
   // PLI relays toward one origin are spaced at least this far apart
   // (mirrors the transport's own keyframe-request throttle).
   double keyframe_relay_throttle_ms = 300.0;
-  // Origins encode at min(uplink estimate, headroom * best subscriber
-  // allocation); 1.0 = never encode beyond what someone can receive.
-  double encode_headroom = 1.0;
 
   // Admission control: RunConference rejects parties above this cap
   // rather than degrading everyone below usability.

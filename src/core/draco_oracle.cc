@@ -109,11 +109,8 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
       bytes_sent += best->data.size();
 
       if (pf % std::max(1, options.metric_every) == 0) {
-        pointcloud::PointCloud decoded = pccodec::DecodeCloud(*best);
-        if (options.receiver.voxelize) {
-          decoded = pointcloud::VoxelDownsample(
-              decoded, options.receiver.voxel_size_m);
-        }
+        const pointcloud::PointCloud decoded = pointcloud::VoxelDownsample(
+            pccodec::DecodeCloud(*best), options.receiver.voxel_size_m);
         const pointcloud::PointCloud reference = GroundTruthCloud(
             sequence.frames[static_cast<std::size_t>(cf)], sequence.rig,
             frustum, options.receiver);

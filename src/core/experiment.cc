@@ -53,8 +53,7 @@ void Describe(std::ostream& os, const geom::FrustumParams& v) {
 }
 
 void Describe(std::ostream& os, const ReceiverConfig& r) {
-  os << r.voxel_size_m << ',' << r.max_pair_lag << ',' << r.final_cull << ','
-     << r.voxelize;
+  os << r.voxel_size_m << ',' << r.max_pair_lag << ',' << r.final_cull;
 }
 
 void Describe(std::ostream& os, const net::LinkConfig& l) {
@@ -94,8 +93,7 @@ void Describe(std::ostream& os, const ReplayOptions& o) {
      << o.channel.gcc.loss_decrease_threshold << ','
      << o.channel.gcc.loss_increase_threshold << "|ch:"
      << o.channel.jitter_buffer_ms << ',' << o.channel.feedback_interval_ms
-     << ',' << o.channel.enable_nack << ',' << o.channel.copy_payloads
-     << "|rx:";
+     << ',' << o.channel.enable_nack << "|rx:";
   Describe(os, o.receiver);
   os << '|' << o.bandwidth_scale << ',' << o.trace_time_accel << ','
      << o.sender_pipeline_delay_ms << ',' << o.metric_every << ','

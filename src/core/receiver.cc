@@ -279,9 +279,7 @@ void LiVoReceiver::BuildCloud(const std::vector<image::Plane16>& color_planes,
   util::Stopwatch render_watch;
   {
     LIVO_SPAN("receiver.render");
-    if (receiver_config_.voxelize) {
-      cloud = pointcloud::VoxelDownsample(cloud, receiver_config_.voxel_size_m);
-    }
+    cloud = pointcloud::VoxelDownsample(cloud, receiver_config_.voxel_size_m);
     if (receiver_config_.final_cull) {
       cloud = cloud.CulledTo(frustum);
     }

@@ -46,7 +46,6 @@ struct ReceiverConfig {
   // Frames older than this behind the newest complete pair are skipped.
   std::uint32_t max_pair_lag = 2;
   bool final_cull = true;   // cull reconstruction to the live frustum
-  bool voxelize = true;
 };
 
 class LiVoReceiver {

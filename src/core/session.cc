@@ -32,11 +32,9 @@ pointcloud::PointCloud GroundTruthCloud(
     const std::vector<image::RgbdFrame>& views,
     const std::vector<geom::RgbdCamera>& cameras, const geom::Frustum& frustum,
     const ReceiverConfig& receiver_config) {
-  pointcloud::PointCloud cloud =
-      pointcloud::ReconstructFromViews(views, cameras);
-  if (receiver_config.voxelize) {
-    cloud = pointcloud::VoxelDownsample(cloud, receiver_config.voxel_size_m);
-  }
+  pointcloud::PointCloud cloud = pointcloud::VoxelDownsample(
+      pointcloud::ReconstructFromViews(views, cameras),
+      receiver_config.voxel_size_m);
   if (receiver_config.final_cull) {
     cloud = cloud.CulledTo(frustum);
   }

@@ -21,7 +21,6 @@ struct TransportMetrics {
       reg.GetCounter("net.packets_retransmitted");
   obs::Counter& keyframe_requests = reg.GetCounter("net.keyframe_requests");
   obs::Counter& feedback_reports = reg.GetCounter("net.feedback_reports");
-  obs::Counter& bytes_copied = reg.GetCounter("transport.bytes_copied");
   obs::Counter& parity_packets = reg.GetCounter("net.parity_packets_sent");
   obs::Counter& fragments_recovered =
       reg.GetCounter("net.fragments_recovered");
@@ -93,8 +92,8 @@ void VideoChannel::SendFrame(
     // XOR interleaved parity over the frame's fragments (src/fec). Parity
     // packets take real sequence numbers so feedback gap accounting and
     // the GCC loop see them like any other traffic; only their payload
-    // *sizes* travel through the emulator — the XOR byte algebra is
-    // exercised by the fec unit tests and the copy_payloads fidelity path.
+    // *sizes* travel through the emulator — only the fec unit tests
+    // exercise the XOR byte algebra.
     int parity =
         fec::ParityCount(static_cast<int>(fragments), RedundancyFor(stream_id));
     // The redundancy rate is a wire-byte guarantee over the channel's
@@ -194,26 +193,6 @@ void VideoChannel::DeliverPacket(
     frame.have[packet.fragment] = true;
     ++frame.received;
     ++fb_received_unique_;
-    if (config_.copy_payloads && data) {
-      // Fidelity mode: materialize the receive buffer once, with exactly
-      // the frame's capacity, and copy this fragment's span into place.
-      if (!frame.assembly) {
-        frame.assembly = std::make_shared<std::vector<std::uint8_t>>();
-        frame.assembly->reserve(data->size());
-        frame.assembly->resize(data->size());
-      }
-      const std::size_t offset =
-          static_cast<std::size_t>(packet.fragment) * kMtuBytes;
-      if (offset < data->size()) {
-        const std::size_t n =
-            std::min(packet.payload_bytes, data->size() - offset);
-        std::copy_n(data->begin() + static_cast<std::ptrdiff_t>(offset), n,
-                    frame.assembly->begin() +
-                        static_cast<std::ptrdiff_t>(offset));
-        stats_.bytes_copied += n;
-        Metrics().bytes_copied.Add(n);
-      }
-    }
   }
   frame.last_arrival_ms = now_ms;
   frame.send_time_ms = std::min(frame.send_time_ms, packet.send_time_ms);
@@ -263,29 +242,10 @@ void VideoChannel::MarkFragmentRecovered(PendingFrame& frame, int index,
   // Recovered fragments are *not* wire receptions: the feedback gap keeps
   // counting them as lost, so the loss estimate (and the redundancy it
   // buys) still tracks the raw link.
-  std::size_t n = 0;
-  if (frame.data) {
-    n = fec::FragmentSize(frame.data->size(), kMtuBytes,
-                          static_cast<std::size_t>(index));
-    if (config_.copy_payloads && n > 0) {
-      // Fidelity mode: materialize the same span the XOR reconstruction
-      // yields (the algebra is unit-proved in test_fec; the single-process
-      // emulation can read it straight from the sender's buffer).
-      if (!frame.assembly) {
-        frame.assembly = std::make_shared<std::vector<std::uint8_t>>();
-        frame.assembly->reserve(frame.data->size());
-        frame.assembly->resize(frame.data->size());
-      }
-      const std::size_t offset =
-          static_cast<std::size_t>(index) * kMtuBytes;
-      std::copy_n(frame.data->begin() + static_cast<std::ptrdiff_t>(offset),
-                  n,
-                  frame.assembly->begin() +
-                      static_cast<std::ptrdiff_t>(offset));
-      stats_.bytes_copied += n;
-      Metrics().bytes_copied.Add(n);
-    }
-  }
+  const std::size_t n =
+      frame.data ? fec::FragmentSize(frame.data->size(), kMtuBytes,
+                                     static_cast<std::size_t>(index))
+                 : 0;
   if (fec_hook_) {
     fec_hook_(FecEvent::kRecovered, frame.stream_id, frame.frame_index,
               now_ms, n);
@@ -303,10 +263,7 @@ void VideoChannel::ReleaseComplete(const FrameKey& key, double now_ms) {
   done.send_time_ms = frame.send_time_ms;
   done.complete_time_ms = now_ms;
   done.release_time_ms = frame.send_time_ms + config_.jitter_buffer_ms;
-  done.data = frame.assembly
-                  ? std::shared_ptr<const std::vector<std::uint8_t>>(
-                        frame.assembly)
-                  : frame.data;
+  done.data = frame.data;
   ready_.push_back(done);
   pending_.erase(it);
 }
@@ -479,10 +436,9 @@ void VideoChannel::RunRepairScheduler(double now_ms) {
       // No repair can land before the playout deadline: stop spending
       // repair rounds on this frame instead of burning the round-trip.
       // The frame itself stays pending — fragments already in flight (or
-      // a parity packet) may still complete it before the deadline
-      // timeout in Step declares it lost; that timeout also owns the PLI
-      // decision (throttled, and suppressed while a later keyframe is
-      // already in hand so continuity is not actually broken).
+      // a parity packet) may still complete it before ProcessTimers
+      // declares it lost at the deadline. On a FEC channel that raises no
+      // PLI, so giving up here never asks for a keyframe.
       frame.repair_given_up = true;
       ++stats_.repairs_abandoned;
       Metrics().repairs_abandoned.Add();
@@ -494,21 +450,6 @@ void VideoChannel::RunRepairScheduler(double now_ms) {
       ++it;
     }
   }
-}
-
-bool VideoChannel::HaveLaterKeyframe(std::uint32_t stream_id,
-                                     std::uint32_t frame_index) const {
-  for (const ReceivedFrame& r : ready_) {
-    if (r.stream_id == stream_id && r.frame_index > frame_index &&
-        r.keyframe) {
-      return true;
-    }
-  }
-  for (auto it = pending_.upper_bound(FrameKey{stream_id, frame_index});
-       it != pending_.end() && it->first.first == stream_id; ++it) {
-    if (it->second.keyframe) return true;
-  }
-  return false;
 }
 
 void VideoChannel::SetStreamRedundancy(std::uint32_t stream_id,

@@ -7,8 +7,8 @@
 //   * a jitter buffer (default 100 ms, §4.4) delays playout to absorb
 //     delay variation;
 //   * intra-frame NACK recovers isolated losses when time allows;
-//   * frames still incomplete at their playout deadline are dropped and a
-//     PLI/FIR-style keyframe request is raised (§A.1);
+//   * frames still incomplete at their playout deadline are dropped; without
+//     FEC a PLI/FIR-style keyframe request is raised (§A.1);
 //   * periodic receiver reports feed the GCC estimator whose output is the
 //     bandwidth handed to LiVo's splitter (§3.3);
 //   * with FEC enabled (src/fec, DESIGN.md §12), frames carry XOR
@@ -16,9 +16,9 @@
 //     fragments are rebuilt from parity on arrival, and the blind NACK
 //     timer is replaced by a deadline-aware repair scheduler: a
 //     retransmission round is admitted only when it can land before the
-//     frame's playout deadline given the smoothed RTT; otherwise the frame
-//     is abandoned immediately, raising a PLI only when decode continuity
-//     is actually broken (no later keyframe already in hand).
+//     frame's playout deadline given the smoothed RTT; otherwise the
+//     frame's repair is abandoned immediately. A FEC channel raises no PLI
+//     at all: a frame that misses its deadline is only counted lost.
 //
 // ReliableChannel models MeshReduce's TCP sockets: nothing is ever lost,
 // but delivery waits for (re)transmission, so under-provisioned bandwidth
@@ -68,12 +68,6 @@ struct ChannelConfig {
   // calls SetStreamRedundancy.
   bool enable_fec = false;
   double fec_redundancy_cap = 0.5;  // ceiling on parity/media per frame
-  // Fidelity mode: reassemble frames by copying every fragment's payload
-  // into an exactly-reserved buffer, as a real receiver must. The default
-  // (false) keeps the single-process zero-copy shortcut — the sender's
-  // shared_ptr travels end-to-end and reassembly copies nothing. The
-  // `transport.bytes_copied` counter quantifies the difference.
-  bool copy_payloads = false;
   // When non-empty, the channel samples `<obs_label>.queue_delay_ms` and
   // `<obs_label>.delivered_bytes` time series on every Step. Excluded from
   // cache keys: pure observability, no behavioral effect.
@@ -88,7 +82,6 @@ struct ChannelStats {
   std::size_t keyframe_requests = 0;
   std::size_t bytes_sent = 0;
   std::size_t bytes_delivered = 0;  // payload bytes released to the app
-  std::size_t bytes_copied = 0;  // payload bytes memcpy'd during reassembly
   // Loss-resilience counters (all zero with FEC disabled).
   std::size_t parity_packets_sent = 0;
   std::size_t parity_bytes_sent = 0;    // wire bytes, subset of bytes_sent
@@ -195,9 +188,6 @@ class VideoChannel {
     std::uint32_t frame_index = 0;
     bool keyframe = false;
     std::shared_ptr<const std::vector<std::uint8_t>> data;
-    // copy_payloads mode: exactly-sized reassembly buffer fragments are
-    // memcpy'd into (null on the zero-copy path).
-    std::shared_ptr<std::vector<std::uint8_t>> assembly;
     std::vector<bool> have;
     int received = 0;
     // FEC state: which parity packets arrived (sized parity_count on the
@@ -238,8 +228,6 @@ class VideoChannel {
   // Marks media fragment `index` of `frame` received (recovery path).
   void MarkFragmentRecovered(PendingFrame& frame, int index, double now_ms);
   void ReleaseComplete(const FrameKey& key, double now_ms);
-  bool HaveLaterKeyframe(std::uint32_t stream_id,
-                         std::uint32_t frame_index) const;
   double RedundancyFor(std::uint32_t stream_id) const;
   void EmitFeedback(double now_ms);
   // The timer half of Step(): NACK/repairs, playout deadlines, feedback.

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace livo::sim {
 
-double BandwidthTrace::MeanMbps() const { return util::Mean(mbps); }
+double BandwidthTrace::MeanMbps() const {
+  return mbps.empty() ? 0.0
+                      : std::accumulate(mbps.begin(), mbps.end(), 0.0) /
+                            static_cast<double>(mbps.size());
+}
 
 double BandwidthTrace::MinMbps() const {
   return mbps.empty() ? 0.0 : *std::min_element(mbps.begin(), mbps.end());

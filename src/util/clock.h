@@ -42,7 +42,6 @@ class WallClock : public Clock {
 class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
   double ElapsedMs() const {
     const auto d = std::chrono::steady_clock::now() - start_;
     return std::chrono::duration<double, std::milli>(d).count();

@@ -85,21 +85,6 @@ inline double Percentile(const std::vector<double>& values, double p) {
   return Percentile(scratch, p);
 }
 
-inline double Mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
-inline double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = Mean(values);
-  double s = 0.0;
-  for (double v : values) s += (v - m) * (v - m);
-  return std::sqrt(s / static_cast<double>(values.size() - 1));
-}
-
 // Clamps x to [lo, hi].
 inline double Clamp(double x, double lo, double hi) {
   return std::max(lo, std::min(hi, x));

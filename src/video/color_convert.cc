@@ -42,8 +42,4 @@ image::ColorImage YcbcrToRgb(const std::vector<image::Plane16>& planes) {
   return rgb;
 }
 
-std::vector<image::Plane16> DepthToPlanes(const image::DepthImage& depth) {
-  return {depth};
-}
-
 }  // namespace livo::video

@@ -25,7 +25,4 @@ void RgbToYcbcrInto(const image::ColorImage& rgb,
 // Inverse conversion; planes must be the same shape.
 image::ColorImage YcbcrToRgb(const std::vector<image::Plane16>& planes);
 
-// Wraps a depth plane as the codec's single-plane input (copies).
-std::vector<image::Plane16> DepthToPlanes(const image::DepthImage& depth);
-
 }  // namespace livo::video

@@ -271,7 +271,7 @@ TEST(VideoChannel, RttTracksPropagationDelay) {
   EXPECT_NEAR(channel.SmoothedRttMs(), 20.0, 10.0);
 }
 
-// ---- Payload copy semantics (zero-copy default vs fidelity mode) ----
+// ---- Reassembly hands out the sender's buffer ----
 
 TEST(VideoChannel, DefaultPathIsZeroCopy) {
   VideoChannel channel(FlatTrace(50.0), FastChannel());
@@ -282,28 +282,37 @@ TEST(VideoChannel, DefaultPathIsZeroCopy) {
   ASSERT_EQ(ready.size(), 1u);
   // The sender's buffer travels end-to-end: same object, nothing copied.
   EXPECT_EQ(ready[0].data.get(), payload.get());
-  EXPECT_EQ(channel.stats().bytes_copied, 0u);
 }
 
-TEST(VideoChannel, CopyModeReassemblesExactBytes) {
+TEST(VideoChannel, ParityRecoveredFrameCarriesTheSendersBuffer) {
   ChannelConfig config = FastChannel();
-  config.copy_payloads = true;
+  config.enable_fec = true;
+  config.enable_nack = false;  // parity is the only repair
+  config.link.loss_rate = 0.05;
+  config.link.seed = 7;
   VideoChannel channel(FlatTrace(50.0), config);
-  std::vector<std::uint8_t> bytes(5000);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  channel.SetStreamRedundancy(0, 0.5);
+  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> sent;
+  std::vector<ReceivedFrame> released;
+  for (double t = 0; t <= 1000.0; t += 1.0) {
+    if (sent.size() < 20 && t >= static_cast<double>(sent.size()) * 33.0) {
+      const auto index = static_cast<std::uint32_t>(sent.size());
+      sent.push_back(Blob(12000));  // 10 fragments
+      channel.SendFrame(0, index, index == 0, sent.back(), t);
+    }
+    channel.Step(t);
+    for (auto& r : channel.PopReady(t)) released.push_back(std::move(r));
   }
-  const auto payload =
-      std::make_shared<const std::vector<std::uint8_t>>(bytes);
-  channel.SendFrame(0, 0, true, payload, 0.0);
-  for (double t = 0; t < 80.0; t += 1.0) channel.Step(t);
-  const auto ready = channel.PopReady(80.0);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_TRUE(ready[0].data);
-  // Fresh reassembly buffer with identical content, every byte memcpy'd.
-  EXPECT_NE(ready[0].data.get(), payload.get());
-  EXPECT_EQ(*ready[0].data, bytes);
-  EXPECT_EQ(channel.stats().bytes_copied, bytes.size());
+  EXPECT_GT(channel.stats().fragments_recovered, 0u);
+  EXPECT_EQ(channel.stats().frames_delivered, 20u);
+  EXPECT_EQ(channel.stats().packets_retransmitted, 0u);
+  // Each frame is released once, in order, and a frame completed from
+  // parity still hands out the sender's own buffer.
+  ASSERT_EQ(released.size(), sent.size());
+  for (std::size_t i = 0; i < released.size(); ++i) {
+    EXPECT_EQ(released[i].frame_index, i);
+    EXPECT_EQ(released[i].data.get(), sent[i].get());
+  }
 }
 
 // ---- Event-time queries (drive the runtime::EventLoop integration) ----

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/obs.h"
-#include "util/pipeline.h"
 
 namespace livo::obs {
 namespace {
@@ -451,33 +450,6 @@ TEST(LogLevelNames, ParseRoundTrip) {
   EXPECT_EQ(ParseLogLevel("debug", LogLevel::kWarn), LogLevel::kDebug);
   EXPECT_EQ(ParseLogLevel("Info", LogLevel::kWarn), LogLevel::kInfo);
   EXPECT_EQ(ParseLogLevel("nonsense", LogLevel::kError), LogLevel::kError);
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline integration: stages publish into the process registry.
-
-TEST(PipelineObs, StagesPublishLatencyAndCounts) {
-  Registry& reg = Registry::Get();
-  reg.GetCounter("pipeline.obs_test_stage.processed").Reset();
-  reg.GetCounter("pipeline.obs_test_stage.dropped").Reset();
-  reg.GetHistogram("pipeline.obs_test_stage.latency_ms").Reset();
-
-  util::Pipeline<int> pipeline;
-  pipeline.AddStage("obs_test_stage", [](int v) -> std::optional<int> {
-    if (v < 0) return std::nullopt;
-    return v * 2;
-  });
-  pipeline.Start();
-  for (int v : {1, 2, -1, 3}) pipeline.Feed(v);
-  pipeline.Stop();
-
-  const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("pipeline.obs_test_stage.processed"), 4u);
-  EXPECT_EQ(snap.CounterValue("pipeline.obs_test_stage.dropped"), 1u);
-  const HistogramSnapshot* lat =
-      snap.FindHistogram("pipeline.obs_test_stage.latency_ms");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->stats.count(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-// Unit tests for livo::util — RNG, stats, queue, pipeline, thread pool,
-// clocks.
+// Unit tests for livo::util — RNG, stats, thread pool, clocks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,8 +7,6 @@
 #include <vector>
 
 #include "util/clock.h"
-#include "util/pipeline.h"
-#include "util/queue.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -85,116 +82,6 @@ TEST(Percentile, InterpolatesOrderStatistics) {
   EXPECT_DOUBLE_EQ(Percentile(v, 25), 20.0);
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
   EXPECT_DOUBLE_EQ(Percentile({7.0}, 90), 7.0);
-}
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.Push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
-}
-
-TEST(BoundedQueue, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  q.Pop();
-  EXPECT_TRUE(q.TryPush(3));
-}
-
-TEST(BoundedQueue, CloseDrainsThenReturnsNullopt) {
-  BoundedQueue<int> q(4);
-  q.Push(1);
-  q.Push(2);
-  q.Close();
-  EXPECT_FALSE(q.Push(3));
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, BlockingProducerConsumer) {
-  BoundedQueue<int> q(2);
-  std::atomic<int> sum{0};
-  std::thread consumer([&] {
-    while (auto v = q.Pop()) sum += *v;
-  });
-  for (int i = 1; i <= 100; ++i) q.Push(i);
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(Pipeline, ProcessesItemsThroughStages) {
-  Pipeline<int> pipeline(4);
-  pipeline.AddStage("double", [](int v) { return std::optional<int>(v * 2); });
-  pipeline.AddStage("plus_one", [](int v) { return std::optional<int>(v + 1); });
-  pipeline.Start();
-  for (int i = 0; i < 10; ++i) pipeline.Feed(i);
-  std::vector<int> results;
-  // Collect asynchronously then stop.
-  std::thread collector([&] {
-    while (auto r = pipeline.PopResult()) results.push_back(*r);
-  });
-  pipeline.Stop();
-  collector.join();
-  ASSERT_EQ(results.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(results[static_cast<std::size_t>(i)], i * 2 + 1);
-}
-
-TEST(Pipeline, DroppedItemsAreCounted) {
-  Pipeline<int> pipeline(4);
-  pipeline.AddStage("drop_odd", [](int v) {
-    return v % 2 == 0 ? std::optional<int>(v) : std::nullopt;
-  });
-  pipeline.Start();
-  for (int i = 0; i < 10; ++i) pipeline.Feed(i);
-  std::vector<int> results;
-  std::thread collector([&] {
-    while (auto r = pipeline.PopResult()) results.push_back(*r);
-  });
-  pipeline.Stop();
-  collector.join();
-  EXPECT_EQ(results.size(), 5u);
-  EXPECT_EQ(pipeline.reports()[0].dropped, 5u);
-  EXPECT_EQ(pipeline.reports()[0].processed, 10u);
-}
-
-TEST(Pipeline, FeedBeforeStartThrows) {
-  Pipeline<int> pipeline(4);
-  pipeline.AddStage("noop", [](int v) { return std::optional<int>(v); });
-  EXPECT_THROW(pipeline.Feed(1), std::logic_error);
-  EXPECT_THROW(pipeline.PopResult(), std::logic_error);
-}
-
-TEST(Pipeline, DoubleStartThrows) {
-  Pipeline<int> pipeline(4);
-  pipeline.AddStage("noop", [](int v) { return std::optional<int>(v); });
-  pipeline.Start();
-  EXPECT_THROW(pipeline.Start(), std::logic_error);
-  pipeline.Stop();
-}
-
-TEST(Pipeline, StartWithNoStagesThrows) {
-  Pipeline<int> pipeline(4);
-  EXPECT_THROW(pipeline.Start(), std::logic_error);
-}
-
-TEST(Pipeline, RestartAfterStopWorks) {
-  Pipeline<int> pipeline(4);
-  pipeline.AddStage("negate", [](int v) { return std::optional<int>(-v); });
-  for (int round = 0; round < 2; ++round) {
-    pipeline.Start();
-    pipeline.Feed(7);
-    std::vector<int> results;
-    std::thread collector([&] {
-      while (auto r = pipeline.PopResult()) results.push_back(*r);
-    });
-    pipeline.Stop();
-    collector.join();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0], -7);
-  }
 }
 
 // ---- ThreadPool ----

@@ -12,16 +12,18 @@
 #     toolchain supports it, ThreadSanitizer, then runs the combined
 #     binary. TSan is the real gate for the M-threads-M-loops runtime:
 #     cross-loop sends and barrier hand-offs race-check here.
-#  2. ASan+UBSan pass — builds the kernel-equivalence, codec, runtime,
-#     conference, point-cloud, metrics and capture suites (test_kernels +
-#     test_golden_bitstream + test_video + test_video_parallel +
-#     test_runtime + test_conference + test_fec + test_report +
-#     test_pointcloud + test_metrics + test_sim) with AddressSanitizer +
+#  2. ASan+UBSan pass — builds the kernel-equivalence, codec, transport,
+#     runtime, conference, point-cloud, metrics and capture suites
+#     (test_kernels + test_golden_bitstream + test_video +
+#     test_video_parallel + test_pointcloud + test_metrics + test_sim,
+#     plus the quick suites test_net + test_runtime + test_conference +
+#     test_fec + test_report) with AddressSanitizer +
 #     UndefinedBehaviorSanitizer and libstdc++'s bounds-checked containers
 #     (-D_GLIBCXX_ASSERTIONS) so out-of-bounds SIMD loads, UB in the
-#     intrinsics code and bad indices into the nearest-neighbour index's
-#     cell table surface; the cross-loop stress and cascade tests repeat
-#     here for lifetime bugs TSan cannot see.
+#     intrinsics code, bad indices into the nearest-neighbour index's
+#     cell table and reassembly bookkeeping errors surface; the
+#     cross-loop stress and cascade tests repeat here for lifetime bugs
+#     TSan cannot see.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
 #     (bench_conference --parties=8 --fresh under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
