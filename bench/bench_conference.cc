@@ -6,22 +6,12 @@
 //     another (capacity scaled by N so the per-party share stays
 //     comparable) — the conferencing setting where allocator shares and
 //     per-subscriber drops become visible.
-// Prints a table per topology and writes machine-readable
-// BENCH_conference.json (override with --conference_json=<path>).
-//
-// Points are cached in ./.bench_cache keyed by ConferenceCacheKey, which
-// folds every parameter that determines the records (roster, traces,
-// topology, allocator knobs) and deliberately ignores codec thread
-// counts. Wall-clock fields of a cached point are replayed from the
-// cached run, so delete .bench_cache before timing-sensitive sweeps.
+// Prints a table per topology. Every point runs its conference, so
+// LIVO_TRACE=1 writes telemetry on every invocation.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -37,8 +27,6 @@ namespace {
 using namespace livo;
 
 constexpr int kFrames = 12;
-const char* kCacheDir = ".bench_cache";
-const char* kCacheVersion = "conf4";
 
 sim::ScaleProfile Profile() {
   sim::ScaleProfile profile;
@@ -126,7 +114,6 @@ conference::ConferenceOptions OptionsFor(int n, bool shared, int layers,
 struct SweepPoint {
   int parties = 0;
   bool shared = false;
-  bool cached = false;
   double wall_ms = 0.0;
   double virtual_ms = 0.0;
   std::uint64_t events = 0;
@@ -166,119 +153,17 @@ struct SweepPoint {
   }
 };
 
-std::string LayerList(const SweepPoint& p, const char* sep) {
+std::string LayerList(const SweepPoint& p) {
   std::string out;
   for (std::size_t q = 0; q < p.forwarded_by_layer.size(); ++q) {
-    if (q) out += sep;
+    if (q) out += "/";
     out += std::to_string(p.forwarded_by_layer[q]);
   }
   return out;
 }
 
-std::string JsonRow(const SweepPoint& p) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"parties\": %d, \"topology\": \"%s\", \"wall_ms\": %.3f, "
-      "\"virtual_ms\": %.1f, \"events_dispatched\": %llu, "
-      "\"events_per_sec\": %.0f, \"mean_fps\": %.3f, "
-      "\"mean_stall_rate\": %.4f, \"mean_latency_ms\": %.2f, "
-      "\"stall_aware_latency_ms\": %.2f, "
-      "\"share_min\": %.4f, \"share_max\": %.4f, "
-      "\"pairs_forwarded\": %llu, \"pairs_dropped\": %llu, "
-      "\"layer_switches\": %llu, \"encode_ms\": %.3f, "
-      "\"plis\": %llu, \"nack_rounds\": %llu, \"recovered\": %llu, "
-      "\"repairs_abandoned\": %llu, \"pli_rate\": %.4f, "
-      "\"parity_overhead\": %.4f, "
-      "\"forwarded_by_layer\": [%s]}",
-      p.parties, p.shared ? "shared" : "private", p.wall_ms, p.virtual_ms,
-      static_cast<unsigned long long>(p.events), p.events_per_sec,
-      p.mean_fps, p.mean_stall_rate, p.mean_latency_ms,
-      p.stall_aware_latency_ms, p.share_min, p.share_max,
-      static_cast<unsigned long long>(p.pairs_forwarded),
-      static_cast<unsigned long long>(p.pairs_dropped),
-      static_cast<unsigned long long>(p.layer_switches), p.encode_ms,
-      static_cast<unsigned long long>(p.plis),
-      static_cast<unsigned long long>(p.nack_rounds),
-      static_cast<unsigned long long>(p.recovered),
-      static_cast<unsigned long long>(p.repairs_abandoned),
-      p.PliRate(), p.ParityOverhead(),
-      LayerList(p, ", ").c_str());
-  return buf;
-}
-
-// Flat `key value` lines, one metric per line — trivially reparseable.
-// forwarded_by_layer is one comma-separated token so the layer count can
-// vary without changing the line grammar.
-std::string Serialize(const SweepPoint& p) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "wall_ms " << p.wall_ms << "\nvirtual_ms " << p.virtual_ms
-     << "\nevents " << p.events << "\nmean_fps " << p.mean_fps
-     << "\nmean_stall_rate " << p.mean_stall_rate << "\nmean_latency_ms "
-     << p.mean_latency_ms << "\nstall_aware_latency_ms "
-     << p.stall_aware_latency_ms << "\nshare_min " << p.share_min
-     << "\nshare_max " << p.share_max << "\npairs_forwarded "
-     << p.pairs_forwarded << "\npairs_dropped " << p.pairs_dropped
-     << "\nlayer_switches " << p.layer_switches << "\nencode_ms "
-     << p.encode_ms << "\nplis " << p.plis << "\nnack_rounds "
-     << p.nack_rounds << "\nrecovered " << p.recovered
-     << "\nrepairs_abandoned " << p.repairs_abandoned << "\nparity_bytes "
-     << p.parity_bytes << "\nwire_bytes " << p.wire_bytes
-     << "\nforwarded_by_layer " << LayerList(p, ",") << "\n";
-  return os.str();
-}
-
-bool ParseLayerList(const std::string& text, std::vector<std::uint64_t>& out) {
-  out.clear();
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, ',')) {
-    if (token.empty()) return false;
-    out.push_back(std::strtoull(token.c_str(), nullptr, 10));
-  }
-  return !out.empty();
-}
-
-bool Deserialize(const std::string& text, SweepPoint& p) {
-  std::istringstream is(text);
-  std::string key;
-  int fields = 0;
-  while (is >> key) {
-    if (key == "wall_ms" && (is >> p.wall_ms)) ++fields;
-    else if (key == "virtual_ms" && (is >> p.virtual_ms)) ++fields;
-    else if (key == "events" && (is >> p.events)) ++fields;
-    else if (key == "mean_fps" && (is >> p.mean_fps)) ++fields;
-    else if (key == "mean_stall_rate" && (is >> p.mean_stall_rate)) ++fields;
-    else if (key == "mean_latency_ms" && (is >> p.mean_latency_ms)) ++fields;
-    else if (key == "stall_aware_latency_ms" &&
-             (is >> p.stall_aware_latency_ms)) ++fields;
-    else if (key == "share_min" && (is >> p.share_min)) ++fields;
-    else if (key == "share_max" && (is >> p.share_max)) ++fields;
-    else if (key == "pairs_forwarded" && (is >> p.pairs_forwarded)) ++fields;
-    else if (key == "pairs_dropped" && (is >> p.pairs_dropped)) ++fields;
-    else if (key == "layer_switches" && (is >> p.layer_switches)) ++fields;
-    else if (key == "encode_ms" && (is >> p.encode_ms)) ++fields;
-    else if (key == "plis" && (is >> p.plis)) ++fields;
-    else if (key == "nack_rounds" && (is >> p.nack_rounds)) ++fields;
-    else if (key == "recovered" && (is >> p.recovered)) ++fields;
-    else if (key == "repairs_abandoned" && (is >> p.repairs_abandoned))
-      ++fields;
-    else if (key == "parity_bytes" && (is >> p.parity_bytes)) ++fields;
-    else if (key == "wire_bytes" && (is >> p.wire_bytes)) ++fields;
-    else if (key == "forwarded_by_layer") {
-      std::string list;
-      if (is >> list && ParseLayerList(list, p.forwarded_by_layer)) ++fields;
-      else return false;
-    }
-    else return false;
-  }
-  return fields == 20;
-}
-
-SweepPoint RunPoint(int n, bool shared, bool fresh, int layers,
-                    int regions, const LossSetup& loss,
-                    int frames = kFrames) {
+SweepPoint RunPoint(int n, bool shared, int layers, int regions,
+                    const LossSetup& loss, int frames = kFrames) {
   std::vector<conference::ParticipantSpec> specs;
   specs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) specs.push_back(SpecFor(i, frames));
@@ -288,23 +173,6 @@ SweepPoint RunPoint(int n, bool shared, bool fresh, int layers,
   SweepPoint point;
   point.parties = n;
   point.shared = shared;
-
-  const std::string cache_key =
-      conference::ConferenceCacheKey(specs, options);
-  const std::filesystem::path cache_path =
-      std::filesystem::path(kCacheDir) /
-      (std::string(kCacheVersion) + "_" +
-       std::string(shared ? "shared" : "private") + "_" + cache_key + ".txt");
-  if (std::ifstream in(cache_path); in && !fresh) {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    if (Deserialize(buffer.str(), point)) {
-      point.cached = true;
-      const double wall_s = point.wall_ms / 1000.0;
-      point.events_per_sec = wall_s > 0 ? point.events / wall_s : 0;
-      return point;
-    }
-  }
 
   // Delta of the cumulative sender-encode histogram isolates this run's
   // encode wall time even though the registry spans the whole sweep.
@@ -363,9 +231,6 @@ SweepPoint RunPoint(int n, bool shared, bool fresh, int layers,
                         result.sfu.pairs_dropped_congestion +
                         result.sfu.pairs_dropped_awaiting_key +
                         result.sfu.pairs_dropped_layer_incomplete;
-
-  std::filesystem::create_directories(kCacheDir);
-  std::ofstream(cache_path) << Serialize(point);
   return point;
 }
 
@@ -374,7 +239,7 @@ void PrintSweep(const std::string& title,
   bench::PrintHeader("BENCH conference", title);
   bench::PrintRow({"parties", "wall_ms", "events/s", "fps", "stall",
                    "lat_ms", "s_lat", "sh_min", "sh_max", "fwd", "drop",
-                   "by_layer", "switch", "enc_ms", "cache"});
+                   "by_layer", "switch", "enc_ms"});
   for (const auto& p : points) {
     bench::PrintRow(
         {std::to_string(p.parties), bench::Fmt(p.wall_ms, 1),
@@ -383,9 +248,8 @@ void PrintSweep(const std::string& title,
          bench::Fmt(p.mean_latency_ms, 1),
          bench::Fmt(p.stall_aware_latency_ms, 1), bench::Fmt(p.share_min, 3),
          bench::Fmt(p.share_max, 3), std::to_string(p.pairs_forwarded),
-         std::to_string(p.pairs_dropped), LayerList(p, "/"),
-         std::to_string(p.layer_switches), bench::Fmt(p.encode_ms, 1),
-         p.cached ? "hit" : "miss"});
+         std::to_string(p.pairs_dropped), LayerList(p),
+         std::to_string(p.layer_switches), bench::Fmt(p.encode_ms, 1)});
   }
   std::printf("\n");
 }
@@ -393,13 +257,8 @@ void PrintSweep(const std::string& title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_conference.json";
-  // --parties=<n> restricts the sweep to one N; --fresh bypasses (and
-  // rewrites) .bench_cache so the conference actually runs — required
-  // when the point is the run's side effects (LIVO_TRACE=1 telemetry)
-  // or wall-clock timing rather than the cached records.
+  // --parties=<n> restricts the sweep to one N.
   std::vector<int> sweep = {2, 4, 8, 16};
-  bool fresh = false;
   int layers = conference::ConferenceOptions{}.ladder_layers;
   // --regions=<r> cascades each point: r edge SFUs over contiguous roster
   // blocks, bridged by a root relay, sharded over r+1 loops.
@@ -412,7 +271,6 @@ int main(int argc, char** argv) {
   bool loss_table = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const std::string json_prefix = "--conference_json=";
     const std::string parties_prefix = "--parties=";
     const std::string layers_prefix = "--layers=";
     const std::string regions_prefix = "--regions=";
@@ -440,8 +298,6 @@ int main(int argc, char** argv) {
       loss.fec = true;
     } else if (arg == "--loss_table") {
       loss_table = true;
-    } else if (arg.rfind(json_prefix, 0) == 0) {
-      json_path = arg.substr(json_prefix.size());
     } else if (arg.rfind(parties_prefix, 0) == 0) {
       const int n = std::atoi(arg.c_str() + parties_prefix.size());
       if (n < 2) {
@@ -464,13 +320,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--regions wants n >= 1, got %d\n", regions);
         return 2;
       }
-    } else if (arg == "--fresh") {
-      fresh = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--parties=<n>] [--layers=<l>] [--regions=<r>] "
                    "[--loss=<rate>] [--loss_model=iid|ge] [--fec] "
-                   "[--loss_table] [--fresh] [--conference_json=<path>]\n",
+                   "[--loss_table]\n",
                    argv[0]);
       return 2;
     }
@@ -478,29 +332,29 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> priv, shared;
   for (int n : sweep) {
-    priv.push_back(RunPoint(n, false, fresh, layers, regions, loss));
+    priv.push_back(RunPoint(n, false, layers, regions, loss));
   }
   // A shared access bottleneck couples the whole roster in one loop-group
   // domain, so RunConference rejects it for cascades: the contention half
   // of the sweep only exists for the direct topology.
   if (regions <= 1) {
     for (int n : sweep) {
-      shared.push_back(RunPoint(n, true, fresh, layers, regions, loss));
+      shared.push_back(RunPoint(n, true, layers, regions, loss));
     }
   }
 
   // Loss-resilience acceptance sweep: NACK-only vs FEC + deadline-aware
   // repair at iid loss 1/5/10%, 2-party (direct) and 8-party conference,
   // private links. The FEC arm must beat NACK-only on both PLI rate and
-  // stall rate at every point (asserted by tools/livo_check.sh).
+  // stall rate at every point.
   struct LossRow {
     int parties;
     double rate;
     bool fec;
     SweepPoint point;
   };
-  std::vector<LossRow> resilience;
   if (loss_table) {
+    std::vector<LossRow> resilience;
     for (const int n : {2, 8}) {
       for (const double rate : {0.01, 0.05, 0.10}) {
         for (const bool fec : {false, true}) {
@@ -509,8 +363,7 @@ int main(int argc, char** argv) {
           setup.fec = fec;
           resilience.push_back(
               {n, rate, fec,
-               RunPoint(n, false, fresh, layers, 1, setup,
-                        kLossTableFrames)});
+               RunPoint(n, false, layers, 1, setup, kLossTableFrames)});
         }
       }
     }
@@ -518,8 +371,7 @@ int main(int argc, char** argv) {
                        "loss resilience: NACK-only vs FEC + repair "
                        "scheduling, iid loss, private links");
     bench::PrintRow({"parties", "loss", "scheme", "pli_rate", "stall",
-                     "s_lat", "nacks", "recov", "aband", "overhead",
-                     "cache"});
+                     "s_lat", "nacks", "recov", "aband", "overhead"});
     for (const LossRow& row : resilience) {
       bench::PrintRow({std::to_string(row.parties),
                        bench::Fmt(row.rate, 2),
@@ -530,13 +382,11 @@ int main(int argc, char** argv) {
                        std::to_string(row.point.nack_rounds),
                        std::to_string(row.point.recovered),
                        std::to_string(row.point.repairs_abandoned),
-                       bench::Fmt(row.point.ParityOverhead(), 4),
-                       row.point.cached ? "hit" : "miss"});
+                       bench::Fmt(row.point.ParityOverhead(), 4)});
     }
     // Acceptance: at every point the FEC arm is no worse than NACK-only
     // on PLI rate and stall rate, strictly better on their totals, and
     // its parity overhead stays under the redundancy cap.
-    // tools/livo_check.sh greps for the verdict.
     const double cap = conference::ConferenceOptions{}.fec.redundancy_cap;
     bool accept = true;
     double nack_pli = 0.0, fec_pli = 0.0, nack_stall = 0.0, fec_stall = 0.0;
@@ -582,66 +432,5 @@ int main(int argc, char** argv) {
                shared);
   }
 
-  std::string json = "{\n  \"bench\": \"conference\",\n";
-  json += "  \"hardware_concurrency\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"frames_per_party\": " + std::to_string(kFrames) + ",\n";
-  json += "  \"ladder_layers\": " + std::to_string(layers) + ",\n";
-  json += "  \"regions\": " + std::to_string(regions) + ",\n";
-  // Loss process of the main sweep: model name, configured rate, and the
-  // deterministic link RNG seed (loss draws are seeded, so a rerun with
-  // the same header reproduces the same drops bit for bit).
-  {
-    const conference::ConferenceOptions defaults =
-        OptionsFor(2, false, layers, 1, loss);
-    char loss_buf[160];
-    std::snprintf(loss_buf, sizeof(loss_buf),
-                  "  \"loss_model\": \"%s\",\n  \"loss_rate\": %.4f,\n"
-                  "  \"link_seed\": %llu,\n  \"fec\": %s,\n",
-                  net::LossModelName(loss.model), loss.rate,
-                  static_cast<unsigned long long>(
-                      defaults.uplink_channel.link.seed),
-                  loss.fec ? "true" : "false");
-    json += loss_buf;
-  }
-  json += "  \"sweep\": [\n";
-  bool first = true;
-  for (const auto* points : {&priv, &shared}) {
-    for (const auto& p : *points) {
-      if (!first) json += ",\n";
-      first = false;
-      json += JsonRow(p);
-    }
-  }
-  json += "\n  ]";
-  if (!resilience.empty()) {
-    json += ",\n  \"loss_resilience\": [\n";
-    first = true;
-    for (const LossRow& row : resilience) {
-      if (!first) json += ",\n";
-      first = false;
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"parties\": %d, \"loss_rate\": %.2f, \"scheme\": \"%s\", "
-          "\"pli_rate\": %.4f, \"plis\": %llu, \"stall_rate\": %.4f, "
-          "\"stall_aware_latency_ms\": %.2f, \"nack_rounds\": %llu, "
-          "\"recovered\": %llu, \"repairs_abandoned\": %llu, "
-          "\"parity_overhead\": %.4f}",
-          row.parties, row.rate, row.fec ? "fec" : "nack",
-          row.point.PliRate(),
-          static_cast<unsigned long long>(row.point.plis),
-          row.point.mean_stall_rate, row.point.stall_aware_latency_ms,
-          static_cast<unsigned long long>(row.point.nack_rounds),
-          static_cast<unsigned long long>(row.point.recovered),
-          static_cast<unsigned long long>(row.point.repairs_abandoned),
-          row.point.ParityOverhead());
-      json += buf;
-    }
-    json += "\n  ]";
-  }
-  json += "\n}\n";
-  std::ofstream(json_path) << json;
-  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

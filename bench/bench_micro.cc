@@ -1,21 +1,17 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives behind the paper's 30 fps requirement: the 8x8 DCT, plane
 // encoding, RGB-D view culling, point-cloud reconstruction, octree coding,
-// and PointSSIM.
-//
-// After the google-benchmark suite, main() runs two machine-readable
-// sweeps:
-//  * a slice-parallel codec throughput sweep (full tiled color frame,
-//    key + P, at 1/2/N threads) written to BENCH_codec.json
-//    (--codec_json=<path> overrides), and
-//  * a per-kernel SIMD dispatch sweep (every livo::kernels entry, scalar
-//    table vs the best level available on this CPU) written to
-//    BENCH_kernels.json (--kernels_json=<path> overrides).
+// and PointSSIM. Two families go further:
+//  * BM_ColorCodecEncode / BM_ColorCodecDecode: slice-parallel codec
+//    throughput on the full tiled color canvas at 1, 2 and
+//    hardware_concurrency threads;
+//  * BM_Kernel/<kernel>/<level>: every livo::kernels entry on the scalar
+//    table and on the best level this CPU offers.
+// The other cases run on the active kernel table, so LIVO_SIMD=scalar
+// compares levels for them.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <fstream>
-#include <functional>
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +26,6 @@
 #include "pccodec/octree_codec.h"
 #include "pointcloud/pointcloud.h"
 #include "sim/dataset.h"
-#include "util/clock.h"
 #include "util/rng.h"
 #include "video/color_convert.h"
 #include "video/dct.h"
@@ -146,136 +141,103 @@ void BM_DepthScale(benchmark::State& state) {
 }
 BENCHMARK(BM_DepthScale);
 
-// ---- Slice-parallel codec throughput (BENCH_codec.json) ----
+// ---- Slice-parallel codec throughput ----
 
-struct CodecThroughput {
-  int threads = 0;
-  double encode_mps = 0.0;  // megapixels of canvas per second
-  double decode_mps = 0.0;
+constexpr int kCodecQp = 24;
+
+// Two consecutive tiled color frames of the default canvas, as YCbCr.
+const std::array<std::vector<image::Plane16>, 2>& CodecFrames() {
+  static const std::array<std::vector<image::Plane16>, 2> frames = [] {
+    const auto& seq = Sequence();
+    const core::LiVoConfig config;
+    return std::array<std::vector<image::Plane16>, 2>{
+        video::RgbToYcbcr(image::Tile(config.layout, seq.frames[0], 0).color),
+        video::RgbToYcbcr(image::Tile(config.layout, seq.frames[1], 1).color)};
+  }();
+  return frames;
+}
+
+// The color codec fanned out over state.range(0) threads.
+video::CodecConfig CodecAtThreads(const benchmark::State& state) {
+  video::CodecConfig codec = core::LiVoConfig{}.ColorCodecConfig();
+  codec.max_threads = static_cast<int>(state.range(0));
+  return codec;
+}
+
+// Items are canvas pixels: two frames per iteration.
+void CountCanvasPixels(benchmark::State& state,
+                       const video::CodecConfig& codec) {
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(codec.width) *
+                          codec.height);
+}
+
+// One key frame and one P-frame through all three YCbCr planes per
+// iteration, so the intra, inter and motion paths all contribute.
+void BM_ColorCodecEncode(benchmark::State& state) {
+  const auto& frames = CodecFrames();
+  const video::CodecConfig codec = CodecAtThreads(state);
+  video::VideoEncoder encoder(codec, 3);
+  for (auto _ : state) {
+    encoder.RequestKeyframe();
+    benchmark::DoNotOptimize(encoder.EncodeAtQp(frames[0], kCodecQp));
+    benchmark::DoNotOptimize(encoder.EncodeAtQp(frames[1], kCodecQp));
+  }
+  CountCanvasPixels(state, codec);
+}
+
+void BM_ColorCodecDecode(benchmark::State& state) {
+  const auto& frames = CodecFrames();
+  const video::CodecConfig codec = CodecAtThreads(state);
+  std::array<video::EncodedFrame, 2> encoded;
+  {
+    video::VideoEncoder encoder(codec, 3);
+    encoded[0] = encoder.EncodeAtQp(frames[0], kCodecQp).frame;
+    encoded[1] = encoder.EncodeAtQp(frames[1], kCodecQp).frame;
+  }
+  video::VideoDecoder decoder(codec, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decoder.Decode(encoded[0]));
+    benchmark::DoNotOptimize(decoder.Decode(encoded[1]));
+  }
+  CountCanvasPixels(state, codec);
+}
+
+void CodecThreadCounts(benchmark::internal::Benchmark* b) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  b->Arg(1)->Arg(2);
+  if (hw > 2) b->Arg(hw);
+}
+// Wall time: the slices run on pool workers, not the timing thread.
+BENCHMARK(BM_ColorCodecEncode)->Apply(CodecThreadCounts)->UseRealTime();
+BENCHMARK(BM_ColorCodecDecode)->Apply(CodecThreadCounts)->UseRealTime();
+
+// ---- Per-kernel SIMD dispatch throughput ----
+
+// Working set: enough blocks/pixels that per-call overhead is invisible
+// but the set still fits in cache (we measure compute, not memory).
+constexpr int kBlocks = 2048;
+constexpr std::size_t kPixels =
+    static_cast<std::size_t>(kBlocks) * kernels::kDctPixels;
+
+struct KernelInputs {
+  KernelInputs();
+  std::vector<double> dct_in, dct_out;
+  std::vector<std::int32_t> ia, ib, levels;
+  std::vector<std::uint8_t> r8, g8, b8, r8o, g8o, b8o, mask;
+  std::vector<std::uint16_t> y16, cb16, cr16, d16, d16o;
+  kernels::FrustumKernelParams fparams;
 };
 
-// Measures end-to-end color-frame encode and decode throughput at a given
-// fan-out width. Each rep is one key + one P frame through all three YCbCr
-// planes, so intra, inter, and motion paths all contribute.
-CodecThroughput MeasureCodecThroughput(int threads) {
-  const auto& seq = Sequence();
-  core::LiVoConfig config;
-  const auto planes0 =
-      video::RgbToYcbcr(image::Tile(config.layout, seq.frames[0], 0).color);
-  const auto planes1 =
-      video::RgbToYcbcr(image::Tile(config.layout, seq.frames[1], 1).color);
-  video::CodecConfig codec = config.ColorCodecConfig();
-  codec.max_threads = threads;
-  constexpr int kQp = 24;
-  const double mp_per_rep =
-      2.0 * codec.width * codec.height / 1e6;  // two frames per rep
-
-  CodecThroughput result;
-  result.threads = threads;
-
-  // Pre-encode one key + P pair for the decode loop.
-  std::vector<video::EncodedFrame> frames;
-  {
-    video::VideoEncoder encoder(codec, 3);
-    frames.push_back(encoder.EncodeAtQp(planes0, kQp).frame);
-    frames.push_back(encoder.EncodeAtQp(planes1, kQp).frame);
-  }
-
-  const auto timed = [&](const std::function<void()>& rep) {
-    rep();  // warm-up (pool spin-up, caches)
-    int reps = 0;
-    livo::util::Stopwatch watch;
-    do {
-      rep();
-      ++reps;
-    } while (watch.ElapsedMs() < 500.0 || reps < 3);
-    return reps * mp_per_rep / (watch.ElapsedMs() / 1e3);
-  };
-
-  {
-    video::VideoEncoder encoder(codec, 3);
-    result.encode_mps = timed([&] {
-      encoder.RequestKeyframe();
-      benchmark::DoNotOptimize(encoder.EncodeAtQp(planes0, kQp));
-      benchmark::DoNotOptimize(encoder.EncodeAtQp(planes1, kQp));
-    });
-  }
-  {
-    video::VideoDecoder decoder(codec, 3);
-    result.decode_mps = timed([&] {
-      benchmark::DoNotOptimize(decoder.Decode(frames[0]));
-      benchmark::DoNotOptimize(decoder.Decode(frames[1]));
-    });
-  }
-  return result;
-}
-
-void WriteCodecThroughputJson(const std::string& path) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  std::vector<int> thread_counts{1, 2};
-  if (hw > 2) thread_counts.push_back(hw);
-  std::vector<CodecThroughput> results;
-  for (int t : thread_counts) results.push_back(MeasureCodecThroughput(t));
-
-  core::LiVoConfig config;
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"benchmark\": \"slice_parallel_codec_throughput\",\n";
-  out << "  \"hardware_concurrency\": " << hw << ",\n";
-  out << "  \"canvas\": {\"width\": " << config.layout.canvas_width()
-      << ", \"height\": " << config.layout.canvas_height() << "},\n";
-  out << "  \"planes\": 3,\n";
-  out << "  \"slice_height\": " << config.layout.tile_height() << ",\n";
-  out << "  \"qp\": 24,\n";
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    out << "    {\"threads\": " << r.threads
-        << ", \"encode_mps\": " << r.encode_mps
-        << ", \"decode_mps\": " << r.decode_mps
-        << ", \"encode_speedup\": " << r.encode_mps / results[0].encode_mps
-        << ", \"decode_speedup\": " << r.decode_mps / results[0].decode_mps
-        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-}
-
-// ---- Per-kernel SIMD dispatch throughput (BENCH_kernels.json) ----
-
-// Mega-elements per second for one kernel invocation pattern: reps until
-// at least 200 ms have elapsed, throughput from the total element count.
-double TimeKernel(const std::function<void()>& rep, double melems_per_rep) {
-  rep();  // warm-up
-  int reps = 0;
-  livo::util::Stopwatch watch;
-  do {
-    rep();
-    ++reps;
-  } while (watch.ElapsedMs() < 200.0 || reps < 3);
-  return reps * melems_per_rep / (watch.ElapsedMs() / 1e3);
-}
-
-void WriteKernelSweepJson(const std::string& path) {
-  using kernels::KernelTable;
-  const KernelTable& scalar = *kernels::Table(kernels::SimdLevel::kScalar);
-  const KernelTable& best = *kernels::Table(kernels::AvailableLevels().back());
-
-  // Working set: enough blocks/pixels that per-call overhead is invisible
-  // but the set still fits in cache (we measure compute, not memory).
-  constexpr int kBlocks = 2048;
-  constexpr std::size_t kPixels =
-      static_cast<std::size_t>(kBlocks) * kernels::kDctPixels;
+KernelInputs::KernelInputs()
+    : dct_in(kPixels), dct_out(kPixels), ia(kPixels), ib(kPixels),
+      levels(kPixels), r8(kPixels), g8(kPixels), b8(kPixels), r8o(kPixels),
+      g8o(kPixels), b8o(kPixels), mask(kPixels), y16(kPixels),
+      cb16(kPixels), cr16(kPixels), d16(kPixels), d16o(kPixels) {
   util::Rng rng(99);
-  std::vector<double> dct_in(kPixels), dct_out(kPixels);
   for (auto& v : dct_in) v = rng.Uniform(-255.0, 255.0);
-  std::vector<std::int32_t> ia(kPixels), ib(kPixels), levels(kPixels);
   for (auto& v : ia) v = rng.UniformInt(-32768, 32767);
   for (auto& v : ib) v = rng.UniformInt(-32768, 32767);
-  std::vector<std::uint8_t> r8(kPixels), g8(kPixels), b8(kPixels),
-      r8o(kPixels), g8o(kPixels), b8o(kPixels);
-  std::vector<std::uint16_t> y16(kPixels), cb16(kPixels), cr16(kPixels),
-      d16(kPixels), d16o(kPixels);
   for (std::size_t i = 0; i < kPixels; ++i) {
     r8[i] = static_cast<std::uint8_t>(rng.NextBelow(256));
     g8[i] = static_cast<std::uint8_t>(rng.NextBelow(256));
@@ -287,7 +249,6 @@ void WriteKernelSweepJson(const std::string& path) {
   }
   const geom::Frustum frustum(
       geom::Pose::LookAt({2.0, 1.5, 2.0}, {0, 0.9, 0}), geom::FrustumParams{});
-  kernels::FrustumKernelParams fparams;
   for (int i = 0; i < 6; ++i) {
     fparams.nx[i] = frustum.planes()[i].normal.x;
     fparams.ny[i] = frustum.planes()[i].normal.y;
@@ -296,131 +257,127 @@ void WriteKernelSweepJson(const std::string& path) {
   }
   fparams.fx = fparams.fy = 70.0;
   fparams.cx = fparams.cy = 40.0;
-  std::vector<std::uint8_t> mask(kPixels);
+}
 
-  const double mpx = kPixels / 1e6;
-  struct KernelCase {
-    const char* name;
-    double melems_per_rep;
-    std::function<void(const KernelTable&)> run;
-  };
-  const std::vector<KernelCase> cases = {
-      {"forward_dct", mpx,
-       [&](const KernelTable& t) {
-         for (int b = 0; b < kBlocks; ++b)
-           t.forward_dct(&dct_in[b * 64], &dct_out[b * 64]);
-       }},
-      {"inverse_dct", mpx,
-       [&](const KernelTable& t) {
-         for (int b = 0; b < kBlocks; ++b)
-           t.inverse_dct(&dct_in[b * 64], &dct_out[b * 64]);
-       }},
-      {"sad_block", mpx,
-       [&](const KernelTable& t) {
-         long long s = 0;
-         for (int b = 0; b < kBlocks; ++b)
-           s += t.sad_block(&ia[b * 64], &ib[b * 64]);
-         benchmark::DoNotOptimize(s);
-       }},
-      {"ssd_block", mpx,
-       [&](const KernelTable& t) {
-         long long s = 0;
-         for (int b = 0; b < kBlocks; ++b)
-           s += t.ssd_block(&ia[b * 64], &ib[b * 64]);
-         benchmark::DoNotOptimize(s);
-       }},
-      {"quantize_residual", mpx,
-       [&](const KernelTable& t) {
-         bool any = false;
-         for (int b = 0; b < kBlocks; ++b)
-           any |= t.quantize_residual(&ia[b * 64], 10.08, &levels[b * 64]);
-         benchmark::DoNotOptimize(any);
-       }},
-      {"reconstruct_residual", mpx,
-       [&](const KernelTable& t) {
-         for (int b = 0; b < kBlocks; ++b)
-           t.reconstruct_residual(&levels[b * 64], 10.08, &ia[b * 64]);
-       }},
-      {"rgb_to_ycbcr", mpx,
-       [&](const KernelTable& t) {
-         t.rgb_to_ycbcr(r8.data(), g8.data(), b8.data(), y16.data(),
-                        cb16.data(), cr16.data(), kPixels);
-       }},
-      {"ycbcr_to_rgb", mpx,
-       [&](const KernelTable& t) {
-         t.ycbcr_to_rgb(y16.data(), cb16.data(), cr16.data(), r8o.data(),
-                        g8o.data(), b8o.data(), kPixels);
-       }},
-      {"scale_depth", mpx,
-       [&](const KernelTable& t) {
-         t.scale_depth(d16.data(), d16o.data(), kPixels, 6000);
-       }},
-      {"unscale_depth", mpx,
-       [&](const KernelTable& t) {
-         t.unscale_depth(d16.data(), d16o.data(), kPixels, 6000);
-       }},
-      {"sum_sq_diff_u16", mpx,
-       [&](const KernelTable& t) {
-         benchmark::DoNotOptimize(
-             t.sum_sq_diff_u16(d16.data(), d16o.data(), kPixels));
-       }},
-      {"sum_sq_diff_u8", mpx,
-       [&](const KernelTable& t) {
-         benchmark::DoNotOptimize(
-             t.sum_sq_diff_u8(r8.data(), g8.data(), kPixels));
-       }},
-      {"cull_classify_row", mpx,
-       [&](const KernelTable& t) {
-         t.cull_classify_row(d16.data(), static_cast<int>(kPixels), 36.5,
-                             fparams, mask.data());
-       }},
-  };
+KernelInputs& Inputs() {
+  static KernelInputs inputs;
+  return inputs;
+}
 
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"benchmark\": \"kernel_dispatch_throughput\",\n";
-  out << "  \"hardware_concurrency\": "
-      << static_cast<int>(std::thread::hardware_concurrency()) << ",\n";
-  out << "  \"best_level\": \"" << best.name << "\",\n";
-  out << "  \"elements_per_rep\": " << kPixels << ",\n";
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto& c = cases[i];
-    const double scalar_meps =
-        TimeKernel([&] { c.run(scalar); }, c.melems_per_rep);
-    const double best_meps = TimeKernel([&] { c.run(best); }, c.melems_per_rep);
-    out << "    {\"kernel\": \"" << c.name
-        << "\", \"scalar_meps\": " << scalar_meps
-        << ", \"best_meps\": " << best_meps
-        << ", \"speedup\": " << best_meps / scalar_meps << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
+using kernels::KernelTable;
+
+// One pass of a kernel over the whole working set.
+struct KernelCase {
+  const char* name;
+  void (*run)(const KernelTable& t, KernelInputs& in);
+};
+
+const KernelCase kKernelCases[] = {
+    {"forward_dct",
+     [](const KernelTable& t, KernelInputs& in) {
+       for (int b = 0; b < kBlocks; ++b)
+         t.forward_dct(&in.dct_in[b * 64], &in.dct_out[b * 64]);
+     }},
+    {"inverse_dct",
+     [](const KernelTable& t, KernelInputs& in) {
+       for (int b = 0; b < kBlocks; ++b)
+         t.inverse_dct(&in.dct_in[b * 64], &in.dct_out[b * 64]);
+     }},
+    {"sad_block",
+     [](const KernelTable& t, KernelInputs& in) {
+       long long s = 0;
+       for (int b = 0; b < kBlocks; ++b)
+         s += t.sad_block(&in.ia[b * 64], &in.ib[b * 64]);
+       benchmark::DoNotOptimize(s);
+     }},
+    {"ssd_block",
+     [](const KernelTable& t, KernelInputs& in) {
+       long long s = 0;
+       for (int b = 0; b < kBlocks; ++b)
+         s += t.ssd_block(&in.ia[b * 64], &in.ib[b * 64]);
+       benchmark::DoNotOptimize(s);
+     }},
+    {"quantize_residual",
+     [](const KernelTable& t, KernelInputs& in) {
+       bool any = false;
+       for (int b = 0; b < kBlocks; ++b)
+         any |= t.quantize_residual(&in.ia[b * 64], 10.08,
+                                    &in.levels[b * 64]);
+       benchmark::DoNotOptimize(any);
+     }},
+    {"reconstruct_residual",
+     [](const KernelTable& t, KernelInputs& in) {
+       for (int b = 0; b < kBlocks; ++b)
+         t.reconstruct_residual(&in.levels[b * 64], 10.08, &in.ia[b * 64]);
+     }},
+    {"rgb_to_ycbcr",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.rgb_to_ycbcr(in.r8.data(), in.g8.data(), in.b8.data(), in.y16.data(),
+                      in.cb16.data(), in.cr16.data(), kPixels);
+     }},
+    {"ycbcr_to_rgb",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.ycbcr_to_rgb(in.y16.data(), in.cb16.data(), in.cr16.data(),
+                      in.r8o.data(), in.g8o.data(), in.b8o.data(), kPixels);
+     }},
+    {"scale_depth",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.scale_depth(in.d16.data(), in.d16o.data(), kPixels, 6000);
+     }},
+    {"unscale_depth",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.unscale_depth(in.d16.data(), in.d16o.data(), kPixels, 6000);
+     }},
+    {"sum_sq_diff_u16",
+     [](const KernelTable& t, KernelInputs& in) {
+       benchmark::DoNotOptimize(
+           t.sum_sq_diff_u16(in.d16.data(), in.d16o.data(), kPixels));
+     }},
+    {"sum_sq_diff_u8",
+     [](const KernelTable& t, KernelInputs& in) {
+       benchmark::DoNotOptimize(
+           t.sum_sq_diff_u8(in.r8.data(), in.g8.data(), kPixels));
+     }},
+    {"cull_classify_row",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.cull_classify_row(in.d16.data(), static_cast<int>(kPixels), 36.5,
+                           in.fparams, in.mask.data());
+     }},
+};
+
+// BM_Kernel/<kernel>/<level> for the scalar table and the best level
+// available; items are working-set elements. ClobberMemory keeps the
+// kernels' buffer writes observable.
+void RegisterKernelBenchmarks() {
+  std::vector<kernels::SimdLevel> levels{kernels::SimdLevel::kScalar};
+  const kernels::SimdLevel best = kernels::AvailableLevels().back();
+  if (best != kernels::SimdLevel::kScalar) levels.push_back(best);
+  for (const KernelCase& c : kKernelCases) {
+    for (const kernels::SimdLevel level : levels) {
+      const KernelTable& table = *kernels::Table(level);
+      const std::string name =
+          std::string("BM_Kernel/") + c.name + "/" + table.name;
+      benchmark::RegisterBenchmark(
+          name.c_str(), [&c, &table](benchmark::State& state) {
+            KernelInputs& in = Inputs();
+            for (auto _ : state) {
+              c.run(table, in);
+              benchmark::ClobberMemory();
+            }
+            state.SetItemsProcessed(state.iterations() *
+                                    static_cast<std::int64_t>(kPixels));
+          });
+    }
   }
-  out << "  ]\n";
-  out << "}\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string codec_json = "BENCH_codec.json";
-  std::string kernels_json = "BENCH_kernels.json";
-  // Strip our own flags before google-benchmark sees the arguments.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--codec_json=", 13) == 0) {
-      codec_json = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--kernels_json=", 15) == 0) {
-      kernels_json = argv[i] + 15;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  RegisterKernelBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  WriteCodecThroughputJson(codec_json);
-  WriteKernelSweepJson(kernels_json);
   return 0;
 }

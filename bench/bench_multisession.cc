@@ -9,19 +9,14 @@
 // A third sweep scales loop shards over big independent rosters
 // (N x shards grid): results are bit-identical at every shard count, so
 // the speedup column is pure parallel-runtime gain. Prints a table per
-// sweep and writes machine-readable BENCH_runtime.json (override the
-// path with --runtime_json=<path>; --shards=K pins the shard sweep to
-// one shard count).
+// sweep; --shards=K pins the shard sweep to one shard count.
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/experiment.h"
-#include "net/link.h"
 #include "runtime/multi_session.h"
 #include "sim/dataset.h"
 #include "sim/nettrace.h"
@@ -74,7 +69,6 @@ struct SweepPoint {
   int shards = 1;
   std::uint64_t fingerprint = 0;
   double wall_ms = 0.0;
-  double virtual_ms = 0.0;
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
   double sessions_per_sec = 0.0;
@@ -109,7 +103,6 @@ SweepPoint RunPoint(int n, bool shared, int shards = 1) {
   point.shards = result.shards;
   point.fingerprint = runtime::MultiSessionFingerprint(result);
   point.wall_ms = result.wall_ms;
-  point.virtual_ms = result.virtual_ms;
   point.events = result.events_dispatched;
   const double wall_s = result.wall_ms / 1000.0;
   point.events_per_sec = wall_s > 0 ? result.events_dispatched / wall_s : 0;
@@ -165,47 +158,14 @@ void PrintShardSweep(const std::vector<SweepPoint>& points) {
   std::printf("\n");
 }
 
-void AppendJson(std::string& out, const SweepPoint& p) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"sessions\": %d, \"topology\": \"%s\", \"wall_ms\": %.3f, "
-      "\"virtual_ms\": %.1f, \"events_dispatched\": %llu, "
-      "\"events_per_sec\": %.0f, \"sessions_per_sec\": %.3f, "
-      "\"mean_fps\": %.3f, \"mean_stall_rate\": %.4f}",
-      p.sessions, p.shared ? "shared" : "independent", p.wall_ms,
-      p.virtual_ms, static_cast<unsigned long long>(p.events),
-      p.events_per_sec, p.sessions_per_sec, p.mean_fps, p.mean_stall_rate);
-  out += buf;
-}
-
-void AppendShardJson(std::string& out, const SweepPoint& p,
-                     const SweepPoint& base) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"sessions\": %d, \"shards\": %d, \"wall_ms\": %.3f, "
-      "\"events_dispatched\": %llu, \"events_per_sec\": %.0f, "
-      "\"speedup_vs_1shard\": %.3f, \"fingerprint_matches_1shard\": %s}",
-      p.sessions, p.shards, p.wall_ms,
-      static_cast<unsigned long long>(p.events), p.events_per_sec,
-      p.wall_ms > 0 ? base.wall_ms / p.wall_ms : 0.0,
-      p.fingerprint == base.fingerprint ? "true" : "false");
-  out += buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_runtime.json";
   int pinned_shards = 0;  // 0 = sweep the default shard ladder
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const std::string json_prefix = "--runtime_json=";
     const std::string shards_prefix = "--shards=";
-    if (arg.rfind(json_prefix, 0) == 0) {
-      json_path = arg.substr(json_prefix.size());
-    } else if (arg.rfind(shards_prefix, 0) == 0) {
+    if (arg.rfind(shards_prefix, 0) == 0) {
       pinned_shards = std::stoi(arg.substr(shards_prefix.size()));
     }
   }
@@ -227,48 +187,11 @@ int main(int argc, char** argv) {
     if (pinned_shards != 1) shard_ladder.push_back(pinned_shards);
   }
   std::vector<SweepPoint> sharded;
-  std::map<int, std::size_t> shard_base;  // sessions -> index of 1-shard run
   for (int n : {16, 32, 64, 128}) {
     for (int shards : shard_ladder) {
       sharded.push_back(RunPoint(n, false, shards));
-      if (shards == 1) shard_base[n] = sharded.size() - 1;
     }
   }
   PrintShardSweep(sharded);
-
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  // Loss-model provenance: every session link in this bench runs the
-  // default LinkConfig; recording model + seed in the header keeps the
-  // emitted numbers reproducible against the deterministic LinkEmulator.
-  const net::LinkConfig link;
-  std::string json = "{\n  \"bench\": \"runtime_multisession\",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
-  json += "  \"frames_per_session\": " + std::to_string(kFrames) + ",\n";
-  json += "  \"loss_model\": \"" +
-          std::string(net::LossModelName(link.loss_model)) + "\",\n";
-  char loss_buf[96];
-  std::snprintf(loss_buf, sizeof(loss_buf),
-                "  \"loss_rate\": %.4f,\n  \"link_seed\": %llu,\n",
-                link.loss_rate, static_cast<unsigned long long>(link.seed));
-  json += loss_buf;
-  json += "  \"sweep\": [\n";
-  bool first = true;
-  for (const auto* points : {&independent, &shared}) {
-    for (const auto& p : *points) {
-      if (!first) json += ",\n";
-      first = false;
-      AppendJson(json, p);
-    }
-  }
-  json += "\n  ],\n  \"shard_sweep\": [\n";
-  first = true;
-  for (const auto& p : sharded) {
-    if (!first) json += ",\n";
-    first = false;
-    AppendShardJson(json, p, sharded[shard_base[p.sessions]]);
-  }
-  json += "\n  ]\n}\n";
-  std::ofstream(json_path) << json;
-  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -135,8 +135,8 @@ void EdgeRelay::OfferLadder(const RelayLadder& ladder, double now_ms) {
   if (!hop) {
     // Remote streams riding this origin cannot extend past the gap; ask
     // for a re-key so the next offer may re-anchor at a cheaper prefix
-    // (OnRemoteKeyframeRequest routes to the origin, throttled).
-    sfu_->OnRemoteKeyframeRequest(ladder.origin, now_ms);
+    // (RequestOriginKeyframe routes to the origin, throttled).
+    sfu_->RequestOriginKeyframe(ladder.origin, now_ms);
     return;
   }
   RootRelay* root = root_;
@@ -150,7 +150,7 @@ void EdgeRelay::RequestRemoteKeyframe(int origin, double now_ms) {
   RootRelay* root = root_;
   to_root_->Send(now_ms, options_.relay_hop_delay_ms,
                  [root, origin](double t) {
-                   root->OnKeyframeRequest(origin, t);
+                   root->RelayKeyframeRequest(origin, t);
                  });
 }
 
@@ -277,10 +277,6 @@ void RootRelay::OnEdgeLadder(const RelayLadder& ladder, double now_ms) {
   }
 }
 
-void RootRelay::OnKeyframeRequest(int origin, double now_ms) {
-  RelayKeyframeRequest(origin, now_ms);
-}
-
 void RootRelay::RelayKeyframeRequest(int origin, double now_ms) {
   double& last = last_pli_ms_[static_cast<std::size_t>(origin)];
   if (now_ms - last < options_.keyframe_relay_throttle_ms) return;
@@ -293,7 +289,7 @@ void RootRelay::RelayKeyframeRequest(int origin, double now_ms) {
   SfuActor* sfu = dest.sfu;
   dest.to_edge->Send(now_ms, options_.relay_hop_delay_ms,
                      [sfu, origin](double t) {
-                       sfu->OnRemoteKeyframeRequest(origin, t);
+                       sfu->RequestOriginKeyframe(origin, t);
                      });
 }
 

@@ -123,18 +123,29 @@ struct RelayStage {
 // into its region's SfuActor via ConfigureCascade. All methods run on the
 // region's loop; everything sent to the root is a closure that runs on
 // the root's loop (deterministically ordered by the channel contract).
-class EdgeRelay : public RelayPort {
+class EdgeRelay {
  public:
   EdgeRelay(int region, const std::vector<int>& region_of,
             const ConferenceOptions& options, int parties,
             runtime::CrossLoopChannel* to_root, RootRelay* root,
             SfuActor* local_sfu);
 
-  void OfferLadder(const RelayLadder& ladder, double now_ms) override;
-  void RequestRemoteKeyframe(int origin, double now_ms) override;
+  // A local ladder completed; decides which prefix (if any) to admit onto
+  // the edge->root pipe.
+  void OfferLadder(const RelayLadder& ladder, double now_ms);
+  // A local subscriber needs a keyframe from a remote origin (PLI).
+  void RequestRemoteKeyframe(int origin, double now_ms);
+  // Called once per allocation interval with this edge's demand for every
+  // origin (max visibility over local subscribers; the inter-SFU
+  // flow-control signal). Rolls the relay allocator's interval. `start_ms`
+  // is the interval boundary, `now_ms` the event actually driving it
+  // (catch-up intervals run late; sends must use `now_ms`).
   void OnAllocationInterval(double start_ms, const std::vector<double>& demand,
-                            double now_ms) override;
-  double RelayBudgetBps(int origin) const override;
+                            double now_ms);
+  // Relay-pipe bandwidth currently granted to `origin`'s ladder, bits/s —
+  // the cascade's contribution to OriginBudgetBps. Negative before the
+  // relay's first allocation interval (treated as "no opinion yet").
+  double RelayBudgetBps(int origin) const;
 
   // Aggregated remote demand for this edge's local origins (slot order),
   // delivered from the root on this edge's loop.
@@ -174,14 +185,16 @@ class RootRelay {
                     const std::vector<double>& demand, double now_ms);
   // An admitted prefix arrived over an edge->root pipe.
   void OnEdgeLadder(const RelayLadder& ladder, double now_ms);
-  // A PLI for `origin` from some remote region.
-  void OnKeyframeRequest(int origin, double now_ms);
+  // The root's one entry for keyframe requests: forwards a PLI for
+  // `origin` to the origin's edge, throttled per origin by
+  // keyframe_relay_throttle_ms. Callers: an edge relaying a local
+  // subscriber's PLI (EdgeRelay::RequestRemoteKeyframe), and OnEdgeLadder
+  // when a root->edge pipe refuses a ladder.
+  void RelayKeyframeRequest(int origin, double now_ms);
 
   const RelayStats& stats() const { return stats_; }
 
  private:
-  void RelayKeyframeRequest(int origin, double now_ms);
-
   struct Dest {
     runtime::CrossLoopChannel* to_edge = nullptr;
     SfuActor* sfu = nullptr;

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -18,44 +17,6 @@
 
 namespace livo::conference {
 namespace {
-
-void Describe(std::ostream& os, const net::LinkConfig& l) {
-  os << l.propagation_delay_ms << ',' << l.max_queue_delay_ms << ','
-     << l.loss_rate << ',' << l.bandwidth_scale << ',' << l.seed;
-  if (l.loss_model != net::LossModel::kIid) {
-    // Appended only for non-iid models so existing cache entries keep
-    // their keys (same gating precedent as the cascade block below).
-    os << "|lm:" << net::LossModelName(l.loss_model) << ',' << l.ge_p_good_bad
-       << ',' << l.ge_p_bad_good << ',' << l.ge_bad_loss;
-  }
-}
-
-void Describe(std::ostream& os, const net::ChannelConfig& c) {
-  Describe(os, c.link);
-  os << "|gcc:" << c.gcc.initial_bps << ',' << c.gcc.min_bps << ','
-     << c.gcc.max_bps << "|ch:" << c.jitter_buffer_ms << ','
-     << c.feedback_interval_ms << ',' << c.enable_nack;
-  if (c.enable_fec) {
-    os << "|fec:" << c.fec_redundancy_cap;
-  }
-}
-
-void Describe(std::ostream& os, const sim::BandwidthTrace& t) {
-  os << t.name << ',' << t.mbps.size() << ',' << t.sample_interval_ms << ','
-     << t.MeanMbps() << ',' << t.MinMbps() << ',' << t.MaxMbps();
-}
-
-void Describe(std::ostream& os, const core::LiVoConfig& c) {
-  // codec_threads intentionally omitted: encoded bytes are contractually
-  // thread-count-invariant (tests assert it), so it must not split cache
-  // entries.
-  os << c.layout.canvas_width() << 'x' << c.layout.canvas_height() << '/'
-     << c.layout.tile_height() << ',' << c.fps << ',' << c.enable_culling
-     << ',' << c.enable_adaptation << ',' << c.dynamic_split << ','
-     << c.split.initial << ',' << c.split.min << ',' << c.split.max << ','
-     << c.split.step << ',' << c.split.epsilon << ',' << c.split.update_every
-     << ',' << c.predictor.guard_band_m;
-}
 
 void Validate(const std::vector<ParticipantSpec>& specs,
               const ConferenceOptions& options) {
@@ -458,69 +419,6 @@ std::uint64_t ConferenceResult::Fingerprint() const {
   h.Mix(static_cast<std::uint64_t>(events_dispatched));
   h.Mix(virtual_ms);
   return h.value();
-}
-
-std::string ConferenceCacheKey(const std::vector<ParticipantSpec>& specs,
-                               const ConferenceOptions& options) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "confv2|" << specs.size() << '|';
-  for (const ParticipantSpec& spec : specs) {
-    os << spec.sequence->spec.name << ',' << spec.sequence->frames.size()
-       << ',' << spec.sequence->rig.size() << ','
-       << sim::StyleName(spec.user_trace.style) << ','
-       << spec.user_trace.poses.size() << "|up:";
-    Describe(os, spec.uplink_trace);
-    os << '@' << spec.uplink_trace_offset_ms << "|down:";
-    Describe(os, spec.downlink_trace);
-    os << '@' << spec.downlink_trace_offset_ms << "|cfg:";
-    Describe(os, spec.config);
-    os << ';';
-  }
-  os << "|upch:";
-  Describe(os, options.uplink_channel);
-  os << "|downch:";
-  Describe(os, options.downlink_channel);
-  os << "|mode:" << LinkModeName(options.uplink_mode) << '/'
-     << LinkModeName(options.downlink_mode);
-  if (options.uplink_mode == LinkMode::kShared) {
-    os << "|shup:";
-    Describe(os, options.shared_uplink_trace);
-    Describe(os, options.shared_uplink_config);
-  }
-  if (options.downlink_mode == LinkMode::kShared) {
-    os << "|shdown:";
-    Describe(os, options.shared_downlink_trace);
-    Describe(os, options.shared_downlink_config);
-  }
-  os << "|ladder:" << options.ladder_layers << ',' << options.ladder_qp_step;
-  if (options.fec.enabled) {
-    // Appended only when FEC is on so existing entries keep their keys.
-    os << "|fec:" << options.fec.redundancy_cap << ',' << options.fec.loss_gain
-       << ',' << options.fec.utility_floor;
-  }
-  if (options.regions > 1) {
-    // Appended only for cascades so direct entries keep their keys.
-    // options.shards is deliberately absent: results are shard-invariant.
-    os << "|cascade:" << options.regions << ',' << options.relay_rate_mbps
-       << ',' << options.relay_hop_delay_ms;
-  }
-  os << '|' << options.bandwidth_scale << ',' << options.trace_time_accel
-     << ',' << options.sender_pipeline_delay_ms << ','
-     << options.allocation_interval_ms << ','
-     << options.burst_credit_intervals << ',' << options.share_floor << ','
-     << options.forward_split.initial << ',' << options.forward_split.step
-     << ',' << options.keyframe_relay_throttle_ms << ','
-     << options.max_parties << ','
-     << options.seats.radius_m << ',' << options.seats.samples_per_axis
-     << ',' << options.receiver.voxel_size_m << ','
-     << options.receiver.max_pair_lag << ',' << options.scheme_name;
-
-  util::Fnv1a h;
-  h.Mix(os.str());
-  std::ostringstream key;
-  key << specs.size() << "p_" << std::hex << h.value();
-  return key.str();
 }
 
 }  // namespace livo::conference

@@ -57,11 +57,4 @@ struct ConferenceResult {
 ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
                                const ConferenceOptions& options);
 
-// Stable content key over everything that determines a conference's
-// records (roster, traces, configs, topology) — excluding knobs that are
-// results-invariant by contract (codec thread counts). bench_conference
-// uses it to cache sweep points in ./.bench_cache.
-std::string ConferenceCacheKey(const std::vector<ParticipantSpec>& specs,
-                               const ConferenceOptions& options);
-
 }  // namespace livo::conference

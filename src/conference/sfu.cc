@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "conference/cascade.h"
 #include "fec/fec.h"
 #include "obs/obs.h"
 
@@ -111,7 +112,7 @@ void SfuActor::SetSharedLinks(runtime::SharedLink* uplink,
   shared_downlink_ = downlink;
 }
 
-void SfuActor::ConfigureCascade(RelayPort* relay, int region) {
+void SfuActor::ConfigureCascade(EdgeRelay* relay, int region) {
   relay_ = relay;
   region_ = region;
   // A remote subscriber sits two relay hops away in each direction
@@ -519,10 +520,6 @@ void SfuActor::OnRelayLadder(const RelayLadder& msg, double now_ms) {
     if (p != nullptr) p->downlink().Step(now_ms);
   }
   ScheduleNext(now_ms);
-}
-
-void SfuActor::OnRemoteKeyframeRequest(int origin, double now_ms) {
-  RequestOriginKeyframe(origin, now_ms);
 }
 
 void SfuActor::RelayKeyframeRequests(double now_ms) {

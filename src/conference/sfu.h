@@ -50,6 +50,8 @@
 
 namespace livo::conference {
 
+class EdgeRelay;  // cascade.h
+
 // Ledger hop for a transport FEC/repair lifecycle event; shared by the
 // uplink (SFU-side) and downlink (participant-side) hook wiring.
 inline obs::LedgerHop FecLedgerHop(net::VideoChannel::FecEvent event) {
@@ -121,30 +123,6 @@ struct RelayLadder {
   std::vector<LadderPair> layers;
 };
 
-// What an edge SFU asks of the cascade (implemented by cascade.h's
-// EdgeRelay). All calls happen on the edge's own loop thread.
-class RelayPort {
- public:
-  virtual ~RelayPort() = default;
-  // A local ladder completed; the relay decides which prefix (if any) to
-  // admit onto the edge->root pipe.
-  virtual void OfferLadder(const RelayLadder& ladder, double now_ms) = 0;
-  // A local subscriber needs a keyframe from a remote origin (PLI).
-  virtual void RequestRemoteKeyframe(int origin, double now_ms) = 0;
-  // Called once per allocation interval with this edge's demand for every
-  // origin (max visibility over local subscribers; the inter-SFU
-  // flow-control signal). Rolls the relay allocator's interval. `start_ms`
-  // is the interval boundary, `now_ms` the event actually driving it
-  // (catch-up intervals run late; sends must use `now_ms`).
-  virtual void OnAllocationInterval(double start_ms,
-                                    const std::vector<double>& demand,
-                                    double now_ms) = 0;
-  // Relay-pipe bandwidth currently granted to `origin`'s ladder, bits/s —
-  // the cascade's contribution to OriginBudgetBps. Negative before the
-  // relay's first allocation interval (treated as "no opinion yet").
-  virtual double RelayBudgetBps(int origin) const = 0;
-};
-
 class SfuActor {
  public:
   SfuActor(runtime::EventLoop& loop, const std::vector<ParticipantSpec>& specs,
@@ -167,7 +145,7 @@ class SfuActor {
   // fan-out, PLIs for remote origins are routed through it, and
   // OriginBudgetBps gains the relay-pipe grant. `relay` must outlive the
   // actor. Call before Start().
-  void ConfigureCascade(RelayPort* relay, int region);
+  void ConfigureCascade(EdgeRelay* relay, int region);
 
   void Start();
 
@@ -179,8 +157,15 @@ class SfuActor {
   // then runs the normal per-subscriber gate fan-out for local
   // subscribers.
   void OnRelayLadder(const RelayLadder& ladder, double now_ms);
-  // A PLI from a remote region reached this (origin-serving) edge.
-  void OnRemoteKeyframeRequest(int origin, double now_ms);
+
+  // The SFU's one entry for keyframe requests: asks `origin` for a
+  // keyframe, throttled per origin by keyframe_relay_throttle_ms. A remote
+  // origin's request goes on to the root relay. Callers: this SFU's own
+  // gate drops and the uplink and downlink PLIs it polls
+  // (RelayKeyframeRequests); its EdgeRelay when the edge->root pipe
+  // refuses a ladder; and the root relay, delivering a PLI from another
+  // region to the origin's edge.
+  void RequestOriginKeyframe(int origin, double now_ms);
 
   // Largest per-subscriber allocation currently granted to `origin`'s
   // stream, in bits/s — the origin encodes at most this fast (encoding
@@ -228,7 +213,6 @@ class SfuActor {
   void RunAllocations(double now_ms);
   void FeedPoses(double now_ms);
   void RelayKeyframeRequests(double now_ms);
-  void RequestOriginKeyframe(int origin, double now_ms);
   void ScheduleNext(double now_ms);
 
   runtime::EventLoop& loop_;
@@ -259,7 +243,7 @@ class SfuActor {
   std::vector<double> last_key_relay_ms_;        // by origin
 
   // Cascade wiring (null for a direct conference).
-  RelayPort* relay_ = nullptr;
+  EdgeRelay* relay_ = nullptr;
   int region_ = 0;
   // Extra RTT a remote subscriber adds over the cascade (two relay hops
   // each way); folded into MaxSubscriberDownlinkRttMs when any subscriber

@@ -38,10 +38,6 @@ enum class LinkMode {
   kShared,   // all flows contend on one bottleneck (runtime::SharedLink)
 };
 
-inline const char* LinkModeName(LinkMode mode) {
-  return mode == LinkMode::kShared ? "shared" : "private";
-}
-
 // Where each remote participant's volumetric content sits in a
 // subscriber's rendering space, and how coarsely visibility is sampled.
 //
@@ -149,9 +145,9 @@ struct ConferenceOptions {
   double relay_hop_delay_ms = 30.0;
 
   // Event-loop shards the run spreads its regions over. Results are
-  // bit-identical for any value (ConferenceCacheKey excludes it); only
-  // wall time changes. A direct (regions == 1) conference is one coupling
-  // domain and always runs on a single loop regardless.
+  // bit-identical for any value; only wall time changes. A direct
+  // (regions == 1) conference is one coupling domain and always runs on a
+  // single loop regardless.
   int shards = 1;
 
   SeatLayout seats;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 
@@ -62,11 +61,13 @@ void Describe(std::ostream& os, const net::LinkConfig& l) {
 }
 
 void Describe(std::ostream& os, const LiVoConfig& c) {
+  // codec_threads is left out: results do not depend on it (tests assert
+  // that), so it must not split cache entries.
   os << c.layout.canvas_width() << 'x' << c.layout.canvas_height() << '/'
      << c.layout.tile_height() << ',' << c.depth_scaler.max_range_mm << ','
      << static_cast<int>(c.depth_mode) << ',' << c.fps << ','
-     << c.codec_threads << ',' << c.enable_culling << ','
-     << c.enable_adaptation << ',' << c.dynamic_split << ','
+     << c.enable_culling << ',' << c.enable_adaptation << ','
+     << c.dynamic_split << ','
      << c.static_split << ',' << c.fixed_color_qp << ',' << c.fixed_depth_qp
      << "|split:" << c.split.initial << ',' << c.split.min << ','
      << c.split.max << ',' << c.split.step << ',' << c.split.epsilon << ','
@@ -134,7 +135,7 @@ void Describe(std::ostream& os, const DracoOracleOptions& o) {
 std::string MatrixConfig::CacheKey() const {
   std::ostringstream os;
   os.precision(17);
-  os << "v4|" << profile.camera_count << "x" << profile.camera_width << "x"
+  os << "v5|" << profile.camera_count << "x" << profile.camera_width << "x"
      << profile.camera_height << "|f" << frames << "|u" << user_traces
      << "|t" << trace_duration_s << "|";
   // Key on the full config tuple each scheme will actually run with, not
@@ -217,15 +218,11 @@ SessionResult RunScheme(Scheme scheme, const sim::CapturedSequence& sequence,
       const LiVoConfig config = MakeLiVoConfig(scheme, profile);
       ReplayOptions options = MakeReplayOptions(profile);
       options.scheme_name = SchemeName(scheme);
-      // Different (video, user) pairs replay different trace segments, the
-      // same way the paper's minutes-long replays cover the whole trace.
-      // All schemes of one pair share the segment for comparability.
-      options.trace_offset_ms =
-          3100.0 * static_cast<double>(
-                       (std::hash<std::string>{}(sequence.spec.name) ^
-                        std::hash<std::string>{}(user.video)) %
-                           7 +
-                       static_cast<std::size_t>(user.style));
+      // Each user-trace style starts its replay 3.1 s further into the
+      // network trace, so the matrix's three users meet different segments.
+      // The offset depends on the style alone: every video's user of one
+      // style, and every scheme, replays the same segment.
+      options.trace_offset_ms = 3100.0 * static_cast<int>(user.style);
       return RunLiVoSession(sequence, user, net, config, options);
     }
     case Scheme::kMeshReduce: {
@@ -275,6 +272,8 @@ void SaveCache(const std::string& path,
                const std::vector<SessionSummary>& summaries) {
   std::filesystem::create_directories(kCacheDir);
   std::ofstream out(path);
+  // max_digits10, so a loaded matrix equals the run that wrote it.
+  out.precision(17);
   out << "# scheme video user net pssim_g pssim_c stall fps target_fps "
          "latency thpt cap util\n";
   for (const auto& s : summaries) {

@@ -30,16 +30,6 @@ ReceiverMetrics& Metrics() {
   return metrics;
 }
 
-int DepthStreamPlaneCount(const LiVoConfig& config) {
-  return config.depth_mode == DepthEncodingMode::kRgbPacked ? 3 : 1;
-}
-
-video::CodecConfig DepthStreamConfig(const LiVoConfig& config) {
-  return config.depth_mode == DepthEncodingMode::kRgbPacked
-             ? config.ColorCodecConfig()
-             : config.DepthCodecConfig();
-}
-
 // Nearest-neighbor expansion of decoded low-layer planes back to the full
 // canvas, swapping each halved plane's pooled storage for a full-sized one.
 void UpsampleToCanvas(std::vector<image::Plane16>& planes, int dw, int dh) {
@@ -99,9 +89,10 @@ LiVoReceiver::LiVoReceiver(const LiVoConfig& config,
                          ? HalveForLadder(config.ColorCodecConfig())
                          : config.ColorCodecConfig(),
                      3),
-      depth_decoder_(spatial_divisor == 2 ? HalveForLadder(DepthStreamConfig(config))
-                                          : DepthStreamConfig(config),
-                     DepthStreamPlaneCount(config)) {
+      depth_decoder_(spatial_divisor == 2
+                         ? HalveForLadder(config.DepthStreamConfig())
+                         : config.DepthStreamConfig(),
+                     config.DepthStreamPlaneCount()) {
   if (spatial_divisor != 1 && spatial_divisor != 2) {
     throw std::invalid_argument("spatial_divisor must be 1 or 2");
   }

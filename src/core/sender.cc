@@ -33,20 +33,6 @@ SenderMetrics& Metrics() {
   return metrics;
 }
 
-video::CodecConfig DepthStreamConfig(const LiVoConfig& config) {
-  if (config.depth_mode == DepthEncodingMode::kRgbPacked) {
-    // The RGB-packed baseline feeds the packed image through the ordinary
-    // 8-bit path (Pece et al. style).
-    video::CodecConfig c = config.ColorCodecConfig();
-    return c;
-  }
-  return config.DepthCodecConfig();
-}
-
-int DepthStreamPlaneCount(const LiVoConfig& config) {
-  return config.depth_mode == DepthEncodingMode::kRgbPacked ? 3 : 1;
-}
-
 // Codec config of lower ladder layer `q`. Full-resolution mid layers keep
 // the top-layer geometry; the lowest layer (q == 0) encodes the halved
 // canvas. Motion search is disabled on every lower layer: they are the
@@ -73,7 +59,8 @@ LiVoSender::LiVoSender(const LiVoConfig& config,
       predictor_(config.predictor),
       splitter_(config.split),
       color_encoder_(config.ColorCodecConfig(), 3),
-      depth_encoder_(DepthStreamConfig(config), DepthStreamPlaneCount(config)) {
+      depth_encoder_(config.DepthStreamConfig(),
+                     config.DepthStreamPlaneCount()) {
   if (static_cast<int>(cameras_.size()) != config_.layout.camera_count()) {
     throw std::invalid_argument("camera count does not match tile layout");
   }
@@ -84,8 +71,8 @@ LiVoSender::LiVoSender(const LiVoConfig& config,
     lower_color_encoders_.emplace_back(
         LadderLayerConfig(config_.ColorCodecConfig(), q), 3);
     lower_depth_encoders_.emplace_back(
-        LadderLayerConfig(DepthStreamConfig(config_), q),
-        DepthStreamPlaneCount(config_));
+        LadderLayerConfig(config_.DepthStreamConfig(), q),
+        config_.DepthStreamPlaneCount());
   }
   if (!config_.dynamic_split) {
     // Static-split ablation: pin the controller at the configured value.

@@ -101,6 +101,17 @@ struct LiVoConfig {
     c.max_threads = codec_threads;
     return c;
   }
+
+  // Codec config and plane count of the depth stream. The RGB-packed
+  // baseline feeds its packed image through the ordinary 8-bit color path
+  // (Pece et al. style) as three planes; the Y16 modes code one plane.
+  video::CodecConfig DepthStreamConfig() const {
+    return depth_mode == DepthEncodingMode::kRgbPacked ? ColorCodecConfig()
+                                                       : DepthCodecConfig();
+  }
+  int DepthStreamPlaneCount() const {
+    return depth_mode == DepthEncodingMode::kRgbPacked ? 3 : 1;
+  }
 };
 
 inline constexpr std::uint32_t kColorStream = 0;

@@ -23,16 +23,6 @@ LinkMetrics& Metrics() {
 
 }  // namespace
 
-const char* LossModelName(LossModel model) {
-  switch (model) {
-    case LossModel::kIid:
-      return "iid";
-    case LossModel::kGilbertElliott:
-      return "gilbert_elliott";
-  }
-  return "unknown";
-}
-
 double MeanLossRate(const LinkConfig& config) {
   if (config.loss_model == LossModel::kIid) return config.loss_rate;
   // Stationary distribution of the two-state chain: pi_bad =

@@ -26,9 +26,6 @@ enum class LossModel {
   kGilbertElliott = 1,
 };
 
-// Stable name for bench headers ("iid" / "gilbert_elliott").
-const char* LossModelName(LossModel model);
-
 struct LinkConfig {
   double propagation_delay_ms = 20.0;  // one-way
   double max_queue_delay_ms = 300.0;   // drop-tail bound

@@ -403,31 +403,13 @@ TEST(ConferenceDeterminism, IdenticalFingerprintAcrossReruns) {
 }
 
 // The slice codecs are thread-count-invariant, so the whole conference
-// must be too (and the cache key deliberately ignores codec_threads).
+// must be too.
 TEST(ConferenceDeterminism, IdenticalFingerprintAcrossCodecThreadCounts) {
   auto specs = SmallRoster(4, 6);
   const ConferenceOptions options = SmallConferenceOptions();
   for (ParticipantSpec& spec : specs) spec.config.codec_threads = 1;
   const ConferenceResult serial = RunConference(specs, options);
   EXPECT_EQ(serial.Fingerprint(), FourPartyResult().Fingerprint());
-  EXPECT_EQ(ConferenceCacheKey(specs, options),
-            ConferenceCacheKey(SmallRoster(4, 6), options));
-}
-
-TEST(ConferenceDeterminism, CacheKeyDiscriminatesRosterAndTopology) {
-  const auto specs = SmallRoster(4, 6);
-  const ConferenceOptions options = SmallConferenceOptions();
-  const std::string base = ConferenceCacheKey(specs, options);
-
-  ConferenceOptions shared = options;
-  shared.downlink_mode = LinkMode::kShared;
-  shared.shared_downlink_trace = sim::MakeTrace1(30.0);
-  EXPECT_NE(ConferenceCacheKey(specs, shared), base);
-
-  auto moved = specs;
-  moved[2].downlink_trace_offset_ms += 250.0;
-  EXPECT_NE(ConferenceCacheKey(moved, options), base);
-  EXPECT_NE(ConferenceCacheKey(SmallRoster(3, 6), options), base);
 }
 
 // ---- Shared-bottleneck topology ----
@@ -876,7 +858,7 @@ TEST(ConferenceCascade, TwoRegionCallDeliversCrossRegionStreams) {
 // Acceptance criterion of the sharded runtime: a cascaded conference's
 // fingerprint is bit-identical whether its 3 domains (2 edges + root)
 // run on 1, 2, or 3 loops, across reruns, and across codec thread
-// counts. ConferenceCacheKey ignores both results-invariant knobs.
+// counts.
 TEST(ConferenceCascade, FingerprintInvariantAcrossShardsAndReruns) {
   const std::uint64_t fingerprint = CascadedEightPartyResult().Fingerprint();
   for (int shards : {2, 3}) {
@@ -895,18 +877,13 @@ TEST(ConferenceCascade, FingerprintInvariantAcrossShardsAndReruns) {
       RunConference(specs, CascadeOptions(2, 8));
   EXPECT_EQ(serial.shards, 3);
   EXPECT_EQ(serial.Fingerprint(), fingerprint);
-  EXPECT_EQ(ConferenceCacheKey(specs, CascadeOptions(2, 8)),
-            ConferenceCacheKey(SmallRoster(8, 6), CascadeOptions(2)));
   // Rerun at the default single shard.
   EXPECT_EQ(RunConference(SmallRoster(8, 6), CascadeOptions(2)).Fingerprint(),
             fingerprint);
-  // But the cascade shape itself is part of the key.
-  EXPECT_NE(ConferenceCacheKey(SmallRoster(8, 6), CascadeOptions(2)),
-            ConferenceCacheKey(SmallRoster(8, 6), SmallConferenceOptions()));
 }
 
-// A direct conference is one coupling domain: the shards knob must change
-// neither the results nor the cache key.
+// A direct conference is one coupling domain: the shards knob must not
+// change the results.
 TEST(ConferenceCascade, DirectConferenceIgnoresShardKnob) {
   ConferenceOptions options = SmallConferenceOptions();
   options.shards = 4;
@@ -914,8 +891,6 @@ TEST(ConferenceCascade, DirectConferenceIgnoresShardKnob) {
   EXPECT_EQ(result.regions, 1);
   EXPECT_EQ(result.shards, 1);  // clamped to the single domain
   EXPECT_EQ(result.Fingerprint(), FourPartyResult().Fingerprint());
-  EXPECT_EQ(ConferenceCacheKey(SmallRoster(4, 6), options),
-            ConferenceCacheKey(SmallRoster(4, 6), SmallConferenceOptions()));
 }
 
 TEST(ConferenceCascade, RejectsTopologiesTheCascadeCannotServe) {

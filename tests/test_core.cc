@@ -1,6 +1,8 @@
 // Unit and integration tests for livo::core — split controller, view
 // culling, frustum predictor, sender/receiver round trips, and full
 // replay sessions (LiVo, Draco-Oracle, MeshReduce).
+#include <filesystem>
+
 #include <gtest/gtest.h>
 
 #include "core/culling.h"
@@ -723,6 +725,38 @@ TEST(Experiment, CacheKeyCoversDerivedSessionConfigs) {
     MatrixConfig m;
     m.both_traces = false;
     EXPECT_NE(base.CacheKey(), m.CacheKey());
+  }
+}
+
+// The paper benches read the matrix back from ./.bench_cache, so a loaded
+// matrix must equal the run that wrote it, to the last bit.
+TEST(Experiment, CachedMatrixReproducesFreshRun) {
+  MatrixConfig config;
+  config.profile = SmallProfile();
+  config.frames = 4;
+  config.user_traces = 1;
+  config.trace_duration_s = 10.0;
+  config.schemes = {Scheme::kLiVo};
+  config.videos = {"dance5"};
+  config.both_traces = false;
+  const std::filesystem::path path =
+      std::filesystem::path(".bench_cache") /
+      ("matrix_" + config.CacheKey() + ".tsv");
+  std::filesystem::remove(path);
+  const std::vector<SessionSummary> fresh = RunOrLoadMatrix(config, false);
+  ASSERT_TRUE(std::filesystem::exists(path));
+  const std::vector<SessionSummary> loaded = RunOrLoadMatrix(config, false);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(fresh.size(), 1u);
+  ASSERT_EQ(loaded.size(), fresh.size());
+  for (double SessionSummary::*field :
+       {&SessionSummary::pssim_geometry, &SessionSummary::pssim_color,
+        &SessionSummary::stall_rate, &SessionSummary::fps,
+        &SessionSummary::target_fps, &SessionSummary::latency_ms,
+        &SessionSummary::throughput_mbps, &SessionSummary::capacity_mbps,
+        &SessionSummary::utilization}) {
+    EXPECT_EQ(loaded[0].*field, fresh[0].*field);
   }
 }
 

@@ -25,7 +25,7 @@
 #     cross-loop stress and cascade tests repeat here for lifetime bugs
 #     TSan cannot see.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
-#     (bench_conference --parties=8 --fresh under LIVO_TRACE=1, simulcast
+#     (bench_conference --parties=8 under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
 #     feeds the emitted telemetry JSONL through livo_report --check, so
 #     the frame ledger's invariants (hop ordering, gate counts vs SFU
@@ -131,8 +131,7 @@ trap 'rm -rf "${TELEMETRY_DIR}"' EXIT
 (
   cd "${TELEMETRY_DIR}"
   LIVO_TRACE=1 LIVO_TRACE_DIR="${TELEMETRY_DIR}" \
-    "${BUILD_DIR}/bench/bench_conference" --parties=8 --fresh \
-    --conference_json="${TELEMETRY_DIR}/bench.json" > /dev/null
+    "${BUILD_DIR}/bench/bench_conference" --parties=8 > /dev/null
 )
 TELEMETRY_FILES=("${TELEMETRY_DIR}"/*.telemetry.jsonl)
 if [ ! -e "${TELEMETRY_FILES[0]}" ]; then
@@ -156,7 +155,7 @@ trap 'rm -rf "${TELEMETRY_DIR}" "${LOSSY_DIR}"' EXIT
   cd "${LOSSY_DIR}"
   LIVO_TRACE=1 LIVO_TRACE_DIR="${LOSSY_DIR}" \
     "${BUILD_DIR}/bench/bench_conference" --parties=8 --loss=0.05 --fec \
-    --fresh --conference_json="${LOSSY_DIR}/bench.json" > /dev/null
+    > /dev/null
 )
 LOSSY_FILES=("${LOSSY_DIR}"/*.telemetry.jsonl)
 if [ ! -e "${LOSSY_FILES[0]}" ]; then
