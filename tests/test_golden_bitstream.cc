@@ -8,6 +8,8 @@
 //   * across every SIMD dispatch level available on this build + CPU, and
 //   * across codec thread counts (slice parallelism is an execution knob,
 //     not a bitstream knob).
+// A six-frame chain through the simulcast ladder additionally pins P-frame
+// reconstructions that later P-frames predict from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "core/sender.h"
 #include "core/types.h"
 #include "image/depth_encoding.h"
+#include "image/plane_pool.h"
 #include "image/tiling.h"
 #include "kernels/kernels.h"
 #include "sim/dataset.h"
@@ -125,6 +128,91 @@ TEST(GoldenBitstream, LadderLayersPinnedAcrossSimdLevelsAndThreadCounts) {
             << " with codec_threads=" << threads << ": hash 0x" << std::hex
             << hashes[q].value() << " != pinned 0x" << kGoldenLadder[q];
       }
+    }
+  }
+}
+
+// ---- P-frame chain golden hashes ----
+//
+// kGolden and kGoldenLadder cover a keyframe and one P-frame, so no
+// P-frame's reconstruction ever serves as a reference there: a P-frame
+// reconstruction that drifted would pass both. This chain runs six frames
+// (a keyframe and five P-frames, which mix SKIP, late-skip, zero-motion,
+// motion-vector and intra blocks) of each sequence through the 3-layer
+// ladder. One hash per sequence covers every layer's serialized frames and
+// the planes a VideoDecoder returns for the top layer and for L0, so a
+// drift shows in the next frame's bitstream and in the decoded planes.
+// Regenerate like kGolden above: only for a deliberate change.
+constexpr GoldenEntry kGoldenChain[] = {
+    {"band2", 0x44e73e4732c8cbf1ull},
+    {"dance5", 0xc0e58d81d22baaa5ull},
+    {"office1", 0xff38ef1ebddf95caull},
+    {"pizza1", 0x46939ed766e0891cull},
+    {"toddler4", 0x3abf42d6d766e62bull},
+};
+
+// Mixes every sample as two little-endian bytes.
+void MixPlanes(util::Fnv1a& h, const std::vector<image::Plane16>& planes) {
+  for (const image::Plane16& plane : planes) {
+    for (const std::uint16_t v : plane.data()) {
+      const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(v & 0xffu),
+                                     static_cast<std::uint8_t>(v >> 8)};
+      h.MixBytes(bytes, 2);
+    }
+  }
+}
+
+void DecodeAndMix(video::VideoDecoder& decoder,
+                  const std::vector<std::uint8_t>& bytes, util::Fnv1a& h) {
+  std::vector<image::Plane16> planes =
+      decoder.Decode(video::DeserializeFrame(bytes));
+  MixPlanes(h, planes);
+  image::ReleasePooledPlanes(planes);
+}
+
+TEST(GoldenBitstream, PFrameChainPinnedAcrossSimdLevels) {
+  struct DispatchGuard {
+    ~DispatchGuard() { kernels::ResetDispatchForTest(); }
+  } guard;
+
+  for (const GoldenEntry& golden : kGoldenChain) {
+    const sim::CapturedSequence capture =
+        sim::CaptureVideo(golden.sequence, sim::ScaleProfile::Default(), 6);
+    for (const kernels::SimdLevel level : kernels::AvailableLevels()) {
+      kernels::ForceLevel(level);
+      core::LiVoConfig config;
+      config.simulcast_layers = 3;
+      config.enable_culling = false;     // no predictor dependence
+      config.enable_adaptation = false;  // fixed QPs per layer
+      config.dynamic_split = false;
+      core::LiVoSender sender(config, capture.rig);
+      const int depth_planes = config.DepthStreamPlaneCount();
+      video::VideoDecoder top_color(config.ColorCodecConfig(), 3);
+      video::VideoDecoder top_depth(config.DepthStreamConfig(), depth_planes);
+      video::VideoDecoder low_color(
+          core::HalveForLadder(config.ColorCodecConfig()), 3);
+      video::VideoDecoder low_depth(
+          core::HalveForLadder(config.DepthStreamConfig()), depth_planes);
+      util::Fnv1a h;
+      for (std::uint32_t f = 0; f < capture.frames.size(); ++f) {
+        const core::SenderOutput out =
+            sender.ProcessFrame(capture.frames[f], f, 20e6);
+        ASSERT_EQ(out.lower_layers.size(), 2u);
+        for (const core::SenderLayerOutput& layer : out.lower_layers) {
+          MixBytes(h, *layer.color_frame);
+          MixBytes(h, *layer.depth_frame);
+        }
+        MixBytes(h, *out.color_frame);
+        MixBytes(h, *out.depth_frame);
+        DecodeAndMix(top_color, *out.color_frame, h);
+        DecodeAndMix(top_depth, *out.depth_frame, h);
+        DecodeAndMix(low_color, *out.lower_layers[0].color_frame, h);
+        DecodeAndMix(low_depth, *out.lower_layers[0].depth_frame, h);
+      }
+      EXPECT_EQ(h.value(), golden.hash)
+          << golden.sequence << " at level " << kernels::ToString(level)
+          << ": chain hash 0x" << std::hex << h.value() << " != pinned 0x"
+          << golden.hash;
     }
   }
 }
