@@ -10,6 +10,7 @@
 // delegate to the scalar reference helpers.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/kernels_impl.h"
@@ -435,6 +436,99 @@ void CullClassifyRowAvx2(const std::uint16_t* depth, int width, double v,
   }
 }
 
+// ---- 2x resampling -------------------------------------------------------
+//
+// Output columns whose source samples lie inside the row run in vectors of
+// 16 outputs, from 32 source samples (downscale) or 8 (upscale); the
+// clamped right edge and padded columns take the ref:: index rules.
+// Integer arithmetic: exact.
+
+inline __m256i Load16U16(const std::uint16_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+// The even-indexed samples of p[0..15] as 8 u32.
+inline __m256i EvenU16(const std::uint16_t* p) {
+  return _mm256_and_si256(Load16U16(p), _mm256_set1_epi32(0xFFFF));
+}
+
+// Sums of the sample pairs (2i, 2i + 1) of p[0..15] as 8 u32.
+inline __m256i PairSumsU16(const std::uint16_t* p) {
+  const __m256i v = Load16U16(p);
+  return _mm256_add_epi32(_mm256_and_si256(v, _mm256_set1_epi32(0xFFFF)),
+                          _mm256_srli_epi32(v, 16));
+}
+
+// Stores a's then b's 8 u32 (each <= 65535) as 16 u16, in order.
+inline void Store16U32AsU16(std::uint16_t* p, __m256i a, __m256i b) {
+  const __m256i packed = _mm256_permute4x64_epi64(_mm256_packus_epi32(a, b),
+                                                  _MM_SHUFFLE(3, 1, 2, 0));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), packed);
+}
+
+void Downscale2xAvgU16Avx2(const std::uint16_t* src, int sw, int sh,
+                           std::uint16_t* dst, int dw, int dh) {
+  // Columns x < sw / 2 read the in-row pair (2x, 2x + 1).
+  const int inner = std::min(dw, sw / 2);
+  const __m256i two = _mm256_set1_epi32(2);
+  for (int y = 0; y < dh; ++y) {
+    const int y0 = ref::Downscale2xFirst(y, sh);
+    const std::uint16_t* r0 = src + y0 * sw;
+    const std::uint16_t* r1 = src + ref::Downscale2xSecond(y0, sh) * sw;
+    std::uint16_t* out = dst + y * dw;
+    int x = 0;
+    for (; x + 16 <= inner; x += 16) {
+      const __m256i lo = _mm256_add_epi32(PairSumsU16(r0 + 2 * x),
+                                          PairSumsU16(r1 + 2 * x));
+      const __m256i hi = _mm256_add_epi32(PairSumsU16(r0 + 2 * x + 16),
+                                          PairSumsU16(r1 + 2 * x + 16));
+      Store16U32AsU16(out + x,
+                      _mm256_srli_epi32(_mm256_add_epi32(lo, two), 2),
+                      _mm256_srli_epi32(_mm256_add_epi32(hi, two), 2));
+    }
+    for (; x < dw; ++x) out[x] = ref::Downscale2xAvgPixel(r0, r1, sw, x);
+  }
+}
+
+void Downscale2xPickU16Avx2(const std::uint16_t* src, int sw, int sh,
+                            std::uint16_t* dst, int dw, int dh) {
+  const int inner = std::min(dw, sw / 2);  // columns x reading sample 2x
+  for (int y = 0; y < dh; ++y) {
+    const std::uint16_t* row = src + ref::Downscale2xFirst(y, sh) * sw;
+    std::uint16_t* out = dst + y * dw;
+    int x = 0;
+    for (; x + 16 <= inner; x += 16) {
+      Store16U32AsU16(out + x, EvenU16(row + 2 * x), EvenU16(row + 2 * x + 16));
+    }
+    for (; x < dw; ++x) out[x] = row[ref::Downscale2xFirst(x, sw)];
+  }
+}
+
+void Upscale2xU16Avx2(const std::uint16_t* src, int sw, int sh,
+                      std::uint16_t* dst, int dw, int dh) {
+  // Column pairs (2i, 2i + 1) with i < sw repeat source sample i.
+  const int inner = std::min(dw / 2, sw);
+  for (int y = 0; y < dh; ++y) {
+    std::uint16_t* out = dst + y * dw;
+    const int sy = ref::Upscale2xSource(y, sh);
+    if (y > 0 && sy == ref::Upscale2xSource(y - 1, sh)) {
+      // Odd rows, and rows clamped to the last source row, read the same
+      // source row as the row above.
+      std::memcpy(out, out - dw, static_cast<std::size_t>(dw) * sizeof(*out));
+      continue;
+    }
+    const std::uint16_t* row = src + sy * sw;
+    int i = 0;
+    for (; i + 8 <= inner; i += 8) {
+      const __m256i v = _mm256_cvtepu16_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * i),
+                          _mm256_or_si256(v, _mm256_slli_epi32(v, 16)));
+    }
+    for (int x = 2 * i; x < dw; ++x) out[x] = row[ref::Upscale2xSource(x, sw)];
+  }
+}
+
 }  // namespace
 
 const KernelTable* Avx2Table() {
@@ -456,6 +550,9 @@ const KernelTable* Avx2Table() {
     t.sum_sq_diff_u16 = SumSqDiffU16Avx2;
     t.sum_sq_diff_u8 = SumSqDiffU8Avx2;
     t.cull_classify_row = CullClassifyRowAvx2;
+    t.downscale2x_avg_u16 = Downscale2xAvgU16Avx2;
+    t.downscale2x_pick_u16 = Downscale2xPickU16Avx2;
+    t.upscale2x_u16 = Upscale2xU16Avx2;
     return t;
   }();
   return &table;

@@ -109,6 +109,28 @@ inline std::uint8_t CullClassifyPixel(std::uint16_t d, double u, double v,
   return kCullInside;
 }
 
+// Index rules of the 2x resamplers. Downscale output index i reads source
+// indices Downscale2xFirst(i, n) and Downscale2xSecond of that, upscale
+// output index i reads Upscale2xSource(i, n); all clamp to the n source
+// samples, so the edge replicates.
+inline int Downscale2xFirst(int i, int n) { return 2 * i < n - 1 ? 2 * i : n - 1; }
+inline int Downscale2xSecond(int first, int n) {
+  return first + 1 < n ? first + 1 : first;
+}
+inline int Upscale2xSource(int i, int n) { return i / 2 < n - 1 ? i / 2 : n - 1; }
+
+// Column x of the box-filtered 2x downscale of source rows r0 and r1
+// (round-half-up mean of the 2x2 block).
+inline std::uint16_t Downscale2xAvgPixel(const std::uint16_t* r0,
+                                         const std::uint16_t* r1, int sw,
+                                         int x) {
+  const int x0 = Downscale2xFirst(x, sw);
+  const int x1 = Downscale2xSecond(x0, sw);
+  const std::uint32_t sum =
+      static_cast<std::uint32_t>(r0[x0]) + r0[x1] + r1[x0] + r1[x1];
+  return static_cast<std::uint16_t>((sum + 2u) >> 2);
+}
+
 // Scalar kernel entry points, exported so SIMD TUs can delegate loop tails
 // and inherit kernels they do not override.
 void ForwardDct(const double* spatial, double* freq);

@@ -176,15 +176,11 @@ void CullClassifyRow(const std::uint16_t* depth, int width, double v,
 void Downscale2xAvgU16(const std::uint16_t* src, int sw, int sh,
                        std::uint16_t* dst, int dw, int dh) {
   for (int y = 0; y < dh; ++y) {
-    const int y0 = 2 * y < sh - 1 ? 2 * y : sh - 1;
-    const int y1 = y0 + 1 < sh ? y0 + 1 : y0;  // replicate the odd edge
+    const int y0 = Downscale2xFirst(y, sh);
+    const std::uint16_t* r0 = src + y0 * sw;
+    const std::uint16_t* r1 = src + Downscale2xSecond(y0, sh) * sw;
     for (int x = 0; x < dw; ++x) {
-      const int x0 = 2 * x < sw - 1 ? 2 * x : sw - 1;
-      const int x1 = x0 + 1 < sw ? x0 + 1 : x0;
-      const std::uint32_t sum = static_cast<std::uint32_t>(src[y0 * sw + x0]) +
-                                src[y0 * sw + x1] + src[y1 * sw + x0] +
-                                src[y1 * sw + x1];
-      dst[y * dw + x] = static_cast<std::uint16_t>((sum + 2u) >> 2);
+      dst[y * dw + x] = Downscale2xAvgPixel(r0, r1, sw, x);
     }
   }
 }
@@ -192,22 +188,16 @@ void Downscale2xAvgU16(const std::uint16_t* src, int sw, int sh,
 void Downscale2xPickU16(const std::uint16_t* src, int sw, int sh,
                         std::uint16_t* dst, int dw, int dh) {
   for (int y = 0; y < dh; ++y) {
-    const int sy = 2 * y < sh - 1 ? 2 * y : sh - 1;
-    for (int x = 0; x < dw; ++x) {
-      const int sx = 2 * x < sw - 1 ? 2 * x : sw - 1;
-      dst[y * dw + x] = src[sy * sw + sx];
-    }
+    const std::uint16_t* row = src + Downscale2xFirst(y, sh) * sw;
+    for (int x = 0; x < dw; ++x) dst[y * dw + x] = row[Downscale2xFirst(x, sw)];
   }
 }
 
 void Upscale2xU16(const std::uint16_t* src, int sw, int sh, std::uint16_t* dst,
                   int dw, int dh) {
   for (int y = 0; y < dh; ++y) {
-    const int sy = y / 2 < sh - 1 ? y / 2 : sh - 1;
-    for (int x = 0; x < dw; ++x) {
-      const int sx = x / 2 < sw - 1 ? x / 2 : sw - 1;
-      dst[y * dw + x] = src[sy * sw + sx];
-    }
+    const std::uint16_t* row = src + Upscale2xSource(y, sh) * sw;
+    for (int x = 0; x < dw; ++x) dst[y * dw + x] = row[Upscale2xSource(x, sw)];
   }
 }
 

@@ -3,7 +3,9 @@
 // encoded stream is byte-order independent.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -13,9 +15,17 @@ namespace livo::util {
 class BitWriter {
  public:
   // Writes the lowest `bits` bits of `value`, MSB first. bits in [0, 64].
+  // Fills the current byte as far as it goes per step, so a call costs one
+  // step per byte touched rather than one per bit.
   void WriteBits(std::uint64_t value, int bits) {
-    for (int i = bits - 1; i >= 0; --i) {
-      WriteBit(static_cast<int>((value >> i) & 1u));
+    while (bits > 0) {
+      if (bit_pos_ == 0) buffer_.push_back(0);
+      const int room = 8 - bit_pos_;
+      const int n = bits < room ? bits : room;
+      bits -= n;
+      const auto chunk = static_cast<unsigned>(value >> bits) & ((1u << n) - 1);
+      buffer_.back() |= static_cast<std::uint8_t>(chunk << (room - n));
+      bit_pos_ = (bit_pos_ + n) & 7;
     }
   }
 
@@ -27,16 +37,29 @@ class BitWriter {
 
   // Unsigned Exp-Golomb code (order 0): efficient for small magnitudes,
   // which dominate quantized transform coefficients and octree child counts.
+  // The code of value is len zeros, then value + 1 in len + 1 bits, where
+  // len = floor(log2(value + 1)). 2^64 - 1 has no such code (value + 1
+  // overflows) and throws std::invalid_argument.
   void WriteUE(std::uint64_t value) {
+    if (value == std::numeric_limits<std::uint64_t>::max()) {
+      throw std::invalid_argument("BitWriter: UE value 2^64-1 has no code");
+    }
     const std::uint64_t v = value + 1;
-    int len = 0;
-    for (std::uint64_t t = v; t > 1; t >>= 1) ++len;
-    WriteBits(0, len);          // len leading zeros
-    WriteBits(v, len + 1);      // value with its leading 1 bit
+    const int len = static_cast<int>(std::bit_width(v)) - 1;
+    if (len < 32) {
+      WriteBits(v, 2 * len + 1);  // v < 2^(len+1): its top len bits are 0
+    } else {
+      WriteBits(0, len);
+      WriteBits(v, len + 1);
+    }
   }
 
   // Signed Exp-Golomb: maps 0, 1, -1, 2, -2, ... to 0, 1, 2, 3, 4, ...
+  // INT64_MIN maps past 2^64 - 1 and throws std::invalid_argument.
   void WriteSE(std::int64_t value) {
+    if (value == std::numeric_limits<std::int64_t>::min()) {
+      throw std::invalid_argument("BitWriter: SE value INT64_MIN has no code");
+    }
     const std::uint64_t mapped =
         value > 0 ? static_cast<std::uint64_t>(value) * 2 - 1
                   : static_cast<std::uint64_t>(-value) * 2;

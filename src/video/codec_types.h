@@ -52,9 +52,9 @@ struct CodecConfig {
   // 16-bit samples produce much larger coefficients.
   int qp_min = 2;
   int qp_max = 72;
-  // Small translational motion search (diamond refinement) on P blocks.
+  // Translational motion search on P blocks: a full search over every
+  // offset within +-3 px of the co-located block.
   bool motion_search = true;
-  int motion_range_px = 3;
 
   // --- Threading (slice-parallel codec) ---
   // Pixel rows per independent slice (must be a multiple of 8). Slices are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "image/plane_pool.h"
@@ -19,6 +20,10 @@ namespace {
 using image::Plane16;
 using util::BitReader;
 using util::BitWriter;
+
+// Motion vectors searched by the encoder and accepted by the decoder span
+// [-kMotionRangePx, kMotionRangePx] on each axis.
+constexpr int kMotionRangePx = 3;
 
 enum BlockMode : int {
   kModeSkip = 0,      // copy co-located reference block, no residual
@@ -79,8 +84,8 @@ inline bool PredictionIsInterior(const Plane16& ref, const SliceBand& band,
 // Builds the motion-compensated prediction block at offset (dx, dy).
 // Reference reads clamp to the slice band (not the whole plane) so slices
 // stay independent; the interior fast path skips per-pixel clamping
-// entirely, which is the common case for every SKIP/zero-motion block and
-// most motion candidates.
+// entirely, which is the common case for every co-located (zero-motion)
+// block and most motion candidates.
 void LoadPrediction(const Plane16& ref, const SliceBand& band, int bx, int by,
                     int dx, int dy, IntBlock& out) {
   const int x0 = bx * kBlockSize + dx, y0 = by * kBlockSize + dy;
@@ -207,6 +212,18 @@ void ReadLevels(BitReader& reader, IntBlock& levels) {
   }
 }
 
+// Reconstructs a SKIP block: copies the co-located reference block's eight
+// rows. This equals StoreBlock of that prediction with a zero residual,
+// because the co-located block is always interior and every reference
+// sample is an earlier StoreBlock output, already in [0, max_value].
+void CopyBlock(const Plane16& ref, int bx, int by, Plane16& recon) {
+  const int x0 = bx * kBlockSize, y0 = by * kBlockSize;
+  for (int y = 0; y < kBlockSize; ++y) {
+    std::memcpy(recon.row(y0 + y) + x0, ref.row(y0 + y) + x0,
+                kBlockSize * sizeof(std::uint16_t));
+  }
+}
+
 // Writes the reconstructed block (prediction + residual, clamped) into the
 // reconstruction plane.
 void StoreBlock(Plane16& recon, int bx, int by, const IntBlock& prediction,
@@ -222,20 +239,20 @@ void StoreBlock(Plane16& recon, int bx, int by, const IntBlock& prediction,
   }
 }
 
-// Small full search over [-range, range]^2 minimizing SAD. (0, 0) with
-// SAD `sad_zero` is the incumbent, so the result never regresses; each
-// other candidate is evaluated with an early-exit bound at the current
-// best, which discards most candidates after a few rows.
+// Small full search over [-kMotionRangePx, kMotionRangePx]^2 minimizing
+// SAD. (0, 0) with SAD `sad_zero` is the incumbent, so the result never
+// regresses; each other candidate is evaluated with an early-exit bound at
+// the current best, which discards most candidates after a few rows.
 void MotionSearch(const kernels::KernelTable& kt, const Plane16& ref,
                   const SliceBand& band, const IntBlock& src, int bx, int by,
-                  int range, long long sad_zero, int& best_dx, int& best_dy,
+                  long long sad_zero, int& best_dx, int& best_dy,
                   long long& best_sad) {
   const int px = bx * kBlockSize, py = by * kBlockSize;
   best_dx = 0;
   best_dy = 0;
   best_sad = sad_zero;
-  for (int dy = -range; dy <= range; ++dy) {
-    for (int dx = -range; dx <= range; ++dx) {
+  for (int dy = -kMotionRangePx; dy <= kMotionRangePx; ++dy) {
+    for (int dx = -kMotionRangePx; dx <= kMotionRangePx; ++dx) {
       if (dx == 0 && dy == 0) continue;
       const long long sad =
           SadBounded(kt, ref, band, src, px + dx, py + dy, best_sad);
@@ -264,7 +281,7 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
   const kernels::KernelTable& kt = kernels::Active();
 
   BitWriter writer;
-  IntBlock src_block, prediction, residual, levels, recon_residual;
+  IntBlock src_block, zero_pred, prediction, residual, levels, recon_residual;
 
   for (int by = by_begin; by < by_end; ++by) {
     for (int bx = 0; bx < blocks_x; ++bx) {
@@ -275,7 +292,6 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
 
       if (is_inter) {
         // Candidate evaluation by SAD with small mode-cost biases.
-        IntBlock zero_pred;
         LoadPrediction(*reference, band, bx, by, 0, 0, zero_pred);
         const long long sse_zero = Sse(kt, src_block, zero_pred);
 
@@ -284,15 +300,15 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
         const double noise_floor = (step * step / 12.0) * kBlockPixels;
         if (static_cast<double>(sse_zero) <= noise_floor) {
           writer.WriteUE(kModeSkip);
-          StoreBlock(recon, bx, by, zero_pred, IntBlock{}, max_value);
+          CopyBlock(*reference, bx, by, recon);
           continue;
         }
 
         const long long sad_zero = Sad(kt, src_block, zero_pred);
         long long sad_mv = sad_zero;
         if (config.motion_search) {
-          MotionSearch(kt, *reference, band, src_block, bx, by,
-                       config.motion_range_px, sad_zero, mv_dx, mv_dy, sad_mv);
+          MotionSearch(kt, *reference, band, src_block, bx, by, sad_zero,
+                       mv_dx, mv_dy, sad_mv);
         }
         const int dc_pred =
             IntraDcPrediction(recon, band, bx, by, config.MidSampleValue());
@@ -317,10 +333,11 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
         }
       }
 
-      // Build the chosen prediction.
+      // Build the chosen prediction; zero motion reuses the skip test's.
+      const IntBlock* pred = &prediction;
       switch (mode) {
         case kModeInterZero:
-          LoadPrediction(*reference, band, bx, by, 0, 0, prediction);
+          pred = &zero_pred;
           break;
         case kModeInterMv:
           LoadPrediction(*reference, band, bx, by, mv_dx, mv_dy, prediction);
@@ -334,7 +351,7 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
       }
 
       for (int i = 0; i < kBlockPixels; ++i) {
-        residual[i] = src_block[i] - prediction[i];
+        residual[i] = src_block[i] - (*pred)[i];
       }
       const bool any_level = QuantizeResidual(kt, residual, step, levels);
 
@@ -343,7 +360,7 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
       // instead of mode + EOB.
       if (is_inter && mode == kModeInterZero && !any_level) {
         writer.WriteUE(kModeSkip);
-        StoreBlock(recon, bx, by, prediction, IntBlock{}, max_value);
+        CopyBlock(*reference, bx, by, recon);
         continue;
       }
 
@@ -357,7 +374,7 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
       WriteLevels(writer, levels);
 
       ReconstructResidual(kt, levels, step, recon_residual);
-      StoreBlock(recon, bx, by, prediction, recon_residual, max_value);
+      StoreBlock(recon, bx, by, *pred, recon_residual, max_value);
     }
   }
 
@@ -387,14 +404,19 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
         mode = static_cast<int>(reader.ReadUE());
         if (mode > kModeIntraDc) throw std::runtime_error("corrupt block mode");
         if (mode == kModeInterMv) {
-          mv_dx = static_cast<int>(reader.ReadSE());
-          mv_dy = static_cast<int>(reader.ReadSE());
+          const std::int64_t dx = reader.ReadSE();
+          const std::int64_t dy = reader.ReadSE();
+          if (dx < -kMotionRangePx || dx > kMotionRangePx ||
+              dy < -kMotionRangePx || dy > kMotionRangePx) {
+            throw std::runtime_error("corrupt motion vector");
+          }
+          mv_dx = static_cast<int>(dx);
+          mv_dy = static_cast<int>(dy);
         }
       }
 
       if (mode == kModeSkip) {
-        LoadPrediction(*reference, band, bx, by, 0, 0, prediction);
-        StoreBlock(recon, bx, by, prediction, IntBlock{}, max_value);
+        CopyBlock(*reference, bx, by, recon);
         continue;
       }
 
@@ -486,6 +508,10 @@ Plane16 DecodePlane(const CodecConfig& config,
   LIVO_SPAN("codec.decode_plane");
   if (config.width % kBlockSize != 0 || config.height % kBlockSize != 0) {
     throw std::invalid_argument("plane dimensions must be multiples of 8");
+  }
+  if (reference != nullptr && (reference->width() != config.width ||
+                               reference->height() != config.height)) {
+    throw std::invalid_argument("reference shape mismatch");
   }
   ValidateSliceConfig(config);
   const std::vector<SliceBand> slices = SlicePartition(config, config.height);

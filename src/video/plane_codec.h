@@ -4,8 +4,9 @@
 // sequence of 8x8 blocks with H.26x-style tools:
 //   * I-frames: DC intra prediction from reconstructed neighbours.
 //   * P-frames: per-block mode decision between SKIP (copy co-located
-//     reference block), zero-motion inter residual, small-range motion-
-//     compensated inter residual, and intra fallback.
+//     reference block, a row copy), zero-motion inter residual, small-range
+//     (+-3 px full search) motion-compensated inter residual, and intra
+//     fallback.
 //   * 8x8 DCT + uniform quantization (QP -> step, doubling every 6 QP) +
 //     zigzag run/level Exp-Golomb entropy coding.
 //
@@ -37,15 +38,24 @@ struct PlaneEncodeOutput {
 
 // Encodes `src` at quantization parameter `qp`. `reference` is the previous
 // reconstructed plane for P-frames, or nullptr for an I-frame. Plane
-// dimensions must be multiples of 8 (the tiler guarantees this).
+// dimensions must be multiples of 8 (the tiler guarantees this); a
+// reference of another shape throws std::invalid_argument.
+//
+// Reference precondition (EncodePlane and DecodePlane): every sample of
+// `reference` lies in [0, CodecConfig::MaxSampleValue()], as every
+// reconstruction these functions return does. A SKIP block copies its
+// reference rows unclamped, so the encoder's reconstruction and the
+// decoder's output are only specified for such references.
 PlaneEncodeOutput EncodePlane(const CodecConfig& config,
                               const image::Plane16& src,
                               const image::Plane16* reference, int qp);
 
 // Decodes one plane. `reference` must match the encoder's (nullptr for
 // I-frames) and the slice layout (CodecConfig::slice_height) must match
-// the encoder's. Throws std::runtime_error on a corrupt stream, including
-// a slice table that disagrees with the configured slice layout.
+// the encoder's. Throws std::invalid_argument when `reference` is not
+// config.width x config.height, and std::runtime_error on a corrupt
+// stream, including a slice table that disagrees with the configured slice
+// layout and a motion vector outside the encoder's search range.
 image::Plane16 DecodePlane(const CodecConfig& config,
                            const std::vector<std::uint8_t>& bits,
                            const image::Plane16* reference, int qp);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "image/depth_encoding.h"
 #include "image/image.h"
@@ -74,6 +78,114 @@ TEST(Bitstream, ReadPastEndThrows) {
   util::BitReader r(bytes);
   r.ReadBits(8);
   EXPECT_THROW(r.ReadBit(), std::out_of_range);
+}
+
+// One bit per step: the definition the byte-filling BitWriter must match.
+class BitAtATimeWriter {
+ public:
+  void WriteBit(int bit) {
+    if (bit_pos_ == 0) bytes.push_back(0);
+    if (bit) bytes.back() |= static_cast<std::uint8_t>(1u << (7 - bit_pos_));
+    bit_pos_ = (bit_pos_ + 1) & 7;
+    ++bit_count;
+  }
+  void WriteBits(std::uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) {
+      WriteBit(static_cast<int>((value >> i) & 1u));
+    }
+  }
+  void WriteUE(std::uint64_t value) {
+    const std::uint64_t v = value + 1;
+    int len = 0;
+    for (std::uint64_t t = v; t > 1; t >>= 1) ++len;
+    WriteBits(0, len);
+    WriteBits(v, len + 1);
+  }
+  void WriteSE(std::int64_t value) {
+    WriteUE(value > 0 ? static_cast<std::uint64_t>(value) * 2 - 1
+                      : static_cast<std::uint64_t>(-value) * 2);
+  }
+
+  std::vector<std::uint8_t> bytes;
+  std::size_t bit_count = 0;
+
+ private:
+  int bit_pos_ = 0;
+};
+
+TEST(Bitstream, WriterMatchesBitAtATimeDefinition) {
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  constexpr std::int64_t kMaxSe = std::numeric_limits<std::int64_t>::max();
+  // Around the one-call/two-call boundary of WriteUE (value + 1 = 2^32)
+  // and at the ends of the encodable range.
+  const std::uint64_t ue_edges[] = {
+      0,         1,          2,          (1ull << 31) - 2, (1ull << 31) - 1,
+      (1ull << 32) - 2,      (1ull << 32) - 1,             1ull << 32,
+      kTwo63 - 1,            kTwo63,     ~std::uint64_t{0} - 1};
+  const std::int64_t se_edges[] = {0, 1, -1, kMaxSe, -kMaxSe};
+  util::Rng rng(20261018);
+  for (int rep = 0; rep < 20; ++rep) {
+    util::BitWriter got;
+    BitAtATimeWriter want;
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t raw = rng.NextU64();
+      const auto shift = static_cast<int>(rng.NextBelow(64));
+      switch (rng.NextBelow(4)) {
+        case 0: {
+          const int bit = static_cast<int>(rng.NextBelow(3));  // 2 writes a 1
+          got.WriteBit(bit);
+          want.WriteBit(bit);
+          break;
+        }
+        case 1: {
+          const auto bits = static_cast<int>(rng.NextBelow(65));
+          got.WriteBits(raw, bits);
+          want.WriteBits(raw, bits);
+          break;
+        }
+        case 2: {
+          // Random magnitudes below 2^63, 2^63 itself, or an edge value.
+          const std::uint64_t value =
+              rng.Chance(0.1) ? ue_edges[rng.NextBelow(std::size(ue_edges))]
+              : shift == 0    ? kTwo63
+                              : raw >> shift;
+          got.WriteUE(value);
+          want.WriteUE(value);
+          break;
+        }
+        default: {
+          const auto magnitude = static_cast<std::int64_t>(raw >> (shift | 1));
+          const std::int64_t value =
+              rng.Chance(0.1) ? se_edges[rng.NextBelow(std::size(se_edges))]
+              : rng.Chance(0.5) ? -magnitude
+                                : magnitude;
+          got.WriteSE(value);
+          want.WriteSE(value);
+          break;
+        }
+      }
+      ASSERT_EQ(got.BitCount(), want.bit_count) << "rep " << rep << " op " << op;
+    }
+    EXPECT_EQ(got.Finish(), want.bytes) << "rep " << rep;
+  }
+}
+
+TEST(Bitstream, ValuesWithoutA64BitCodeThrow) {
+  util::BitWriter w;
+  EXPECT_THROW(w.WriteUE(std::numeric_limits<std::uint64_t>::max()),
+               std::invalid_argument);
+  EXPECT_THROW(w.WriteSE(std::numeric_limits<std::int64_t>::min()),
+               std::invalid_argument);
+  EXPECT_EQ(w.BitCount(), 0u);
+  // The largest encodable magnitudes still round-trip.
+  w.WriteUE(std::numeric_limits<std::uint64_t>::max() - 1);
+  w.WriteSE(std::numeric_limits<std::int64_t>::min() + 1);
+  w.WriteSE(std::numeric_limits<std::int64_t>::max());
+  const auto bytes = w.Finish();
+  util::BitReader r(bytes);
+  EXPECT_EQ(r.ReadUE(), std::numeric_limits<std::uint64_t>::max() - 1);
+  EXPECT_EQ(r.ReadSE(), std::numeric_limits<std::int64_t>::min() + 1);
+  EXPECT_EQ(r.ReadSE(), std::numeric_limits<std::int64_t>::max());
 }
 
 // ---- DCT ----
@@ -262,6 +374,59 @@ TEST(PlaneCodec, CorruptStreamThrows) {
   auto out = EncodePlane(config, src, nullptr, 10);
   out.bits.resize(out.bits.size() / 4);  // truncate
   EXPECT_THROW(DecodePlane(config, out.bits, nullptr, 10), std::exception);
+}
+
+// A one-slice P-frame plane of a single 8x8 block coded as a motion-vector
+// block with (dx, dy) and no residual. Mode 2 is the codec's
+// motion-compensated mode; a run of 64 ends the block.
+std::vector<std::uint8_t> OneBlockMvPlane(std::int64_t dx, std::int64_t dy) {
+  util::BitWriter block;
+  block.WriteUE(2);
+  block.WriteSE(dx);
+  block.WriteSE(dy);
+  block.WriteUE(64);
+  const std::vector<std::uint8_t> segment = block.Finish();
+  util::BitWriter header;
+  header.WriteUE(1);
+  header.WriteUE(segment.size());
+  std::vector<std::uint8_t> bits = header.Finish();
+  bits.insert(bits.end(), segment.begin(), segment.end());
+  return bits;
+}
+
+TEST(PlaneCodec, DecoderRejectsMotionVectorOutsideSearchRange) {
+  CodecConfig config;
+  config.width = 8;
+  config.height = 8;
+  const Plane16 ref(8, 8, 100);
+  EXPECT_EQ(DecodePlane(config, OneBlockMvPlane(3, -3), &ref, 12), ref);
+  for (const auto& [dx, dy] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {4, 0},
+           {0, -4},
+           {std::numeric_limits<std::int32_t>::max(), 0},
+           {0, std::int64_t{1} << 40}}) {
+    EXPECT_THROW(DecodePlane(config, OneBlockMvPlane(dx, dy), &ref, 12),
+                 std::runtime_error)
+        << "mv (" << dx << ", " << dy << ")";
+  }
+}
+
+TEST(PlaneCodec, DecoderRejectsReferenceOfAnotherShape) {
+  const CodecConfig config = SmallColorConfig();
+  const auto intra = EncodePlane(config, RandomPlane(64, 48, 255, 9), nullptr, 12);
+  // Re-encoding the reconstruction makes every block a SKIP block, which
+  // reads the reference directly.
+  const auto inter =
+      EncodePlane(config, intra.reconstruction, &intra.reconstruction, 12);
+  EXPECT_EQ(DecodePlane(config, inter.bits, &intra.reconstruction, 12),
+            intra.reconstruction);
+  for (const auto& [w, h] :
+       std::vector<std::pair<int, int>>{{32, 48}, {64, 40}, {72, 48}}) {
+    const Plane16 wrong(w, h);
+    EXPECT_THROW(DecodePlane(config, inter.bits, &wrong, 12),
+                 std::invalid_argument)
+        << w << "x" << h;
+  }
 }
 
 // ---- Color conversion ----
