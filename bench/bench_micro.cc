@@ -219,6 +219,9 @@ BENCHMARK(BM_ColorCodecDecode)->Apply(CodecThreadCounts)->UseRealTime();
 constexpr int kBlocks = 2048;
 constexpr std::size_t kPixels =
     static_cast<std::size_t>(kBlocks) * kernels::kDctPixels;
+// The 2x scalers see the working set as a kScaleWidth-wide plane.
+constexpr int kScaleWidth = 256;
+constexpr int kScaleHeight = static_cast<int>(kPixels) / kScaleWidth;
 
 struct KernelInputs {
   KernelInputs();
@@ -342,6 +345,23 @@ const KernelCase kKernelCases[] = {
      [](const KernelTable& t, KernelInputs& in) {
        t.cull_classify_row(in.d16.data(), static_cast<int>(kPixels), 36.5,
                            in.fparams, in.mask.data());
+     }},
+    {"downscale2x_avg_u16",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.downscale2x_avg_u16(in.d16.data(), kScaleWidth, kScaleHeight,
+                             in.d16o.data(), kScaleWidth / 2,
+                             kScaleHeight / 2);
+     }},
+    {"downscale2x_pick_u16",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.downscale2x_pick_u16(in.d16.data(), kScaleWidth, kScaleHeight,
+                              in.d16o.data(), kScaleWidth / 2,
+                              kScaleHeight / 2);
+     }},
+    {"upscale2x_u16",
+     [](const KernelTable& t, KernelInputs& in) {
+       t.upscale2x_u16(in.d16.data(), kScaleWidth / 2, kScaleHeight / 2,
+                       in.d16o.data(), kScaleWidth, kScaleHeight);
      }},
 };
 

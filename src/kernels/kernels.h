@@ -109,10 +109,10 @@ struct KernelTable {
                             const FrustumKernelParams& params,
                             std::uint8_t* mask) = nullptr;
 
-  // -- 2x spatial resampling for the simulcast ladder's low layer. Source
-  //    reads clamp to the plane edge, so (dw, dh) may exceed ceil(s/2) —
-  //    the codec needs block-aligned planes, and the excess becomes
-  //    edge-replicated padding. `avg` box-filters with round-half-up
+  // -- 2x spatial resampling for the simulcast ladder's low layer (L0).
+  //    Source reads clamp to the plane edge, so (dw, dh) may exceed
+  //    ceil(s/2) — the codec needs block-aligned planes, and the excess
+  //    becomes edge-replicated padding. `avg` box-filters with round-half-up
   //    ((a+b+c+d+2)>>2) and suits color planes; `pick` takes the top-left
   //    sample of each 2x2 block, which keeps depth values unmixed across
   //    silhouettes (and never blends the 0 = invalid sentinel). --
@@ -121,7 +121,9 @@ struct KernelTable {
   void (*downscale2x_pick_u16)(const std::uint16_t* src, int sw, int sh,
                                std::uint16_t* dst, int dw, int dh) = nullptr;
   // Nearest-neighbor expansion back to an arbitrary (dw, dh) >= (sw, sh):
-  // dst(x, y) = src(min(x/2, sw-1), min(y/2, sh-1)).
+  // dst(x, y) = src(min(x/2, sw-1), min(y/2, sh-1)). Serves the L0 planes'
+  // expansion to the full canvas and the receiver's marker check, which
+  // upscales only the L0 rows under the marker strip.
   void (*upscale2x_u16)(const std::uint16_t* src, int sw, int sh,
                         std::uint16_t* dst, int dw, int dh) = nullptr;
 };

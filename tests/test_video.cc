@@ -2,8 +2,10 @@
 // rate control, and the 16-bit depth mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -118,10 +120,16 @@ TEST(Bitstream, WriterMatchesBitAtATimeDefinition) {
   constexpr std::int64_t kMaxSe = std::numeric_limits<std::int64_t>::max();
   // Around the one-call/two-call boundary of WriteUE (value + 1 = 2^32)
   // and at the ends of the encodable range.
-  const std::uint64_t ue_edges[] = {
-      0,         1,          2,          (1ull << 31) - 2, (1ull << 31) - 1,
-      (1ull << 32) - 2,      (1ull << 32) - 1,             1ull << 32,
-      kTwo63 - 1,            kTwo63,     ~std::uint64_t{0} - 1};
+  const std::uint64_t ue_edges[] = {0,
+                                     1,
+                                     2,
+                                     (1ull << 31) - 1,
+                                     (1ull << 32) - 2,
+                                     (1ull << 32) - 1,
+                                     1ull << 32,
+                                     kTwo63 - 1,
+                                     kTwo63,
+                                     ~std::uint64_t{0} - 1};
   const std::int64_t se_edges[] = {0, 1, -1, kMaxSe, -kMaxSe};
   util::Rng rng(20261018);
   for (int rep = 0; rep < 20; ++rep) {
@@ -154,7 +162,8 @@ TEST(Bitstream, WriterMatchesBitAtATimeDefinition) {
           break;
         }
         default: {
-          const auto magnitude = static_cast<std::int64_t>(raw >> (shift | 1));
+          const auto magnitude =
+              static_cast<std::int64_t>(raw >> std::max(shift, 1));
           const std::int64_t value =
               rng.Chance(0.1) ? se_edges[rng.NextBelow(std::size(se_edges))]
               : rng.Chance(0.5) ? -magnitude

@@ -13,17 +13,17 @@
 #     binary. TSan is the real gate for the M-threads-M-loops runtime:
 #     cross-loop sends and barrier hand-offs race-check here.
 #  2. ASan+UBSan pass — builds the kernel-equivalence, codec, transport,
-#     runtime, conference, point-cloud, metrics and capture suites
-#     (test_kernels + test_golden_bitstream + test_video +
-#     test_video_parallel + test_pointcloud + test_metrics + test_sim,
-#     plus the quick suites test_net + test_runtime + test_conference +
-#     test_fec + test_report) with AddressSanitizer +
-#     UndefinedBehaviorSanitizer and libstdc++'s bounds-checked containers
-#     (-D_GLIBCXX_ASSERTIONS) so out-of-bounds SIMD loads, UB in the
-#     intrinsics code, bad indices into the nearest-neighbour index's
-#     cell table and reassembly bookkeeping errors surface; the
-#     cross-loop stress and cascade tests repeat here for lifetime bugs
-#     TSan cannot see.
+#     runtime, conference, point-cloud, metrics, capture, point-cloud
+#     codec and mesh suites (test_kernels + test_golden_bitstream +
+#     test_video + test_video_parallel + test_pointcloud + test_metrics +
+#     test_sim + test_pccodec + test_mesh, plus the quick suites test_net +
+#     test_runtime + test_conference + test_fec + test_report) with
+#     AddressSanitizer + UndefinedBehaviorSanitizer and libstdc++'s
+#     bounds-checked containers (-D_GLIBCXX_ASSERTIONS) so out-of-bounds
+#     SIMD loads, UB in the intrinsics code or the bit writer, bad indices
+#     into the nearest-neighbour index's cell table and reassembly
+#     bookkeeping errors surface; the cross-loop stress and cascade tests
+#     repeat here for lifetime bugs TSan cannot see.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
 #     (bench_conference --parties=8 under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
