@@ -100,18 +100,21 @@ LiVoReceiver::LiVoReceiver(const LiVoConfig& config,
 
 std::vector<RenderedFrame> LiVoReceiver::OnFrames(
     const std::vector<net::ReceivedFrame>& frames, double now_ms) {
-  return RenderPairs(frames, now_ms, nullptr);
+  return RenderPairs(frames, now_ms, nullptr, 1);
 }
 
 std::vector<RenderedFrame> LiVoReceiver::OnFrames(
     const std::vector<net::ReceivedFrame>& frames, double now_ms,
-    const geom::Frustum& current_frustum) {
-  return RenderPairs(frames, now_ms, &current_frustum);
+    const geom::Frustum& current_frustum, std::uint32_t cloud_every) {
+  if (cloud_every == 0) {
+    throw std::invalid_argument("cloud_every must be positive");
+  }
+  return RenderPairs(frames, now_ms, &current_frustum, cloud_every);
 }
 
 std::vector<RenderedFrame> LiVoReceiver::RenderPairs(
     const std::vector<net::ReceivedFrame>& frames, double now_ms,
-    const geom::Frustum* frustum) {
+    const geom::Frustum* frustum, std::uint32_t cloud_every) {
   for (const net::ReceivedFrame& f : frames) {
     if (!f.data) continue;
     PendingPair& pair = pending_[f.frame_index];
@@ -137,7 +140,8 @@ std::vector<RenderedFrame> LiVoReceiver::RenderPairs(
     const std::uint32_t index = it->first;
     const PendingPair& pair = it->second;
     if (pair.color && pair.depth) {
-      if (auto frame = TryRender(index, now_ms, frustum)) {
+      const bool cloud = frustum != nullptr && index % cloud_every == 0;
+      if (auto frame = TryRender(index, now_ms, cloud ? frustum : nullptr)) {
         rendered.push_back(std::move(*frame));
       }
       it = pending_.erase(it);

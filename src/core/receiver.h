@@ -6,14 +6,16 @@
 // been decoded by the time necessary to render the point cloud, LiVo simply
 // skips the frame."
 //
-// Only a caller that consumes the point cloud pays for it. The frustum
-// overload of OnFrames then untiles the decoded canvases into per-camera
-// views, unscales depth, reconstructs the world-frame cloud using the
-// camera parameters exchanged at setup, and voxelizes and culls it to the
-// *current* frustum before rendering (§A.1). The other overload stops after
-// the marker check, which reads only the canvas rows the marker covers;
-// conference subscribers, which keep only which frames rendered and when,
-// use it.
+// Only a caller that consumes the point cloud pays for it, and only on the
+// frames it consumes. The frustum overload of OnFrames then untiles the
+// decoded canvases into per-camera views, unscales depth, reconstructs the
+// world-frame cloud using the camera parameters exchanged at setup, and
+// voxelizes and culls it to the *current* frustum before rendering (§A.1),
+// on every frame or on every `cloud_every`-th: a p2p session passes its
+// PSSIM cadence, because PSSIM is the only reader of its clouds. The other
+// overload stops after the marker check, which reads only the canvas rows
+// the marker covers; conference subscribers, which keep only which frames
+// rendered and when, use it.
 #pragma once
 
 #include <map>
@@ -32,7 +34,8 @@ namespace livo::core {
 struct RenderedFrame {
   std::uint32_t frame_index = 0;
   // Voxelized, culled to the live frustum; empty (and reconstruct_ms,
-  // render_ms 0) from the OnFrames overload without a frustum.
+  // render_ms 0) from the OnFrames overload without a frustum, and on the
+  // frames the frustum overload's `cloud_every` passes over.
   pointcloud::PointCloud cloud;
   double render_time_ms = 0.0;
   double decode_ms = 0.0;
@@ -65,21 +68,23 @@ class LiVoReceiver {
   std::vector<RenderedFrame> OnFrames(
       const std::vector<net::ReceivedFrame>& frames, double now_ms);
 
-  // Same frames, skips and marker checks, each rendered as a point cloud
-  // from the viewer's `current_frustum`.
+  // Same frames, skips and marker checks; each frame whose index is a
+  // multiple of `cloud_every` is also rendered as a point cloud from the
+  // viewer's `current_frustum`. Throws std::invalid_argument when
+  // `cloud_every` is 0.
   std::vector<RenderedFrame> OnFrames(
       const std::vector<net::ReceivedFrame>& frames, double now_ms,
-      const geom::Frustum& current_frustum);
+      const geom::Frustum& current_frustum, std::uint32_t cloud_every = 1);
 
   std::size_t skipped_frames() const { return skipped_frames_; }
   std::size_t marker_mismatches() const { return marker_mismatches_; }
 
  private:
   // Both OnFrames overloads: pairs, skips and renders; clouds are built
-  // only when `frustum` is non-null.
+  // only when `frustum` is non-null, on every `cloud_every`-th frame.
   std::vector<RenderedFrame> RenderPairs(
       const std::vector<net::ReceivedFrame>& frames, double now_ms,
-      const geom::Frustum* frustum);
+      const geom::Frustum* frustum, std::uint32_t cloud_every);
   // Decodes the pending pair and checks its marker, then builds the cloud
   // when `frustum` is non-null; nullopt (skipped) if a stream is
   // undecodable.

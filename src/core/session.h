@@ -72,6 +72,13 @@ pointcloud::PointCloud GroundTruthCloud(
     const std::vector<geom::RgbdCamera>& cameras, const geom::Frustum& frustum,
     const ReceiverConfig& receiver_config);
 
+// Adds `display_ms`, a session's mean reconstruct + render time per cloud
+// its receiver built, to the latency of each rendered frame off the
+// `metric_every` cadence: the receiver builds no cloud for those frames,
+// and latency_ms counts display work on every rendered frame.
+void ChargeSkippedDisplayWork(std::vector<FrameRecord>& frames,
+                              int metric_every, double display_ms);
+
 // Fills the aggregate fields of `result` from its per-frame records.
 // `expected_frames` is the number of frames the scheme intended to show.
 void Aggregate(SessionResult& result, int expected_frames, double duration_ms,

@@ -28,6 +28,8 @@ struct PointColor {
 struct Point {
   geom::Vec3 position;  // metres, world frame
   PointColor color;
+
+  bool operator==(const Point&) const = default;
 };
 
 class PointCloud {

@@ -182,8 +182,12 @@ void SessionActor::OnFramesReleased(std::vector<net::ReceivedFrame> frames,
   SessionMetrics& session_metrics = Metrics();
   const geom::Pose live_pose = sim::SampleTrace(spec_.user_trace, now_ms);
   const geom::Frustum live_frustum(live_pose, spec_.config.predictor.viewer);
+  // PSSIM is the only reader of a cloud, so the receiver builds one only on
+  // the metric cadence.
+  const auto metric_every =
+      static_cast<std::uint32_t>(std::max(1, spec_.options.metric_every));
   const auto rendered_frames =
-      receiver_->OnFrames(frames, now_ms, live_frustum);
+      receiver_->OnFrames(frames, now_ms, live_frustum, metric_every);
   for (const core::RenderedFrame& rf : rendered_frames) {
     if (rf.frame_index >= records_.size()) continue;
     core::FrameRecord& rec = records_[rf.frame_index];
@@ -198,14 +202,11 @@ void SessionActor::OnFramesReleased(std::vector<net::ReceivedFrame> frames,
                                 spec_.options.sender_pipeline_delay_ms;
     result_.transport_ms.Add(transport_ms);
     session_metrics.transport_ms.Observe(transport_ms);
-    session_metrics.latency_ms.Observe(rec.latency_ms);
     session_metrics.frames_rendered.Add();
 
     // Objective quality on the metric cadence.
-    if (rf.frame_index %
-            static_cast<std::uint32_t>(
-                std::max(1, spec_.options.metric_every)) ==
-        0) {
+    if (rf.frame_index % metric_every == 0) {
+      display_ms_.Add(rf.reconstruct_ms + rf.render_ms);
       // The spans sit here because livo_metrics does not link livo_obs.
       pointcloud::PointCloud reference;
       {
@@ -254,11 +255,15 @@ void SessionActor::Finish() {
   if (finished_) return;
   finished_ = true;
   result_.frames = std::move(records_);
+  core::ChargeSkippedDisplayWork(result_.frames, spec_.options.metric_every,
+                                 display_ms_.mean());
   core::Aggregate(result_, frames_, duration_ms_, spec_.options.metric_every);
   {
     int rendered = 0;
     for (const core::FrameRecord& rec : result_.frames) {
-      if (rec.rendered) ++rendered;
+      if (!rec.rendered) continue;
+      ++rendered;
+      Metrics().latency_ms.Observe(rec.latency_ms);
     }
     Metrics().frames_stalled.Add(
         static_cast<std::uint64_t>(std::max(0, frames_ - rendered)));

@@ -37,6 +37,7 @@
 #include "sim/dataset.h"
 #include "sim/nettrace.h"
 #include "sim/usertrace.h"
+#include "util/stats.h"
 
 namespace livo::runtime {
 
@@ -97,6 +98,9 @@ class SessionActor {
   core::SessionResult result_;
   std::vector<core::FrameRecord> records_;
   metrics::PointSsimConfig pssim_config_;
+  // Reconstruct + render time of each cloud the receiver built; its mean is
+  // charged to the rendered frames that skipped theirs.
+  util::RunningStats display_ms_;
 
   int frames_ = 0;
   double interval_ms_ = 0.0;

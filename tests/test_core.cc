@@ -389,13 +389,17 @@ const std::vector<std::vector<std::pair<std::uint32_t, bool>>>
                         {{10, true}},
                         {{11, true}}};
 
-// Feeds kReceiverBatches of `stream` through both OnFrames overloads of two
-// fresh receivers: everything but the cloud must agree.
+// Feeds kReceiverBatches of `stream` through three fresh receivers: the
+// OnFrames overload without a frustum, the frustum overload on every frame,
+// and the frustum overload on every third frame (rendered frames 6 and 9).
+// Everything but the cloud must agree; the cadenced receiver's clouds equal
+// the every-frame ones on its frames and are empty on the others.
 void ExpectOverloadsAgree(const LiVoConfig& config,
                           const std::vector<geom::RgbdCamera>& rig,
                           int divisor, const std::vector<EncodedPair>& stream) {
   LiVoReceiver with_cloud(config, ReceiverConfig{}, rig, divisor);
   LiVoReceiver without_cloud(config, ReceiverConfig{}, rig, divisor);
+  LiVoReceiver cadenced(config, ReceiverConfig{}, rig, divisor);
   const geom::Frustum live(geom::Pose::LookAt({0, 1.4, 4.5}, {0, 0.8, 0}),
                            config.predictor.viewer);
   std::vector<std::uint32_t> rendered;
@@ -415,7 +419,9 @@ void ExpectOverloadsAgree(const LiVoConfig& config,
     const double now_ms = 100.0 + 33.0 * static_cast<double>(b);
     const auto clouds = with_cloud.OnFrames(frames, now_ms, live);
     const auto checked = without_cloud.OnFrames(frames, now_ms);
+    const auto sampled = cadenced.OnFrames(frames, now_ms, live, 3);
     ASSERT_EQ(clouds.size(), checked.size()) << "batch " << b;
+    ASSERT_EQ(clouds.size(), sampled.size()) << "batch " << b;
     for (std::size_t i = 0; i < clouds.size(); ++i) {
       EXPECT_EQ(clouds[i].frame_index, checked[i].frame_index);
       EXPECT_EQ(clouds[i].render_time_ms, checked[i].render_time_ms);
@@ -423,6 +429,18 @@ void ExpectOverloadsAgree(const LiVoConfig& config,
           << "frame " << clouds[i].frame_index;
       EXPECT_FALSE(clouds[i].cloud.empty());
       EXPECT_TRUE(checked[i].cloud.empty());
+      EXPECT_EQ(sampled[i].frame_index, clouds[i].frame_index);
+      EXPECT_EQ(sampled[i].render_time_ms, clouds[i].render_time_ms);
+      EXPECT_EQ(sampled[i].marker_verified, clouds[i].marker_verified)
+          << "frame " << clouds[i].frame_index;
+      if (clouds[i].frame_index % 3 == 0) {
+        EXPECT_EQ(sampled[i].cloud.points(), clouds[i].cloud.points())
+            << "frame " << clouds[i].frame_index;
+      } else {
+        EXPECT_TRUE(sampled[i].cloud.empty());
+        EXPECT_EQ(sampled[i].reconstruct_ms, 0.0);
+        EXPECT_EQ(sampled[i].render_ms, 0.0);
+      }
       // Frame 4 re-keys both streams, so its marker must read back intact.
       if (checked[i].frame_index == 4) {
         EXPECT_TRUE(checked[i].marker_verified);
@@ -430,8 +448,10 @@ void ExpectOverloadsAgree(const LiVoConfig& config,
       rendered.push_back(checked[i].frame_index);
     }
     EXPECT_EQ(with_cloud.skipped_frames(), without_cloud.skipped_frames());
+    EXPECT_EQ(with_cloud.skipped_frames(), cadenced.skipped_frames());
     EXPECT_EQ(with_cloud.marker_mismatches(),
               without_cloud.marker_mismatches());
+    EXPECT_EQ(with_cloud.marker_mismatches(), cadenced.marker_mismatches());
   }
   EXPECT_EQ(rendered, (std::vector<std::uint32_t>{4, 6, 7, 9, 10, 11}));
   EXPECT_EQ(without_cloud.skipped_frames(), 5u);
@@ -463,6 +483,13 @@ TEST(Receiver, OverloadsAgreeWithOddMarkerRow) {
     frames.push_back({crop});
   }
   ExpectOverloadsAgree(config, {seq.rig[0]}, 2, EncodeL0(config, frames));
+}
+
+TEST(Receiver, ZeroCloudCadenceThrows) {
+  LiVoReceiver receiver(SmallConfig(), ReceiverConfig{}, SmallSequence().rig);
+  const geom::Frustum live(geom::Pose::LookAt({0, 1.4, 4.5}, {0, 0.8, 0}),
+                           SmallConfig().predictor.viewer);
+  EXPECT_THROW(receiver.OnFrames({}, 0.0, live, 0), std::invalid_argument);
 }
 
 // After warm-up, decoding and checking a pair without building its cloud
