@@ -1,12 +1,11 @@
 #include "core/draco_oracle.h"
 
 #include <algorithm>
-#include <functional>
-
-#include "util/rng.h"
 
 #include "metrics/pointssim.h"
 #include "sim/usertrace.h"
+#include "util/fnv1a.h"
+#include "util/rng.h"
 
 namespace livo::core {
 
@@ -37,8 +36,13 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
   pssim_config.max_anchors = options.pssim_anchors;
 
   std::size_t bytes_sent = 0;
-  util::Rng jitter_rng(0x5eed ^ (static_cast<std::uint64_t>(user_trace.style) << 8) ^
-                       std::hash<std::string>{}(sequence.spec.name));
+  // Seeded by a fixed hash of the sequence name, so the jitter does not
+  // depend on the standard library.
+  util::Fnv1a name_hash;
+  name_hash.Mix(sequence.spec.name);
+  util::Rng jitter_rng(0x5eed ^
+                       (static_cast<std::uint64_t>(user_trace.style) << 8) ^
+                       name_hash.value());
 
   for (int pf = 0; pf < playback_frames; ++pf) {
     const double compute_jitter =

@@ -135,7 +135,7 @@ void Describe(std::ostream& os, const DracoOracleOptions& o) {
 std::string MatrixConfig::CacheKey() const {
   std::ostringstream os;
   os.precision(17);
-  os << "v5|" << profile.camera_count << "x" << profile.camera_width << "x"
+  os << "v6|" << profile.camera_count << "x" << profile.camera_width << "x"
      << profile.camera_height << "|f" << frames << "|u" << user_traces
      << "|t" << trace_duration_s << "|";
   // Key on the full config tuple each scheme will actually run with, not

@@ -1,12 +1,12 @@
 #include "pointcloud/pointcloud.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace livo::pointcloud {
 
@@ -80,47 +80,75 @@ PointCloud ReconstructFromViews(const std::vector<image::RgbdFrame>& views,
   return cloud;
 }
 
+namespace {
+
+struct VoxelKey {
+  int x, y, z;
+  bool operator==(const VoxelKey&) const = default;
+};
+
+// Mixes all 96 key bits into the top bits of a 64-bit word, which index
+// the table (Fibonacci hashing).
+std::uint64_t VoxelHash(const VoxelKey& k) {
+  std::uint64_t h = static_cast<std::uint32_t>(k.x) * 0x9e3779b97f4a7c15ull;
+  h ^= static_cast<std::uint32_t>(k.y) * 0xc2b2ae3d27d4eb4full;
+  h ^= static_cast<std::uint32_t>(k.z) * 0x165667b19e3779f9ull;
+  h ^= h >> 29;
+  return h * 0xbf58476d1ce4e5b9ull;
+}
+
+}  // namespace
+
 PointCloud VoxelDownsample(const PointCloud& cloud, double voxel_size_m) {
-  struct Key {
-    int x, y, z;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(k.x) * 73856093u ^
-             static_cast<std::size_t>(k.y) * 19349663u ^
-             static_cast<std::size_t>(k.z) * 83492791u;
-    }
-  };
-  struct Accum {
+  struct Voxel {
+    VoxelKey key;
     geom::Vec3 position_sum;
     double r = 0, g = 0, b = 0;
     int count = 0;
   };
 
-  std::unordered_map<Key, Accum, KeyHash> voxels;
+  if (cloud.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("VoxelDownsample: more than 2^32 - 2 points");
+  }
+  // Voxels in the order of their first point. `slots` is an open-
+  // addressing table with linear probing: 0 is an empty slot, v names
+  // voxels[v - 1]. It has at least twice as many slots as points, so it
+  // is at most half full and every probe ends.
+  std::vector<Voxel> voxels;
   voxels.reserve(cloud.size());
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * cloud.size()));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<std::uint32_t> slots(capacity, 0);
   for (const Point& p : cloud.points()) {
-    const Key key{static_cast<int>(std::floor(p.position.x / voxel_size_m)),
-                  static_cast<int>(std::floor(p.position.y / voxel_size_m)),
-                  static_cast<int>(std::floor(p.position.z / voxel_size_m))};
-    Accum& a = voxels[key];
-    a.position_sum += p.position;
-    a.r += p.color.r;
-    a.g += p.color.g;
-    a.b += p.color.b;
-    ++a.count;
+    const VoxelKey key{
+        static_cast<int>(std::floor(p.position.x / voxel_size_m)),
+        static_cast<int>(std::floor(p.position.y / voxel_size_m)),
+        static_cast<int>(std::floor(p.position.z / voxel_size_m))};
+    std::size_t slot = static_cast<std::size_t>(VoxelHash(key) >> shift);
+    while (slots[slot] != 0 && voxels[slots[slot] - 1].key != key) {
+      slot = (slot + 1) & (capacity - 1);
+    }
+    if (slots[slot] == 0) {
+      voxels.emplace_back().key = key;
+      slots[slot] = static_cast<std::uint32_t>(voxels.size());
+    }
+    Voxel& v = voxels[slots[slot] - 1];
+    v.position_sum += p.position;
+    v.r += p.color.r;
+    v.g += p.color.g;
+    v.b += p.color.b;
+    ++v.count;
   }
 
   PointCloud out;
   out.Reserve(voxels.size());
-  for (const auto& [key, a] : voxels) {
-    (void)key;
-    const double n = a.count;
-    out.Add({a.position_sum / n,
-             {static_cast<std::uint8_t>(std::lround(a.r / n)),
-              static_cast<std::uint8_t>(std::lround(a.g / n)),
-              static_cast<std::uint8_t>(std::lround(a.b / n))}});
+  for (const Voxel& v : voxels) {
+    const double n = v.count;
+    out.Add({v.position_sum / n,
+             {static_cast<std::uint8_t>(std::lround(v.r / n)),
+              static_cast<std::uint8_t>(std::lround(v.g / n)),
+              static_cast<std::uint8_t>(std::lround(v.b / n))}});
   }
   return out;
 }

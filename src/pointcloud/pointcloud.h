@@ -72,7 +72,11 @@ PointCloud ReconstructFromViews(const std::vector<image::RgbdFrame>& views,
 
 // Voxel-grid downsampling (§A.1 receiver-side rendering): points are
 // bucketed into cubes of `voxel_size_m` and each occupied voxel is replaced
-// by the centroid of its points with the average color.
+// by the centroid of its points with the average color. Voxels come out in
+// the order of their first input point, and each sums its points in input
+// order, so the output is a function of the input sequence alone, whatever
+// the standard library. Keys are the full (x, y, z) int triple of a flat
+// open-addressing table.
 PointCloud VoxelDownsample(const PointCloud& cloud, double voxel_size_m);
 
 // Exact k-nearest-neighbour index (used by the PointSSIM and point-to-point

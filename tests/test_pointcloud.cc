@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "geom/camera.h"
@@ -139,6 +142,100 @@ TEST(VoxelDownsample, NegativeCoordinatesBucketCorrectly) {
   // Straddles the origin: floor() bucketing must place them in different
   // voxels rather than merging across zero.
   EXPECT_EQ(VoxelDownsample(cloud, 0.05).size(), 2u);
+}
+
+// The voxelizer's contract, built on std::map: voxels in the order of
+// their first point, each summing its points in input order.
+PointCloud ReferenceVoxelDownsample(const PointCloud& cloud, double voxel) {
+  struct Accum {
+    Vec3 position_sum;
+    double r = 0, g = 0, b = 0;
+    int count = 0;
+  };
+  std::map<std::tuple<int, int, int>, std::size_t> index;
+  std::vector<Accum> voxels;
+  for (const Point& p : cloud.points()) {
+    const std::tuple<int, int, int> key{
+        static_cast<int>(std::floor(p.position.x / voxel)),
+        static_cast<int>(std::floor(p.position.y / voxel)),
+        static_cast<int>(std::floor(p.position.z / voxel))};
+    const auto [it, inserted] = index.try_emplace(key, voxels.size());
+    if (inserted) voxels.emplace_back();
+    Accum& a = voxels[it->second];
+    a.position_sum += p.position;
+    a.r += p.color.r;
+    a.g += p.color.g;
+    a.b += p.color.b;
+    ++a.count;
+  }
+  PointCloud out;
+  for (const Accum& a : voxels) {
+    const double n = a.count;
+    out.Add({a.position_sum / n,
+             {static_cast<std::uint8_t>(std::lround(a.r / n)),
+              static_cast<std::uint8_t>(std::lround(a.g / n)),
+              static_cast<std::uint8_t>(std::lround(a.b / n))}});
+  }
+  return out;
+}
+
+PointColor RandomColor(util::Rng& rng) {
+  return {static_cast<std::uint8_t>(rng.NextBelow(256)),
+          static_cast<std::uint8_t>(rng.NextBelow(256)),
+          static_cast<std::uint8_t>(rng.NextBelow(256))};
+}
+
+TEST(VoxelDownsample, EmptyCloudStaysEmpty) {
+  EXPECT_TRUE(VoxelDownsample(PointCloud{}, 0.05).empty());
+}
+
+TEST(VoxelDownsample, EmitsVoxelsInFirstPointOrder) {
+  PointCloud cloud;
+  cloud.Add({{0.32, 0, 0}, {90, 0, 0}});   // voxel A
+  cloud.Add({{-0.32, 0, 0}, {60, 0, 0}});  // voxel B
+  cloud.Add({{0.33, 0, 0}, {50, 0, 0}});   // voxel A again
+  cloud.Add({{0, 0.32, 0}, {10, 0, 0}});   // voxel C
+  const PointCloud down = VoxelDownsample(cloud, 0.05);
+  ASSERT_EQ(down.size(), 3u);
+  EXPECT_EQ(down.points()[0].color.r, 70);
+  EXPECT_EQ(down.points()[1].color.r, 60);
+  EXPECT_EQ(down.points()[2].color.r, 10);
+  EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, 0.05).points());
+}
+
+// Random clouds with negative keys, keys beyond 2^21 on every axis (which
+// a 21-bit packed key would fold together), and repeated points, against
+// the std::map reference, point for point.
+TEST(VoxelDownsample, MatchesOrderedReference) {
+  util::Rng rng(17);
+  const double voxel = 0.05;
+  const double far = voxel * static_cast<double>(1 << 21);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
+    PointCloud cloud;
+    // Dense (many points per voxel), sparse, then spread far past 2^21.
+    const double span = trial < 2 ? 0.25 : trial < 4 ? 1.0 : 4.0 * far;
+    for (int i = 0; i < 3000; ++i) {
+      const Vec3 p{rng.Uniform(-span, span), rng.Uniform(-span, span),
+                   rng.Uniform(-span, span)};
+      cloud.Add({p, RandomColor(rng)});
+      // Far copies alias the near point's voxel modulo 2^21 cells.
+      if (i % 7 == 0) cloud.Add({p + Vec3{far, -far, far}, RandomColor(rng)});
+      if (i % 5 == 0) cloud.Add({p, RandomColor(rng)});  // duplicate point
+    }
+    const PointCloud down = VoxelDownsample(cloud, voxel);
+    EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, voxel).points());
+    EXPECT_LT(down.size(), cloud.size());
+  }
+}
+
+TEST(VoxelDownsample, DuplicatePointsKeepTheirPosition) {
+  PointCloud cloud;
+  for (int i = 0; i < 5; ++i) cloud.Add({{-1.234, 5.678, -9.1}, {7, 8, 9}});
+  const PointCloud down = VoxelDownsample(cloud, 0.025);
+  ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, 0.025).points());
+  EXPECT_EQ(down.points()[0].color, (PointColor{7, 8, 9}));
 }
 
 // ---- GridIndex: differential against brute force ----
