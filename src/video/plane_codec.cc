@@ -199,7 +199,17 @@ void WriteLevels(BitWriter& writer, const IntBlock& levels) {
   writer.WriteUE(kBlockPixels);  // end of block
 }
 
-void ReadLevels(BitReader& reader, IntBlock& levels) {
+// Largest |level| the encoder emits at quantization `step`: a residual
+// sample is at most max_value in magnitude, an orthonormal 8x8 DCT basis
+// vector has L1 norm at most 8, and quantization rounds half away from
+// zero, so |level| <= 8 * max_value / step + 1/2.
+std::int64_t MaxLevel(int max_value, double step) {
+  return static_cast<std::int64_t>(8.0 * max_value / step) + 1;
+}
+
+// Inverse of WriteLevels; rejects a level above `max_level` in magnitude,
+// which no encoder at this QP emits.
+void ReadLevels(BitReader& reader, std::int64_t max_level, IntBlock& levels) {
   levels.fill(0);
   int pos = 0;
   for (;;) {
@@ -207,7 +217,11 @@ void ReadLevels(BitReader& reader, IntBlock& levels) {
     if (run >= kBlockPixels) break;  // EOB
     pos += static_cast<int>(run);
     if (pos >= kBlockPixels) throw std::runtime_error("corrupt level run");
-    levels[kZigzagOrder[pos]] = static_cast<int>(reader.ReadSE());
+    const std::int64_t level = reader.ReadSE();
+    if (level < -max_level || level > max_level) {
+      throw std::runtime_error("corrupt level");
+    }
+    levels[kZigzagOrder[pos]] = static_cast<int>(level);
     ++pos;
   }
 }
@@ -387,6 +401,7 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
                  const SliceBand& band, Plane16& recon) {
   const double step = QpToStep(qp);
   const int max_value = config.MaxSampleValue();
+  const std::int64_t max_level = MaxLevel(max_value, step);
   const int blocks_x = config.width / kBlockSize;
   const int by_begin = band.y0 / kBlockSize;
   const int by_end = band.y1 / kBlockSize;
@@ -401,8 +416,9 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
       int mode = kModeIntraDc;
       int mv_dx = 0, mv_dy = 0;
       if (is_inter) {
-        mode = static_cast<int>(reader.ReadUE());
-        if (mode > kModeIntraDc) throw std::runtime_error("corrupt block mode");
+        const std::uint64_t code = reader.ReadUE();
+        if (code > kModeIntraDc) throw std::runtime_error("corrupt block mode");
+        mode = static_cast<int>(code);
         if (mode == kModeInterMv) {
           const std::int64_t dx = reader.ReadSE();
           const std::int64_t dy = reader.ReadSE();
@@ -435,7 +451,7 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
           break;
       }
 
-      ReadLevels(reader, levels);
+      ReadLevels(reader, max_level, levels);
       ReconstructResidual(kt, levels, step, residual);
       StoreBlock(recon, bx, by, prediction, residual, max_value);
     }

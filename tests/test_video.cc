@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -385,15 +386,11 @@ TEST(PlaneCodec, CorruptStreamThrows) {
   EXPECT_THROW(DecodePlane(config, out.bits, nullptr, 10), std::exception);
 }
 
-// A one-slice P-frame plane of a single 8x8 block coded as a motion-vector
-// block with (dx, dy) and no residual. Mode 2 is the codec's
-// motion-compensated mode; a run of 64 ends the block.
-std::vector<std::uint8_t> OneBlockMvPlane(std::int64_t dx, std::int64_t dy) {
+// A one-slice plane of a single 8x8 block whose bits `write_block` writes.
+std::vector<std::uint8_t> OneBlockPlane(
+    const std::function<void(util::BitWriter&)>& write_block) {
   util::BitWriter block;
-  block.WriteUE(2);
-  block.WriteSE(dx);
-  block.WriteSE(dy);
-  block.WriteUE(64);
+  write_block(block);
   const std::vector<std::uint8_t> segment = block.Finish();
   util::BitWriter header;
   header.WriteUE(1);
@@ -401,6 +398,74 @@ std::vector<std::uint8_t> OneBlockMvPlane(std::int64_t dx, std::int64_t dy) {
   std::vector<std::uint8_t> bits = header.Finish();
   bits.insert(bits.end(), segment.begin(), segment.end());
   return bits;
+}
+
+// A P-frame block coded as a motion-vector block with (dx, dy) and no
+// residual. Mode 2 is the codec's motion-compensated mode; a run of 64
+// ends the block.
+std::vector<std::uint8_t> OneBlockMvPlane(std::int64_t dx, std::int64_t dy) {
+  return OneBlockPlane([&](util::BitWriter& block) {
+    block.WriteUE(2);
+    block.WriteSE(dx);
+    block.WriteSE(dy);
+    block.WriteUE(64);
+  });
+}
+
+// An intra block whose first coefficient (run 0) has `level`.
+std::vector<std::uint8_t> OneBlockLevelPlane(std::int64_t level) {
+  return OneBlockPlane([&](util::BitWriter& block) {
+    block.WriteUE(0);
+    block.WriteSE(level);
+    block.WriteUE(64);
+  });
+}
+
+TEST(PlaneCodec, DecoderRejectsModeCodeBeyond32Bits) {
+  CodecConfig config;
+  config.width = 8;
+  config.height = 8;
+  const Plane16 ref(8, 8, 100);
+  // 2^32 + 1 narrows to 1, the zero-motion inter mode.
+  const auto plane = [](std::uint64_t mode) {
+    return OneBlockPlane([&](util::BitWriter& block) {
+      block.WriteUE(mode);
+      block.WriteUE(64);
+    });
+  };
+  EXPECT_EQ(DecodePlane(config, plane(1), &ref, 12), ref);
+  EXPECT_THROW(DecodePlane(config, plane((std::uint64_t{1} << 32) + 1), &ref, 12),
+               std::runtime_error);
+}
+
+TEST(PlaneCodec, DecoderRejectsLevelBeyond32Bits) {
+  CodecConfig config;
+  config.width = 8;
+  config.height = 8;
+  // 2^32 + 5 narrows to 5, a level the encoder emits.
+  EXPECT_NO_THROW(DecodePlane(config, OneBlockLevelPlane(5), nullptr, 12));
+  EXPECT_THROW(
+      DecodePlane(config, OneBlockLevelPlane((std::int64_t{1} << 32) + 5),
+                  nullptr, 12),
+      std::runtime_error);
+}
+
+TEST(PlaneCodec, DecoderRejectsLevelAboveTheEncodersRange) {
+  CodecConfig config;
+  config.width = 8;
+  config.height = 8;
+  // At QP 4 (step 1) an 8-bit plane's levels stay within 8 * 255 + 1/2;
+  // the decoder accepts up to 2041.
+  EXPECT_NO_THROW(DecodePlane(config, OneBlockLevelPlane(2041), nullptr, 4));
+  EXPECT_NO_THROW(DecodePlane(config, OneBlockLevelPlane(-2041), nullptr, 4));
+  for (const std::int64_t level :
+       {std::int64_t{2042}, std::int64_t{-2042},
+        std::int64_t{std::numeric_limits<std::int32_t>::max()} - 1,
+        std::int64_t{std::numeric_limits<std::int32_t>::min()}}) {
+    EXPECT_THROW(DecodePlane(config, OneBlockLevelPlane(level), nullptr, 4),
+                 std::runtime_error)
+        << "level " << level;
+  }
 }
 
 TEST(PlaneCodec, DecoderRejectsMotionVectorOutsideSearchRange) {
