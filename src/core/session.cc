@@ -220,9 +220,6 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
       session_metrics.frames_sent.Add();
       FrameRecord& rec = records[static_cast<std::size_t>(f)];
       rec.sender = out.stats;
-      result.sender_cull_ms.Add(out.stats.cull_ms);
-      result.sender_tile_ms.Add(out.stats.tile_ms);
-      result.sender_encode_ms.Add(out.stats.encode_ms);
     }
 
     channel.Step(now);
@@ -240,12 +237,8 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
         rec.render_time_ms = rf.render_time_ms;
         rec.latency_ms = rf.render_time_ms - rec.capture_time_ms +
                          rf.decode_ms + rf.reconstruct_ms + rf.render_ms;
-        result.receiver_decode_ms.Add(rf.decode_ms);
-        result.receiver_reconstruct_ms.Add(rf.reconstruct_ms);
-        result.receiver_render_ms.Add(rf.render_ms);
         const double transport_ms = rf.render_time_ms - rec.capture_time_ms -
                                     options.sender_pipeline_delay_ms;
-        result.transport_ms.Add(transport_ms);
         session_metrics.transport_ms.Observe(transport_ms);
         session_metrics.frames_rendered.Add();
 

@@ -10,7 +10,6 @@
 #include "core/split.h"
 #include "image/depth_encoding.h"
 #include "image/tiling.h"
-#include "util/stats.h"
 #include "video/codec_types.h"
 
 namespace livo::core {
@@ -201,14 +200,6 @@ struct SessionResult {
   double mean_throughput_mbps = 0.0;   // paper-scale (unscaled) Mbps
   double mean_capacity_mbps = 0.0;     // paper-scale trace capacity
   double utilization = 0.0;            // throughput / capacity
-
-  util::RunningStats sender_cull_ms;
-  util::RunningStats sender_tile_ms;
-  util::RunningStats sender_encode_ms;
-  util::RunningStats receiver_decode_ms;
-  util::RunningStats receiver_reconstruct_ms;
-  util::RunningStats receiver_render_ms;
-  util::RunningStats transport_ms;
 };
 
 }  // namespace livo::core

@@ -163,9 +163,6 @@ void SessionActor::OnWake(double now_ms) {
     session_metrics.frames_sent.Add();
     core::FrameRecord& rec = records_[static_cast<std::size_t>(f)];
     rec.sender = out.stats;
-    result_.sender_cull_ms.Add(out.stats.cull_ms);
-    result_.sender_tile_ms.Add(out.stats.tile_ms);
-    result_.sender_encode_ms.Add(out.stats.encode_ms);
   }
 
   // A shared bottleneck is pumped cooperatively: the first actor awake at
@@ -195,12 +192,8 @@ void SessionActor::OnFramesReleased(std::vector<net::ReceivedFrame> frames,
     rec.render_time_ms = rf.render_time_ms;
     rec.latency_ms = rf.render_time_ms - rec.capture_time_ms + rf.decode_ms +
                      rf.reconstruct_ms + rf.render_ms;
-    result_.receiver_decode_ms.Add(rf.decode_ms);
-    result_.receiver_reconstruct_ms.Add(rf.reconstruct_ms);
-    result_.receiver_render_ms.Add(rf.render_ms);
     const double transport_ms = rf.render_time_ms - rec.capture_time_ms -
                                 spec_.options.sender_pipeline_delay_ms;
-    result_.transport_ms.Add(transport_ms);
     session_metrics.transport_ms.Observe(transport_ms);
     session_metrics.frames_rendered.Add();
 

@@ -273,9 +273,9 @@ core::ReplayOptions SmallOptions() {
 }
 
 // Compares every virtual-time-deterministic field of two session results.
-// Wall-clock-derived fields (latency_ms and the per-stage RunningStats
-// timings, which include real decode/encode milliseconds) legitimately
-// differ between runs and are excluded.
+// Wall-clock-derived fields (latency_ms and mean_latency_ms, which include
+// real decode/encode milliseconds) legitimately differ between runs and
+// are excluded.
 void ExpectSessionsEquivalent(const core::SessionResult& a,
                               const core::SessionResult& b) {
   ASSERT_EQ(a.frames.size(), b.frames.size());
