@@ -14,16 +14,17 @@
 #     cross-loop sends and barrier hand-offs race-check here.
 #  2. ASan+UBSan pass — builds the kernel-equivalence, codec, transport,
 #     runtime, conference, point-cloud, metrics, capture, point-cloud
-#     codec and mesh suites (test_kernels + test_golden_bitstream +
+#     codec, mesh and core suites (test_kernels + test_golden_bitstream +
 #     test_video + test_video_parallel + test_pointcloud + test_metrics +
-#     test_sim + test_pccodec + test_mesh, plus the quick suites test_net +
-#     test_runtime + test_conference + test_fec + test_report) with
-#     AddressSanitizer + UndefinedBehaviorSanitizer and libstdc++'s
-#     bounds-checked containers (-D_GLIBCXX_ASSERTIONS) so out-of-bounds
-#     SIMD loads, UB in the intrinsics code or the bit writer, bad indices
-#     into the nearest-neighbour index's cell table and reassembly
-#     bookkeeping errors surface; the cross-loop stress and cascade tests
-#     repeat here for lifetime bugs TSan cannot see.
+#     test_sim + test_pccodec + test_mesh + test_core, plus the quick
+#     suites test_net + test_runtime + test_conference + test_fec +
+#     test_report) with AddressSanitizer + UndefinedBehaviorSanitizer and
+#     libstdc++'s bounds-checked containers (-D_GLIBCXX_ASSERTIONS) so
+#     out-of-bounds SIMD loads, UB in the intrinsics code or the bit
+#     writer, bad indices into the nearest-neighbour index's cell table or
+#     the voxelizer's table, pooled planes the receiver releases twice and
+#     reassembly bookkeeping errors surface; the cross-loop stress and
+#     cascade tests repeat here for lifetime bugs TSan cannot see.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
 #     (bench_conference --parties=8 under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
