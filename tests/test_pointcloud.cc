@@ -185,10 +185,6 @@ PointColor RandomColor(util::Rng& rng) {
           static_cast<std::uint8_t>(rng.NextBelow(256))};
 }
 
-TEST(VoxelDownsample, EmptyCloudStaysEmpty) {
-  EXPECT_TRUE(VoxelDownsample(PointCloud{}, 0.05).empty());
-}
-
 TEST(VoxelDownsample, EmitsVoxelsInFirstPointOrder) {
   PointCloud cloud;
   cloud.Add({{0.32, 0, 0}, {90, 0, 0}});   // voxel A
@@ -203,12 +199,13 @@ TEST(VoxelDownsample, EmitsVoxelsInFirstPointOrder) {
   EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, 0.05).points());
 }
 
-// Random clouds with negative keys, keys beyond 2^21 on every axis (which
-// a 21-bit packed key would fold together), and repeated points, against
-// the std::map reference, point for point.
+// An empty cloud, then random clouds with negative keys, keys beyond 2^21
+// on every axis (which a 21-bit packed key would fold together), and
+// repeated points, against the std::map reference, point for point.
 TEST(VoxelDownsample, MatchesOrderedReference) {
   util::Rng rng(17);
   const double voxel = 0.05;
+  EXPECT_TRUE(VoxelDownsample(PointCloud{}, voxel).empty());
   const double far = voxel * static_cast<double>(1 << 21);
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE(trial);
@@ -227,15 +224,6 @@ TEST(VoxelDownsample, MatchesOrderedReference) {
     EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, voxel).points());
     EXPECT_LT(down.size(), cloud.size());
   }
-}
-
-TEST(VoxelDownsample, DuplicatePointsKeepTheirPosition) {
-  PointCloud cloud;
-  for (int i = 0; i < 5; ++i) cloud.Add({{-1.234, 5.678, -9.1}, {7, 8, 9}});
-  const PointCloud down = VoxelDownsample(cloud, 0.025);
-  ASSERT_EQ(down.size(), 1u);
-  EXPECT_EQ(down.points(), ReferenceVoxelDownsample(cloud, 0.025).points());
-  EXPECT_EQ(down.points()[0].color, (PointColor{7, 8, 9}));
 }
 
 // ---- GridIndex: differential against brute force ----
