@@ -175,7 +175,9 @@ struct FrameRecord {
   bool rendered = false;
   double capture_time_ms = 0.0;
   double render_time_ms = 0.0;   // when the receiver displayed it
-  double latency_ms = 0.0;       // end-to-end including processing
+  // End-to-end including processing. A frame whose cloud the receiver
+  // did not build is charged the session's mean reconstruct + render time.
+  double latency_ms = 0.0;
   double pssim_geometry = -1.0;  // -1 = metric not sampled on this frame
   double pssim_color = -1.0;
   SenderFrameStats sender;
