@@ -17,10 +17,7 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
   result.scheme = "Draco-Oracle";
   result.video = sequence.spec.name;
   result.net_trace = net_trace.name;
-  result.user_trace = user_trace.style == sim::TraceStyle::kOrbit ? "orbit"
-                      : user_trace.style == sim::TraceStyle::kWalkIn
-                          ? "walk-in"
-                          : "focus";
+  result.user_trace = sim::StyleName(user_trace.style);
   result.target_fps = options.fps;
 
   const double interval_ms = 1000.0 / options.fps;
