@@ -2,6 +2,7 @@
 // culling, frustum predictor, sender/receiver round trips, and full
 // replay sessions (LiVo, Draco-Oracle, MeshReduce).
 #include <filesystem>
+#include <ios>
 
 #include <gtest/gtest.h>
 
@@ -687,6 +688,20 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
   EXPECT_GE(r.stall_rate, 0.0);
   EXPECT_LE(r.stall_rate, 1.0);
   EXPECT_EQ(r.frames.size(), seq.frames.size() / 2);  // 15 of 30 fps
+  // Every aggregate, bit for bit: the oracle runs in virtual time (its
+  // latency is the modelled encode time plus one interval), so a change to
+  // its trace reads, scoring or close moves one of these.
+  EXPECT_EQ(r.stall_rate, 0x0p+0) << std::hexfloat << r.stall_rate;
+  EXPECT_EQ(r.fps, 0x1.ep+3) << std::hexfloat << r.fps;
+  EXPECT_EQ(r.mean_latency_ms, 0x1.3d2efd72549a3p+6) << std::hexfloat << r.mean_latency_ms;
+  EXPECT_EQ(r.mean_pssim_geometry, 0x1.8b4c16c03ca83p+6)
+      << std::hexfloat << r.mean_pssim_geometry;
+  EXPECT_EQ(r.mean_pssim_color, 0x1.8cd2ee8f947d8p+6) << std::hexfloat << r.mean_pssim_color;
+  EXPECT_EQ(r.mean_throughput_mbps, 0x1.14bbc2b94d941p+6)
+      << std::hexfloat << r.mean_throughput_mbps;
+  EXPECT_EQ(r.mean_capacity_mbps, 0x1.68p+6)
+      << std::hexfloat << r.mean_capacity_mbps;
+  EXPECT_EQ(r.utilization, 0x1.899392189bd84p-1) << std::hexfloat << r.utilization;
 }
 
 TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
@@ -700,6 +715,19 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
   EXPECT_GT(r.fps, 5.0);
   EXPECT_LE(r.fps, 15.5);
   EXPECT_GT(r.mean_pssim_geometry, 20.0);
+  // Every aggregate, bit for bit: MeshReduce runs in virtual time (its
+  // latency is the reliable channel's delivery time), so a change to its
+  // trace replay, scoring or close moves one of these.
+  EXPECT_EQ(r.fps, 0x1.ep+3) << std::hexfloat << r.fps;
+  EXPECT_EQ(r.mean_latency_ms, 0x1.7690d3a66b24ap+5) << std::hexfloat << r.mean_latency_ms;
+  EXPECT_EQ(r.mean_pssim_geometry, 0x1.a06c8f3db0028p+5)
+      << std::hexfloat << r.mean_pssim_geometry;
+  EXPECT_EQ(r.mean_pssim_color, 0x1.09818c81dc5fbp+6) << std::hexfloat << r.mean_pssim_color;
+  EXPECT_EQ(r.mean_throughput_mbps, 0x1.d10355d728331p+4)
+      << std::hexfloat << r.mean_throughput_mbps;
+  EXPECT_EQ(r.mean_capacity_mbps, 0x1.68p+6)
+      << std::hexfloat << r.mean_capacity_mbps;
+  EXPECT_EQ(r.utilization, 0x1.4aad09d7940d9p-2) << std::hexfloat << r.utilization;
 }
 
 // ---- Experiment helpers ----

@@ -10,6 +10,7 @@
 //    shard counts — parity, recovery, and the repair scheduler all run
 //    in virtual time off the seeded LinkEmulator.
 #include <cstdint>
+#include <ios>
 #include <map>
 #include <string>
 #include <utility>
@@ -325,6 +326,20 @@ TEST(ConferenceGolden, FingerprintsPinnedOnDirectAndCascadedRosters) {
   cascade.regions = 2;
   EXPECT_EQ(RunConference(MixedRoster(4, kFrames), cascade).Fingerprint(),
             0x4aeeba2192c37354ull);
+
+  // Both access links on shared bottlenecks, each scaled with the roster
+  // as in perfbench's sfu_shared_8p: the rosters above use private links
+  // only, so this one pins the shared-link flow order and warm start.
+  ConferenceOptions shared = BaseOptions();
+  shared.uplink_mode = LinkMode::kShared;
+  shared.downlink_mode = LinkMode::kShared;
+  shared.shared_uplink_trace = sim::MakeTrace2(30.0, 505);
+  shared.shared_downlink_trace = sim::MakeTrace2(30.0, 606);
+  shared.shared_uplink_config.bandwidth_scale = shared.bandwidth_scale * 8;
+  shared.shared_downlink_config.bandwidth_scale = shared.bandwidth_scale * 8;
+  const std::uint64_t shared_fingerprint =
+      RunConference(MixedRoster(8, kFrames), shared).Fingerprint();
+  EXPECT_EQ(shared_fingerprint, 0x9e58010491c6262bull) << std::hex << shared_fingerprint;
 }
 
 }  // namespace

@@ -367,6 +367,56 @@ TEST(RuntimeGolden, MeanPssimPinnedOnAllFiveSequences) {
   }
 }
 
+// Pins the close of the same five sessions: stall rate, fps, and the
+// throughput and utilization it computes at paper scale from the channel's
+// byte count. Captured once; a refactor of the session close, or of the
+// warm start and link set-up that move those bytes, must leave them bit
+// for bit.
+TEST(RuntimeGolden, CloseAggregatesPinnedOnAllFiveSequences) {
+  struct Golden {
+    const char* video;
+    double stall_rate;
+    double fps;
+    double throughput_mbps;
+    double capacity_mbps;
+    double utilization;
+  };
+  constexpr Golden kGolden[] = {
+      {"band2", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.bf9628cbd1244p+5,
+       0x1.572c76e619b7dp+6, 0x1.4de3c33a5749ep-1},
+      {"dance5", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.e67a63736cdf2p+5,
+       0x1.572c76e619b7dp+6, 0x1.6ae6e3ccfe4ffp-1},
+      {"office1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.d54467381d7ddp+5,
+       0x1.572c76e619b7dp+6, 0x1.5e101f3e71f8ep-1},
+      {"pizza1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.cfe32a0663c75p+5,
+       0x1.572c76e619b7dp+6, 0x1.5a0cbb6bacea4p-1},
+      {"toddler4", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.e11633482be8dp+5,
+       0x1.572c76e619b7dp+6, 0x1.66e14cc86fa6ep-1},
+  };
+  const int kFrames = 8;
+  const auto& videos = sim::AllVideos();
+  ASSERT_EQ(videos.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < videos.size(); ++i) {
+    const Golden& golden = kGolden[i];
+    ASSERT_EQ(videos[i].name, golden.video);
+    SCOPED_TRACE(golden.video);
+    const auto& seq = Sequence(golden.video, kFrames);
+    const auto user = sim::GenerateUserTrace(
+        golden.video, sim::TraceStyle::kOrbit, kFrames + 90);
+    const core::SessionResult result = core::RunLiVoSession(
+        seq, user, sim::MakeTrace2(20.0), SmallConfig(), SmallOptions());
+    EXPECT_EQ(result.stall_rate, golden.stall_rate)
+        << std::hexfloat << result.stall_rate;
+    EXPECT_EQ(result.fps, golden.fps) << std::hexfloat << result.fps;
+    EXPECT_EQ(result.mean_throughput_mbps, golden.throughput_mbps)
+        << std::hexfloat << result.mean_throughput_mbps;
+    EXPECT_EQ(result.mean_capacity_mbps, golden.capacity_mbps)
+        << std::hexfloat << result.mean_capacity_mbps;
+    EXPECT_EQ(result.utilization, golden.utilization)
+        << std::hexfloat << result.utilization;
+  }
+}
+
 // Random loss exercises the NACK/PLI/deadline timers, the hardest part of
 // the event-time derivation (strict vs non-strict boundaries).
 TEST(RuntimeEquivalence, MatchesTickReferenceUnderLoss) {
@@ -487,6 +537,10 @@ TEST(MultiSession, SharedBottleneckRunsAndBoundsThroughput) {
   // drain-window slack (bytes sent near the end count toward throughput
   // over the nominal duration only).
   EXPECT_LT(total_throughput, 1.6 * options.shared_trace.MeanMbps());
+  // Captured once: the shared link's flow set-up, the 1/N warm start and
+  // the close must keep every session of this run bit for bit.
+  EXPECT_EQ(MultiSessionFingerprint(result), 0xf716eb5d85cd5a70ull)
+      << std::hex << MultiSessionFingerprint(result);
 }
 
 // Acceptance criterion of the sharded runtime: RunMultiSession's
