@@ -6,9 +6,11 @@
 #include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "conference/telemetry.h"
+#include "core/session.h"
 #include "obs/obs.h"
 #include "runtime/loop_group.h"
 #include "runtime/shared_link.h"
@@ -121,38 +123,68 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
   result.shards = shards;
   result.fec = options.fec.enabled;
 
-  // One policy, every access link: the conference-level FEC switch turns
-  // on parity + deadline-aware repair for each channel built below.
-  const auto apply_fec = [&options](net::ChannelConfig& cfg) {
-    if (!options.fec.enabled) return;
-    cfg.enable_fec = true;
-    cfg.fec_redundancy_cap = options.fec.redundancy_cap;
-  };
-
   for (const ParticipantSpec& spec : specs) {
     const double span = spec.sequence->frames.size() * 1000.0 /
                         spec.config.fps;
     result.duration_ms = std::max(result.duration_ms, span);
   }
-  const double horizon_ms = result.duration_ms + 600.0;
+  const double horizon_ms = result.duration_ms + core::kDrainMs;
 
   std::vector<int> region_of(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     region_of[static_cast<std::size_t>(i)] = RegionOf(i, n, regions);
   }
 
+  // A shared bottleneck carries one flow per participant, each warm-started
+  // at its fair share; `shared_up` / `shared_down` stay flow-less (null
+  // `shared`) on private access links.
   std::unique_ptr<runtime::SharedLink> shared_uplink;
+  runtime::ReplayLink shared_up;
   if (options.uplink_mode == LinkMode::kShared) {
     shared_uplink = std::make_unique<runtime::SharedLink>(
         options.shared_uplink_trace.Replayed(options.trace_time_accel, 0.0),
         options.shared_uplink_config, "runtime.shared_uplink");
+    shared_up = runtime::ReplayLink{
+        .trace = &options.shared_uplink_trace,
+        .bandwidth_scale = options.shared_uplink_config.bandwidth_scale,
+        .shared = shared_uplink.get(),
+        .flows = n};
   }
   std::unique_ptr<runtime::SharedLink> shared_downlink;
+  runtime::ReplayLink shared_down;
   if (options.downlink_mode == LinkMode::kShared) {
     shared_downlink = std::make_unique<runtime::SharedLink>(
         options.shared_downlink_trace.Replayed(options.trace_time_accel, 0.0),
         options.shared_downlink_config, "runtime.shared_downlink");
+    shared_down = runtime::ReplayLink{
+        .trace = &options.shared_downlink_trace,
+        .bandwidth_scale = options.shared_downlink_config.bandwidth_scale,
+        .shared = shared_downlink.get(),
+        .flows = n};
   }
+
+  // One access link: the flow of a shared bottleneck, or else a private
+  // link replaying the participant's own trace. The conference-level FEC
+  // switch turns on parity + deadline-aware repair on every one.
+  const auto access_link = [&options](net::ChannelConfig cfg,
+                                      std::string obs_label,
+                                      const runtime::ReplayLink& shared,
+                                      const sim::BandwidthTrace& own_trace,
+                                      double own_offset_ms) {
+    cfg.obs_label = std::move(obs_label);
+    if (options.fec.enabled) {
+      cfg.enable_fec = true;
+      cfg.fec_redundancy_cap = options.fec.redundancy_cap;
+    }
+    const runtime::ReplayLink link =
+        shared.shared != nullptr
+            ? shared
+            : runtime::ReplayLink{.trace = &own_trace,
+                                  .bandwidth_scale = options.bandwidth_scale,
+                                  .accel = options.trace_time_accel,
+                                  .offset_ms = own_offset_ms};
+    return link.MakeChannel(std::move(cfg));
+  };
 
   // One SFU per region (a direct conference is one region). Every edge
   // sees the full roster; remote participants register as nullptr.
@@ -207,55 +239,14 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
     const int region = region_of[static_cast<std::size_t>(i)];
     runtime::EventLoop& loop = group.loop(region);
 
+    // Uplink before downlink: a SharedLink numbers flows in connect order.
     const std::string obs_prefix = "participant" + std::to_string(i);
-    std::unique_ptr<net::VideoChannel> uplink;
-    if (shared_uplink) {
-      net::ChannelConfig cfg = options.uplink_channel;
-      cfg.obs_label = obs_prefix + ".uplink";
-      apply_fec(cfg);
-      cfg.link.bandwidth_scale =
-          options.shared_uplink_config.bandwidth_scale;
-      cfg.gcc.initial_bps = options.shared_uplink_trace.MeanMbps() *
-                            options.shared_uplink_config.bandwidth_scale *
-                            1e6 * 0.8 / n;
-      uplink = shared_uplink->Connect(cfg);
-    } else {
-      net::ChannelConfig cfg = options.uplink_channel;
-      cfg.obs_label = obs_prefix + ".uplink";
-      apply_fec(cfg);
-      cfg.link.bandwidth_scale = options.bandwidth_scale;
-      cfg.gcc.initial_bps =
-          spec.uplink_trace.MeanMbps() * options.bandwidth_scale * 1e6 * 0.8;
-      uplink = std::make_unique<net::VideoChannel>(
-          spec.uplink_trace.Replayed(options.trace_time_accel,
-                                     spec.uplink_trace_offset_ms),
-          cfg);
-    }
-
-    std::unique_ptr<net::VideoChannel> downlink;
-    if (shared_downlink) {
-      net::ChannelConfig cfg = options.downlink_channel;
-      cfg.obs_label = obs_prefix + ".downlink";
-      apply_fec(cfg);
-      cfg.link.bandwidth_scale =
-          options.shared_downlink_config.bandwidth_scale;
-      cfg.gcc.initial_bps = options.shared_downlink_trace.MeanMbps() *
-                            options.shared_downlink_config.bandwidth_scale *
-                            1e6 * 0.8 / n;
-      downlink = shared_downlink->Connect(cfg);
-    } else {
-      net::ChannelConfig cfg = options.downlink_channel;
-      cfg.obs_label = obs_prefix + ".downlink";
-      apply_fec(cfg);
-      cfg.link.bandwidth_scale = options.bandwidth_scale;
-      cfg.gcc.initial_bps =
-          spec.downlink_trace.MeanMbps() * options.bandwidth_scale * 1e6 *
-          0.8;
-      downlink = std::make_unique<net::VideoChannel>(
-          spec.downlink_trace.Replayed(options.trace_time_accel,
-                                       spec.downlink_trace_offset_ms),
-          cfg);
-    }
+    std::unique_ptr<net::VideoChannel> uplink =
+        access_link(options.uplink_channel, obs_prefix + ".uplink", shared_up,
+                    spec.uplink_trace, spec.uplink_trace_offset_ms);
+    std::unique_ptr<net::VideoChannel> downlink = access_link(
+        options.downlink_channel, obs_prefix + ".downlink", shared_down,
+        spec.downlink_trace, spec.downlink_trace_offset_ms);
 
     participants.push_back(std::make_unique<ParticipantActor>(
         loop, i, specs, options, std::move(uplink), std::move(downlink),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "metrics/pointssim.h"
 #include "sim/usertrace.h"
 #include "util/fnv1a.h"
 #include "util/rng.h"
@@ -13,12 +12,8 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
                              const sim::UserTrace& user_trace,
                              const sim::BandwidthTrace& net_trace,
                              const DracoOracleOptions& options) {
-  SessionResult result;
-  result.scheme = "Draco-Oracle";
-  result.video = sequence.spec.name;
-  result.net_trace = net_trace.name;
-  result.user_trace = sim::StyleName(user_trace.style);
-  result.target_fps = options.fps;
+  SessionResult result = ResultHeader("Draco-Oracle", sequence, user_trace,
+                                      net_trace.name, options.fps);
 
   const double interval_ms = 1000.0 / options.fps;
   // The oracle shows the captured 30 fps sequence at its own frame rate:
@@ -29,8 +24,7 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
       static_cast<int>(sequence.frames.size()) / capture_stride;
   const double duration_ms = playback_frames * interval_ms;
 
-  metrics::PointSsimConfig pssim_config;
-  pssim_config.max_anchors = options.pssim_anchors;
+  const PssimScorer scorer(sequence, options.receiver, options.pssim_anchors);
 
   std::size_t bytes_sent = 0;
   // Seeded by a fixed hash of the sequence name, so the jitter does not
@@ -106,29 +100,24 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
       const double encode_ms =
           compute_jitter * pccodec::ModelEncodeTimeMs(
                                culled.size(), best->config, options.point_scale);
-      rec.latency_ms = encode_ms + interval_ms;  // encode + transmission
+      // Transmission takes one frame interval of link serialization
+      // budget on top of the encode.
+      rec.latency_ms = encode_ms + interval_ms;
       bytes_sent += best->data.size();
 
       if (pf % std::max(1, options.metric_every) == 0) {
         const pointcloud::PointCloud decoded = pointcloud::VoxelDownsample(
             pccodec::DecodeCloud(*best), options.receiver.voxel_size_m);
-        const pointcloud::PointCloud reference = GroundTruthCloud(
-            sequence.frames[static_cast<std::size_t>(cf)], sequence.rig,
-            frustum, options.receiver);
-        const metrics::PointSsimResult pssim =
-            metrics::PointSsim(reference, decoded, pssim_config);
-        rec.pssim_geometry = pssim.geometry;
-        rec.pssim_color = pssim.color;
+        scorer.Score(scorer.Reference(static_cast<std::size_t>(cf), frustum),
+                     decoded, rec);
       }
     }
     result.frames.push_back(std::move(rec));
   }
 
   Aggregate(result, playback_frames, duration_ms, options.metric_every);
-  const double sim_mbps = bytes_sent * 8.0 / (duration_ms / 1000.0) / 1e6;
-  result.mean_throughput_mbps = sim_mbps / options.bandwidth_scale;
-  result.mean_capacity_mbps = net_trace.MeanMbps();
-  result.utilization = result.mean_throughput_mbps / result.mean_capacity_mbps;
+  SetThroughput(result, bytes_sent, duration_ms, options.bandwidth_scale,
+                net_trace.MeanMbps());
   return result;
 }
 

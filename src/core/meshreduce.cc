@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "metrics/pointssim.h"
 #include "net/transport.h"
 #include "sim/usertrace.h"
 
@@ -69,12 +68,8 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
                             const sim::UserTrace& user_trace,
                             const sim::BandwidthTrace& net_trace,
                             const MeshReduceOptions& options) {
-  SessionResult result;
-  result.scheme = "MeshReduce";
-  result.video = sequence.spec.name;
-  result.net_trace = net_trace.name;
-  result.user_trace = sim::StyleName(user_trace.style);
-  result.target_fps = options.fps;
+  SessionResult result = ResultHeader("MeshReduce", sequence, user_trace,
+                                      net_trace.name, options.fps);
 
   const Profile profile = BuildProfile(sequence, net_trace, options);
 
@@ -90,8 +85,7 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
       static_cast<int>(sequence.frames.size()) / capture_stride;
   const double duration_ms = playback_frames * interval_ms;
 
-  metrics::PointSsimConfig pssim_config;
-  pssim_config.max_anchors = options.pssim_anchors;
+  const PssimScorer scorer(sequence, options.receiver, options.pssim_anchors);
 
   std::size_t bytes_sent = 0;
   double encoder_free_ms = 0.0;  // when the (all-core) encoder becomes idle
@@ -149,23 +143,18 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
       const geom::Pose pose =
           sim::SampleTrace(user_trace, delivery.arrival_time_ms);
       const geom::Frustum frustum(pose, options.viewer);
-      const pointcloud::PointCloud reference = GroundTruthCloud(
-          sequence.frames[static_cast<std::size_t>(it->second.capture_frame)],
-          sequence.rig, frustum, options.receiver);
+      const pointcloud::PointCloud reference = scorer.Reference(
+          static_cast<std::size_t>(it->second.capture_frame), frustum);
       // "We sample as many points from the rendered mesh as there are in
       // the ground truth point cloud, then compute PointSSIM" (§4.1).
       // Sampling happens on the frustum-culled mesh so sample density
       // matches the frustum-culled reference.
       const mesh::TriangleMesh decoded = mesh::CullMeshToFrustum(
           mesh::DecodeMesh(it->second.encoded), frustum);
-      pointcloud::PointCloud sampled = mesh::SampleMesh(
+      const pointcloud::PointCloud sampled = mesh::SampleMesh(
           decoded, std::max<std::size_t>(reference.size(), 1),
           delivery.frame_index + 1);
-      sampled = sampled.CulledTo(frustum);
-      const metrics::PointSsimResult pssim =
-          metrics::PointSsim(reference, sampled, pssim_config);
-      rec.pssim_geometry = pssim.geometry;
-      rec.pssim_color = pssim.color;
+      scorer.Score(reference, sampled.CulledTo(frustum), rec);
     }
     records.push_back(std::move(rec));
     sent.erase(it);
@@ -181,10 +170,8 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
   // transmissions... instead of experiencing stalls, it exhibits varying
   // frame rates") -- undelivered frames already lowered `fps` above.
   result.stall_rate = 0.0;
-  const double sim_mbps = bytes_sent * 8.0 / (duration_ms / 1000.0) / 1e6;
-  result.mean_throughput_mbps = sim_mbps / options.bandwidth_scale;
-  result.mean_capacity_mbps = net_trace.MeanMbps();
-  result.utilization = result.mean_throughput_mbps / result.mean_capacity_mbps;
+  SetThroughput(result, bytes_sent, duration_ms, options.bandwidth_scale,
+                net_trace.MeanMbps());
   return result;
 }
 

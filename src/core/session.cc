@@ -1,13 +1,13 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
+#include <utility>
 
-#include "metrics/pointssim.h"
 #include "obs/obs.h"
 #include "runtime/event_loop.h"
 #include "runtime/session_actor.h"
-#include "util/stats.h"
+#include "runtime/shared_link.h"
 
 namespace livo::core {
 namespace {
@@ -40,6 +40,53 @@ pointcloud::PointCloud GroundTruthCloud(
     cloud = cloud.CulledTo(frustum);
   }
   return cloud;
+}
+
+PssimScorer::PssimScorer(const sim::CapturedSequence& sequence,
+                         const ReceiverConfig& receiver, int anchors)
+    : sequence_(sequence), receiver_(receiver) {
+  config_.max_anchors = anchors;
+}
+
+pointcloud::PointCloud PssimScorer::Reference(
+    std::size_t capture_frame, const geom::Frustum& frustum) const {
+  LIVO_SPAN("session.ground_truth");
+  return GroundTruthCloud(sequence_.frames[capture_frame], sequence_.rig,
+                          frustum, receiver_);
+}
+
+void PssimScorer::Score(const pointcloud::PointCloud& reference,
+                        const pointcloud::PointCloud& cloud,
+                        FrameRecord& rec) const {
+  LIVO_SPAN("metrics.pssim");
+  const metrics::PointSsimResult pssim =
+      metrics::PointSsim(reference, cloud, config_);
+  rec.pssim_geometry = pssim.geometry;
+  rec.pssim_color = pssim.color;
+}
+
+SessionResult ResultHeader(std::string scheme,
+                           const sim::CapturedSequence& sequence,
+                           const sim::UserTrace& user_trace,
+                           std::string net_trace, double target_fps) {
+  SessionResult result;
+  result.scheme = std::move(scheme);
+  result.video = sequence.spec.name;
+  result.user_trace = sim::StyleName(user_trace.style);
+  result.net_trace = std::move(net_trace);
+  result.target_fps = target_fps;
+  return result;
+}
+
+void SetThroughput(SessionResult& result, std::size_t bytes_sent,
+                   double duration_ms, double bandwidth_scale,
+                   double capacity_mbps) {
+  const double sim_mbps = bytes_sent * 8.0 / (duration_ms / 1000.0) / 1e6;
+  result.mean_throughput_mbps =
+      bandwidth_scale > 0.0 ? sim_mbps / bandwidth_scale : 0.0;
+  result.mean_capacity_mbps = capacity_mbps;
+  result.utilization =
+      capacity_mbps > 0.0 ? result.mean_throughput_mbps / capacity_mbps : 0.0;
 }
 
 void ChargeSkippedDisplayWork(std::vector<FrameRecord>& frames,
@@ -91,6 +138,94 @@ void Aggregate(SessionResult& result, int expected_frames, double duration_ms,
   result.mean_pssim_color = metric_slots > 0 ? color_sum / metric_slots : 0.0;
 }
 
+SessionRecorder::SessionRecorder(const sim::CapturedSequence& sequence,
+                                 const sim::UserTrace& user_trace,
+                                 const LiVoConfig& config,
+                                 const ReplayOptions& options,
+                                 std::string net_trace)
+    : user_trace_(user_trace),
+      viewer_(config.predictor.viewer),
+      sender_pipeline_delay_ms_(options.sender_pipeline_delay_ms),
+      metric_every_(options.metric_every),
+      frames_(static_cast<int>(sequence.frames.size())),
+      interval_ms_(1000.0 / config.fps),
+      duration_ms_(frames_ * interval_ms_),
+      scorer_(sequence, options.receiver, options.pssim_anchors),
+      result_(ResultHeader(options.scheme_name, sequence, user_trace,
+                           std::move(net_trace), config.fps)),
+      records_(static_cast<std::size_t>(frames_)) {
+  obs::AutoInitFromEnv();
+  for (int f = 0; f < frames_; ++f) {
+    records_[static_cast<std::size_t>(f)].frame_index =
+        static_cast<std::uint32_t>(f);
+    records_[static_cast<std::size_t>(f)].capture_time_ms = f * interval_ms_;
+  }
+}
+
+void SessionRecorder::RecordSkip() {
+  Metrics().congestion_skips.Add();
+  obs::TraceInstant("session.congestion_skip");
+}
+
+void SessionRecorder::RecordSent(int f, const SenderFrameStats& stats) {
+  Metrics().frames_sent.Add();
+  records_[static_cast<std::size_t>(f)].sender = stats;
+}
+
+void SessionRecorder::OnReleased(LiVoReceiver& receiver,
+                                 const std::vector<net::ReceivedFrame>& frames,
+                                 double now_ms) {
+  SessionMetrics& session_metrics = Metrics();
+  const geom::Frustum live_frustum(sim::SampleTrace(user_trace_, now_ms),
+                                   viewer_);
+  const auto metric_every =
+      static_cast<std::uint32_t>(std::max(1, metric_every_));
+  const auto rendered_frames =
+      receiver.OnFrames(frames, now_ms, live_frustum, metric_every);
+  for (const RenderedFrame& rf : rendered_frames) {
+    if (rf.frame_index >= records_.size()) continue;
+    FrameRecord& rec = records_[rf.frame_index];
+    rec.rendered = true;
+    rec.render_time_ms = rf.render_time_ms;
+    rec.latency_ms = rf.render_time_ms - rec.capture_time_ms + rf.decode_ms +
+                     rf.reconstruct_ms + rf.render_ms;
+    const double transport_ms = rf.render_time_ms - rec.capture_time_ms -
+                                sender_pipeline_delay_ms_;
+    session_metrics.transport_ms.Observe(transport_ms);
+    session_metrics.frames_rendered.Add();
+
+    // Objective quality on the metric cadence.
+    if (rf.frame_index % metric_every == 0) {
+      display_ms_.Add(rf.reconstruct_ms + rf.render_ms);
+      scorer_.Score(scorer_.Reference(rf.frame_index, live_frustum), rf.cloud,
+                    rec);
+    }
+  }
+}
+
+SessionResult SessionRecorder::Close(std::size_t bytes_sent,
+                                     double capacity_mbps,
+                                     double bandwidth_scale) {
+  result_.frames = std::move(records_);
+  ChargeSkippedDisplayWork(result_.frames, metric_every_, display_ms_.mean());
+  Aggregate(result_, frames_, duration_ms_, metric_every_);
+  int rendered = 0;
+  for (const FrameRecord& rec : result_.frames) {
+    if (!rec.rendered) continue;
+    ++rendered;
+    Metrics().latency_ms.Observe(rec.latency_ms);
+  }
+  Metrics().frames_stalled.Add(
+      static_cast<std::uint64_t>(std::max(0, frames_ - rendered)));
+  obs::DumpSessionArtifacts(result_.scheme + "_" + result_.video);
+  SetThroughput(result_, bytes_sent, duration_ms_, bandwidth_scale,
+                capacity_mbps);
+  LIVO_LOG(Debug) << "session " << result_.scheme << "/" << result_.video
+                  << " finished: fps " << result_.fps << ", stall "
+                  << result_.stall_rate;
+  return std::move(result_);
+}
+
 SessionResult RunLiVoSession(const sim::CapturedSequence& sequence,
                              const sim::UserTrace& user_trace,
                              const sim::BandwidthTrace& net_trace,
@@ -114,65 +249,26 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
                                           const sim::BandwidthTrace& net_trace,
                                           const LiVoConfig& config,
                                           const ReplayOptions& options) {
-  obs::AutoInitFromEnv();
-  SessionMetrics& session_metrics = Metrics();
-  SessionResult result;
-  result.scheme = options.scheme_name;
-  result.video = sequence.spec.name;
-  result.user_trace = sim::StyleName(user_trace.style);
-  result.net_trace = net_trace.name;
-  result.target_fps = config.fps;
-
-  net::ChannelConfig channel_config = options.channel;
-  channel_config.link.bandwidth_scale = options.bandwidth_scale;
-  // Warm-start the estimator near the scaled trace mean (real deployments
-  // remember prior sessions; the paper's sessions are minutes long, so the
-  // ramp-up transient is negligible there).
-  channel_config.gcc.initial_bps =
-      net_trace.MeanMbps() * options.bandwidth_scale * 1e6 * 0.8;
-  sim::BandwidthTrace link_trace =
-      net_trace.TimeCompressed(options.trace_time_accel);
-  if (options.trace_offset_ms > 0.0 && !link_trace.mbps.empty()) {
-    // Rotate the sample ring so the session starts mid-trace.
-    const auto shift = static_cast<std::size_t>(
-                           options.trace_offset_ms / link_trace.sample_interval_ms) %
-                       link_trace.mbps.size();
-    std::rotate(link_trace.mbps.begin(),
-                link_trace.mbps.begin() + static_cast<std::ptrdiff_t>(shift),
-                link_trace.mbps.end());
-  }
-  net::VideoChannel channel(link_trace, channel_config);
+  SessionRecorder session(sequence, user_trace, config, options,
+                          net_trace.name);
+  const runtime::ReplayLink link{.trace = &net_trace,
+                                 .bandwidth_scale = options.bandwidth_scale,
+                                 .accel = options.trace_time_accel,
+                                 .offset_ms = options.trace_offset_ms};
+  const std::unique_ptr<net::VideoChannel> owned_channel =
+      link.MakeChannel(options.channel);
+  net::VideoChannel& channel = *owned_channel;
 
   LiVoSender sender(config, sequence.rig);
   LiVoReceiver receiver(config, options.receiver, sequence.rig);
 
-  const int frames = static_cast<int>(sequence.frames.size());
-  const double interval_ms = 1000.0 / config.fps;
-  const double duration_ms = frames * interval_ms;
-  const double uplink_delay_ms = channel_config.link.propagation_delay_ms;
-
-  std::vector<FrameRecord> records(static_cast<std::size_t>(frames));
-  for (int f = 0; f < frames; ++f) {
-    records[static_cast<std::size_t>(f)].frame_index =
-        static_cast<std::uint32_t>(f);
-    records[static_cast<std::size_t>(f)].capture_time_ms = f * interval_ms;
-  }
-
-  metrics::PointSsimConfig pssim_config;
-  pssim_config.max_anchors = options.pssim_anchors;
-  // PSSIM is the only reader of a cloud, so the receiver builds one only on
-  // the metric cadence; the mean display work of those frames is charged to
-  // the others at the end.
-  const auto metric_every =
-      static_cast<std::uint32_t>(std::max(1, options.metric_every));
-  util::RunningStats display_ms;
+  const int frames = session.frames();
+  const double interval_ms = session.interval_ms();
+  const double uplink_delay_ms = options.channel.link.propagation_delay_ms;
 
   int next_capture = 0;
   std::size_t pose_feed_index = 0;
-  // Run past the nominal end so in-flight frames drain.
-  const double horizon_ms = duration_ms + 600.0;
-
-  for (double now = 0.0; now <= horizon_ms; now += 1.0) {
+  for (double now = 0.0; now <= session.horizon_ms(); now += 1.0) {
     // Receiver pose feedback reaches the sender after the uplink delay.
     while (pose_feed_index < user_trace.poses.size() &&
            user_trace.poses[pose_feed_index].time_ms + uplink_delay_ms <=
@@ -203,8 +299,7 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
       // receiver records a stall and the queue drains.
       if (channel.link().CurrentQueueDelayMs(now) >
           options.channel.jitter_buffer_ms) {
-        session_metrics.congestion_skips.Add();
-        obs::TraceInstant("session.congestion_skip");
+        session.RecordSkip();
         continue;
       }
       SenderOutput out = sender.ProcessFrame(
@@ -217,73 +312,17 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
         channel.SendFrame(kDepthStream, static_cast<std::uint32_t>(f),
                           out.depth_keyframe, out.depth_frame, now);
       }
-      session_metrics.frames_sent.Add();
-      FrameRecord& rec = records[static_cast<std::size_t>(f)];
-      rec.sender = out.stats;
+      session.RecordSent(f, out.stats);
     }
 
     channel.Step(now);
 
     const auto released = channel.PopReady(now);
-    if (!released.empty()) {
-      const geom::Pose live_pose = sim::SampleTrace(user_trace, now);
-      const geom::Frustum live_frustum(live_pose, config.predictor.viewer);
-      const auto rendered_frames =
-          receiver.OnFrames(released, now, live_frustum, metric_every);
-      for (const RenderedFrame& rf : rendered_frames) {
-        if (rf.frame_index >= records.size()) continue;
-        FrameRecord& rec = records[rf.frame_index];
-        rec.rendered = true;
-        rec.render_time_ms = rf.render_time_ms;
-        rec.latency_ms = rf.render_time_ms - rec.capture_time_ms +
-                         rf.decode_ms + rf.reconstruct_ms + rf.render_ms;
-        const double transport_ms = rf.render_time_ms - rec.capture_time_ms -
-                                    options.sender_pipeline_delay_ms;
-        session_metrics.transport_ms.Observe(transport_ms);
-        session_metrics.frames_rendered.Add();
-
-        // Objective quality on the metric cadence.
-        if (rf.frame_index % metric_every == 0) {
-          display_ms.Add(rf.reconstruct_ms + rf.render_ms);
-          const pointcloud::PointCloud reference = GroundTruthCloud(
-              sequence.frames[rf.frame_index], sequence.rig, live_frustum,
-              options.receiver);
-          const metrics::PointSsimResult pssim =
-              metrics::PointSsim(reference, rf.cloud, pssim_config);
-          rec.pssim_geometry = pssim.geometry;
-          rec.pssim_color = pssim.color;
-        }
-      }
-    }
+    if (!released.empty()) session.OnReleased(receiver, released, now);
   }
 
-  result.frames = std::move(records);
-  ChargeSkippedDisplayWork(result.frames, options.metric_every,
-                           display_ms.mean());
-  Aggregate(result, frames, duration_ms, options.metric_every);
-  {
-    int rendered = 0;
-    for (const FrameRecord& rec : result.frames) {
-      if (!rec.rendered) continue;
-      ++rendered;
-      session_metrics.latency_ms.Observe(rec.latency_ms);
-    }
-    session_metrics.frames_stalled.Add(
-        static_cast<std::uint64_t>(std::max(0, frames - rendered)));
-  }
-  obs::DumpSessionArtifacts(result.scheme + "_" + result.video);
-
-  // Throughput and utilization at paper scale (the scale factor cancels in
-  // utilization; reporting unscaled Mbps matches Table 1's units).
-  const double sim_bits = channel.stats().bytes_sent * 8.0;
-  const double sim_mbps = sim_bits / (duration_ms / 1000.0) / 1e6;
-  result.mean_throughput_mbps = sim_mbps / options.bandwidth_scale;
-  result.mean_capacity_mbps = net_trace.MeanMbps();
-  result.utilization =
-      result.mean_capacity_mbps > 0.0
-          ? result.mean_throughput_mbps / result.mean_capacity_mbps
-          : 0.0;
-  return result;
+  return session.Close(channel.stats().bytes_sent, net_trace.MeanMbps(),
+                       options.bandwidth_scale);
 }
 
 }  // namespace livo::core

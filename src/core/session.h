@@ -8,15 +8,19 @@
 // throughput, and utilization.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/receiver.h"
 #include "core/sender.h"
 #include "core/types.h"
+#include "metrics/pointssim.h"
 #include "net/transport.h"
 #include "sim/dataset.h"
 #include "sim/nettrace.h"
 #include "sim/usertrace.h"
+#include "util/stats.h"
 
 namespace livo::core {
 
@@ -65,12 +69,104 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
                                           const LiVoConfig& config,
                                           const ReplayOptions& options);
 
+// Replay drivers run this long past a session's nominal end, so frames
+// still in flight drain.
+inline constexpr double kDrainMs = 600.0;
+
 // Ground-truth cloud for metric comparison: reconstruct from pristine
 // views, voxelize with the receiver's voxel size, cull to `frustum`.
 pointcloud::PointCloud GroundTruthCloud(
     const std::vector<image::RgbdFrame>& views,
     const std::vector<geom::RgbdCamera>& cameras, const geom::Frustum& frustum,
     const ReceiverConfig& receiver_config);
+
+// PSSIM against the ground truth (§4.3), the scorer of every driver. It
+// records the session.ground_truth and metrics.pssim spans itself,
+// because livo_metrics does not link livo_obs. The sequence is borrowed.
+class PssimScorer {
+ public:
+  PssimScorer(const sim::CapturedSequence& sequence,
+              const ReceiverConfig& receiver, int anchors);
+
+  // GroundTruthCloud of captured frame `capture_frame`.
+  pointcloud::PointCloud Reference(std::size_t capture_frame,
+                                   const geom::Frustum& frustum) const;
+  // Scores `cloud` against `reference` into rec.pssim_geometry/color.
+  void Score(const pointcloud::PointCloud& reference,
+             const pointcloud::PointCloud& cloud, FrameRecord& rec) const;
+
+ private:
+  const sim::CapturedSequence& sequence_;
+  ReceiverConfig receiver_;
+  metrics::PointSsimConfig config_;
+};
+
+// A result that names its session; the drivers fill in the rest.
+SessionResult ResultHeader(std::string scheme,
+                           const sim::CapturedSequence& sequence,
+                           const sim::UserTrace& user_trace,
+                           std::string net_trace, double target_fps);
+
+// Sets throughput and utilization at paper scale from the bytes a session
+// sent in `duration_ms` over a link replaying a trace of mean
+// `capacity_mbps` at `bandwidth_scale` (the scale factor cancels in
+// utilization; unscaled Mbps match Table 1's units).
+void SetThroughput(SessionResult& result, std::size_t bytes_sent,
+                   double duration_ms, double bandwidth_scale,
+                   double capacity_mbps);
+
+// What both LiVo replay drivers, RunLiVoSession's runtime::SessionActor
+// and the tick reference, keep around their own schedulers: the per-frame
+// records and session counters, the handling of each batch the jitter
+// buffer releases, and the close. The sequence and user trace are
+// borrowed.
+class SessionRecorder {
+ public:
+  SessionRecorder(const sim::CapturedSequence& sequence,
+                  const sim::UserTrace& user_trace, const LiVoConfig& config,
+                  const ReplayOptions& options, std::string net_trace);
+
+  int frames() const { return frames_; }
+  double interval_ms() const { return interval_ms_; }
+  // The last virtual millisecond a driver runs.
+  double horizon_ms() const { return duration_ms_ + kDrainMs; }
+
+  // A capture the sender-side congestion valve skipped.
+  void RecordSkip();
+  // Capture `f` went on the wire; `stats` are the sender's.
+  void RecordSent(int f, const SenderFrameStats& stats);
+
+  // A batch the jitter buffer released at `now_ms`. `receiver` renders it
+  // against the viewer's live frustum, building clouds only on the metric
+  // cadence, since PSSIM is their only reader. Each rendered frame's
+  // record takes its render time and latency, session.transport_ms
+  // observes its transport delay, and frames on the cadence are scored.
+  void OnReleased(LiVoReceiver& receiver,
+                  const std::vector<net::ReceivedFrame>& frames,
+                  double now_ms);
+
+  // Charges display work to rendered frames without a cloud, aggregates,
+  // records the session's registry observations, dumps trace artifacts
+  // and sets throughput from the `bytes_sent` of a link replaying a trace
+  // of mean `capacity_mbps` at `bandwidth_scale`. Call once.
+  SessionResult Close(std::size_t bytes_sent, double capacity_mbps,
+                      double bandwidth_scale);
+
+ private:
+  const sim::UserTrace& user_trace_;
+  geom::FrustumParams viewer_;
+  double sender_pipeline_delay_ms_;
+  int metric_every_;
+  int frames_;
+  double interval_ms_;
+  double duration_ms_;
+  PssimScorer scorer_;
+  SessionResult result_;
+  std::vector<FrameRecord> records_;
+  // Reconstruct + render time of each cloud the receiver built; its mean
+  // is charged to the rendered frames that skipped theirs.
+  util::RunningStats display_ms_;
+};
 
 // Adds `display_ms`, a session's mean reconstruct + render time per cloud
 // its receiver built, to the latency of each rendered frame off the

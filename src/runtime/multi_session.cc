@@ -24,11 +24,18 @@ MultiSessionResult RunMultiSession(std::vector<SessionSpec> specs,
   result.shards = shards;
 
   std::unique_ptr<SharedLink> bottleneck;
+  ReplayLink flow;
   if (options.share_link && !specs.empty()) {
     bottleneck = std::make_unique<SharedLink>(
         options.shared_trace.Replayed(options.shared_trace_accel,
                                       options.shared_trace_offset_ms),
         options.shared_link_config);
+    // Flows warm-start at their fair share of the shared bottleneck.
+    flow = ReplayLink{
+        .trace = &options.shared_trace,
+        .bandwidth_scale = options.shared_link_config.bandwidth_scale,
+        .shared = bottleneck.get(),
+        .flows = static_cast<int>(specs.size())};
   }
 
   std::vector<std::unique_ptr<SessionActor>> actors;
@@ -36,16 +43,8 @@ MultiSessionResult RunMultiSession(std::vector<SessionSpec> specs,
   int domain = 0;
   for (SessionSpec& spec : specs) {
     EventLoop& loop = group.loop(bottleneck ? 0 : domain++);
-    if (bottleneck) {
-      // Flows warm-start at their fair share of the shared bottleneck.
-      spec.gcc_initial_share = 1.0 / static_cast<double>(specs.size());
-      actors.push_back(std::make_unique<SessionActor>(
-          loop, std::move(spec), *bottleneck, options.shared_trace,
-          options.shared_link_config.bandwidth_scale));
-    } else {
-      actors.push_back(
-          std::make_unique<SessionActor>(loop, std::move(spec)));
-    }
+    actors.push_back(std::make_unique<SessionActor>(
+        loop, std::move(spec), bottleneck ? &flow : nullptr));
   }
 
   for (auto& actor : actors) actor->Start();

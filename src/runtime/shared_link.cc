@@ -75,4 +75,14 @@ std::size_t SharedLink::FlowDeliveredBytes(std::uint32_t flow_id) const {
   return flow_bytes_[flow_id];
 }
 
+std::unique_ptr<net::VideoChannel> ReplayLink::MakeChannel(
+    net::ChannelConfig config) const {
+  config.link.bandwidth_scale = bandwidth_scale;
+  config.gcc.initial_bps =
+      trace->MeanMbps() * bandwidth_scale * 1e6 * 0.8 / flows;
+  if (shared != nullptr) return shared->Connect(config);
+  return std::make_unique<net::VideoChannel>(
+      trace->Replayed(accel, offset_ms), config);
+}
+
 }  // namespace livo::runtime

@@ -78,4 +78,29 @@ class SharedLink {
   std::vector<obs::TimeSeries*> flow_series_;    // index == flow_id
 };
 
+// The trace-driven access link of one replay session (§4.1 "Trace
+// replay"). Every session driver builds its channels through it, so the
+// warm start and the replay set-up exist once.
+struct ReplayLink {
+  // Paper-scale capacity, and the factor that maps it to simulator rates.
+  const sim::BandwidthTrace* trace = nullptr;
+  double bandwidth_scale = 1.0;
+  // How a private link replays `trace` (BandwidthTrace::Replayed).
+  double accel = 1.0;
+  double offset_ms = 0.0;
+  // The bottleneck `trace` drives and the number of flows it carries;
+  // null for a private link.
+  SharedLink* shared = nullptr;
+  int flows = 1;
+
+  // Sets config.link.bandwidth_scale and warm-starts the GCC estimator at
+  // 0.8 x the trace's scaled mean, divided evenly among the flows (real
+  // deployments remember prior sessions; the paper's sessions are minutes
+  // long, so the ramp-up transient is negligible there). The channel then
+  // owns a link replaying trace->Replayed(accel, offset_ms), or connects
+  // to `shared` as its next flow.
+  std::unique_ptr<net::VideoChannel> MakeChannel(
+      net::ChannelConfig config) const;
+};
+
 }  // namespace livo::runtime
