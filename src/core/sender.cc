@@ -123,8 +123,7 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
       metrics.cull_kept.Set(out.stats.cull_kept_fraction);
     }
   }
-  out.stats.cull_ms = cull_watch.ElapsedMs();
-  metrics.cull_ms.Observe(out.stats.cull_ms);
+  metrics.cull_ms.Observe(cull_watch.ElapsedMs());
 
   // --- Stream composition by tiling (§3.2) ---
   util::Stopwatch tile_watch;
@@ -132,8 +131,7 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
     LIVO_SPAN("sender.tile");
     return image::Tile(config_.layout, views, frame_index);
   }();
-  out.stats.tile_ms = tile_watch.ElapsedMs();
-  metrics.tile_ms.Observe(out.stats.tile_ms);
+  metrics.tile_ms.Observe(tile_watch.ElapsedMs());
 
   // --- Depth encoding mode (§3.2 / Fig 17) ---
   // depth_planes_ / color_planes_ are member buffers: plane copy-assignment
@@ -276,8 +274,7 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
       }
     }
   }
-  out.stats.encode_ms = encode_watch.ElapsedMs();
-  metrics.encode_ms.Observe(out.stats.encode_ms);
+  metrics.encode_ms.Observe(encode_watch.ElapsedMs());
 
   // --- Sender-side quality probe and split line search (§3.3) ---
   if (config_.enable_adaptation && config_.dynamic_split &&

@@ -164,9 +164,6 @@ struct SenderFrameStats {
   double cull_kept_fraction = 1.0;
   double rmse_color = -1.0;  // -1 when the probe did not run this frame
   double rmse_depth = -1.0;
-  double cull_ms = 0.0;
-  double tile_ms = 0.0;
-  double encode_ms = 0.0;
 };
 
 // Per-frame receiver/metric record assembled by the session driver.
