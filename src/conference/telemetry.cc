@@ -1,23 +1,12 @@
 #include "conference/telemetry.h"
 
-#include <cmath>
-
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 
 namespace livo::conference {
-namespace {
 
-double Safe(double x) { return std::isfinite(x) ? x : 0.0; }
-
-void Escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
-}  // namespace
+using obs::JsonEscape;
+using obs::JsonSafe;
 
 void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
                               double interval_ms) {
@@ -25,11 +14,11 @@ void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
   const auto precision = os.precision(12);
 
   os << "{\"type\":\"run\",\"scheme\":\"";
-  Escape(os, result.scheme);
+  JsonEscape(os, result.scheme);
   os << "\",\"parties\":" << result.participants.size()
-     << ",\"virtual_ms\":" << Safe(result.virtual_ms)
-     << ",\"duration_ms\":" << Safe(result.duration_ms)
-     << ",\"interval_ms\":" << Safe(interval_ms)
+     << ",\"virtual_ms\":" << JsonSafe(result.virtual_ms)
+     << ",\"duration_ms\":" << JsonSafe(result.duration_ms)
+     << ",\"interval_ms\":" << JsonSafe(interval_ms)
      << ",\"events_dispatched\":" << result.events_dispatched
      << ",\"frames_in\":" << result.sfu.frames_in
      << ",\"pairs_completed\":" << result.sfu.pairs_completed
@@ -105,11 +94,11 @@ void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
          << ",\"expected\":" << stream.frames.size()
          << ",\"forwarded\":" << stream.pairs_forwarded
          << ",\"rendered\":" << stream.pairs_rendered
-         << ",\"fps\":" << Safe(stream.fps)
-         << ",\"stall_rate\":" << Safe(stream.stall_rate)
-         << ",\"mean_latency_ms\":" << Safe(stream.mean_latency_ms)
+         << ",\"fps\":" << JsonSafe(stream.fps)
+         << ",\"stall_rate\":" << JsonSafe(stream.stall_rate)
+         << ",\"mean_latency_ms\":" << JsonSafe(stream.mean_latency_ms)
          << ",\"stall_aware_latency_ms\":"
-         << Safe(stream.stall_aware_latency_ms)
+         << JsonSafe(stream.stall_aware_latency_ms)
          << ",\"layer_switches\":" << stream.layer_switches
          << ",\"keyframe_requests\":" << stream.keyframe_requests
          << ",\"nacks\":" << stream.nacks
@@ -127,16 +116,16 @@ void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
 
   for (const AllocationAuditRow& row : result.audits) {
     os << "{\"type\":\"audit\",\"subscriber\":" << row.subscriber
-       << ",\"start_ms\":" << Safe(row.start_ms)
-       << ",\"budget_bytes\":" << Safe(row.budget_bytes)
-       << ",\"credit_bytes\":" << Safe(row.credit_bytes)
-       << ",\"forwarded_bytes\":" << Safe(row.forwarded_bytes)
+       << ",\"start_ms\":" << JsonSafe(row.start_ms)
+       << ",\"budget_bytes\":" << JsonSafe(row.budget_bytes)
+       << ",\"credit_bytes\":" << JsonSafe(row.credit_bytes)
+       << ",\"forwarded_bytes\":" << JsonSafe(row.forwarded_bytes)
        << ",\"shares\":[";
     bool first = true;
     for (double share : row.shares) {
       if (!first) os << ",";
       first = false;
-      os << Safe(share);
+      os << JsonSafe(share);
     }
     os << "],\"forwarded_by_layer\":[";
     first = true;
@@ -154,14 +143,14 @@ void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
   for (const obs::TimeSeriesSnapshot& ts : snap.timeseries) {
     if (ts.points.empty()) continue;
     os << "{\"type\":\"timeseries\",\"name\":\"";
-    Escape(os, ts.name);
-    os << "\",\"grid_ms\":" << Safe(ts.grid_ms)
+    JsonEscape(os, ts.name);
+    os << "\",\"grid_ms\":" << JsonSafe(ts.grid_ms)
        << ",\"evicted\":" << ts.evicted << ",\"points\":[";
     bool first = true;
     for (const obs::TimeSeriesPoint& p : ts.points) {
       if (!first) os << ",";
       first = false;
-      os << "[" << Safe(p.t_ms) << "," << Safe(p.value) << "]";
+      os << "[" << JsonSafe(p.t_ms) << "," << JsonSafe(p.value) << "]";
     }
     os << "]}\n";
   }

@@ -15,6 +15,8 @@ void AtomicFold(std::atomic<double>& slot, double x, Fold pick) {
   }
 }
 
+}  // namespace
+
 void JsonEscape(std::ostream& os, const std::string& s) {
   for (char c : s) {
     switch (c) {
@@ -33,10 +35,7 @@ void JsonEscape(std::ostream& os, const std::string& s) {
   }
 }
 
-// JSON forbids NaN/Inf literals; they only arise from empty histograms.
 double JsonSafe(double x) { return std::isfinite(x) ? x : 0.0; }
-
-}  // namespace
 
 int Histogram::BucketIndex(double x) {
   if (!(x > kMinValue)) return 0;  // also catches NaN and negatives

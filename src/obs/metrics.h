@@ -34,6 +34,13 @@
 
 namespace livo::obs {
 
+// Writes `s` as the body of a JSON string: quotes, backslashes and every
+// control character escaped, so a JSONL line stays one line.
+void JsonEscape(std::ostream& os, const std::string& s);
+
+// JSON forbids NaN/Inf literals; writers emit 0 in their place.
+double JsonSafe(double x);
+
 class Counter {
  public:
   void Add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }

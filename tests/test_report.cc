@@ -91,6 +91,20 @@ TEST(ReportLoad, ClassifiesEveryLineTypeAndKeepsParseErrors) {
   EXPECT_FALSE(CheckInvariants(t).empty());
 }
 
+// Regression: the telemetry writer escaped only quotes and backslashes,
+// so a newline in the scheme name split the run line in two and the
+// loader saw two parse errors and no run.
+TEST(ReportLoad, SchemeWithControlCharactersRoundTrips) {
+  conference::ConferenceResult result;
+  result.scheme = "a\nb\tc";
+  std::stringstream telemetry;
+  conference::WriteConferenceTelemetry(telemetry, result, 100.0);
+  const Telemetry t = LoadTelemetry(telemetry);
+  EXPECT_TRUE(t.parse_errors.empty());
+  EXPECT_TRUE(t.run.present);
+  EXPECT_EQ(t.run.scheme, result.scheme);
+}
+
 // ---- End-to-end: real conference -> telemetry -> checker ----
 
 conference::ConferenceResult RunTracedConference(int parties = 4,
