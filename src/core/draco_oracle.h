@@ -37,8 +37,6 @@ struct DracoOracleOptions {
   double jitter_max = 1.35;
   double bandwidth_scale = 1.0 / 48.0;
   double trace_time_accel = 6.0;  // see ReplayOptions::trace_time_accel
-  // Transmission latency bound on top of encode time: one frame interval
-  // of link serialization budget.
   int metric_every = 3;
   int pssim_anchors = 1200;
   ReceiverConfig receiver;
