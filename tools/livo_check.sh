@@ -2,29 +2,22 @@
 # Strict-mode gate for the sanitizer-sensitive parts of the tree, in four
 # passes:
 #
-#  1. TSan pass — builds test_util + test_obs + test_video_parallel +
-#     test_runtime + test_conference + test_fec + test_report +
-#     test_kernels + test_sim (the sharded LoopGroup scheduler with its
-#     cross-loop ring stress test, thread-pool codec interaction,
-#     multi-session runs, the N-party SFU conference including the
-#     cascaded edge-SFU topology, and capture, whose RenderRig fans views
-#     out on the shared pool) with -Wall -Wextra -Werror and, when the
-#     toolchain supports it, ThreadSanitizer, then runs the combined
-#     binary. TSan is the real gate for the M-threads-M-loops runtime:
-#     cross-loop sends and barrier hand-offs race-check here.
-#  2. ASan+UBSan pass — builds the kernel-equivalence, codec, transport,
-#     runtime, conference, point-cloud, metrics, capture, point-cloud
-#     codec, mesh and core suites (test_kernels + test_golden_bitstream +
-#     test_video + test_video_parallel + test_pointcloud + test_metrics +
-#     test_sim + test_pccodec + test_mesh + test_core, plus the quick
-#     suites test_net + test_runtime + test_conference + test_fec +
-#     test_report) with AddressSanitizer + UndefinedBehaviorSanitizer and
-#     libstdc++'s bounds-checked containers (-D_GLIBCXX_ASSERTIONS) so
-#     out-of-bounds SIMD loads, UB in the intrinsics code or the bit
-#     writer, bad indices into the nearest-neighbour index's cell table or
-#     the voxelizer's table, pooled planes the receiver releases twice and
-#     reassembly bookkeeping errors surface; the cross-loop stress and
-#     cascade tests repeat here for lifetime bugs TSan cannot see.
+#  1. TSan pass — builds the livo_check_tests target with -Wall -Wextra
+#     -Werror and, when the toolchain supports it, ThreadSanitizer, then
+#     runs it. TSan is the real gate for the M-threads-M-loops runtime:
+#     cross-loop sends and barrier hand-offs, the thread-pool codec,
+#     multi-session runs, the N-party and cascaded conferences and
+#     capture's pool fan-out race-check here.
+#  2. ASan+UBSan pass — builds the livo_asan_tests target with
+#     AddressSanitizer + UndefinedBehaviorSanitizer and libstdc++'s
+#     bounds-checked containers (-D_GLIBCXX_ASSERTIONS), so out-of-bounds
+#     SIMD loads, UB in the intrinsics code or the bit writer, bad indices
+#     into the nearest-neighbour index's cell table or the voxelizer's
+#     table, pooled planes the receiver releases twice and reassembly
+#     bookkeeping errors surface; the cross-loop stress and cascade tests
+#     repeat here for lifetime bugs TSan cannot see.
+#     The test files each pass builds are listed once, next to the two
+#     targets in tests/CMakeLists.txt.
 #  3. Telemetry gate — runs a traced 8-party conference sweep
 #     (bench_conference --parties=8 under LIVO_TRACE=1, simulcast
 #     ladder engaged at its default 3 layers) in the TSan build tree and
