@@ -693,15 +693,18 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
   // its trace reads, scoring or close moves one of these.
   EXPECT_EQ(r.stall_rate, 0x0p+0) << std::hexfloat << r.stall_rate;
   EXPECT_EQ(r.fps, 0x1.ep+3) << std::hexfloat << r.fps;
-  EXPECT_EQ(r.mean_latency_ms, 0x1.3d2efd72549a3p+6) << std::hexfloat << r.mean_latency_ms;
+  EXPECT_EQ(r.mean_latency_ms, 0x1.3d2efd72549a3p+6)
+      << std::hexfloat << r.mean_latency_ms;
   EXPECT_EQ(r.mean_pssim_geometry, 0x1.8b4c16c03ca83p+6)
       << std::hexfloat << r.mean_pssim_geometry;
-  EXPECT_EQ(r.mean_pssim_color, 0x1.8cd2ee8f947d8p+6) << std::hexfloat << r.mean_pssim_color;
+  EXPECT_EQ(r.mean_pssim_color, 0x1.8cd2ee8f947d8p+6)
+      << std::hexfloat << r.mean_pssim_color;
   EXPECT_EQ(r.mean_throughput_mbps, 0x1.14bbc2b94d941p+6)
       << std::hexfloat << r.mean_throughput_mbps;
   EXPECT_EQ(r.mean_capacity_mbps, 0x1.68p+6)
       << std::hexfloat << r.mean_capacity_mbps;
-  EXPECT_EQ(r.utilization, 0x1.899392189bd84p-1) << std::hexfloat << r.utilization;
+  EXPECT_EQ(r.utilization, 0x1.899392189bd84p-1)
+      << std::hexfloat << r.utilization;
 }
 
 TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
@@ -719,15 +722,18 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
   // latency is the reliable channel's delivery time), so a change to its
   // trace replay, scoring or close moves one of these.
   EXPECT_EQ(r.fps, 0x1.ep+3) << std::hexfloat << r.fps;
-  EXPECT_EQ(r.mean_latency_ms, 0x1.7690d3a66b24ap+5) << std::hexfloat << r.mean_latency_ms;
+  EXPECT_EQ(r.mean_latency_ms, 0x1.7690d3a66b24ap+5)
+      << std::hexfloat << r.mean_latency_ms;
   EXPECT_EQ(r.mean_pssim_geometry, 0x1.a06c8f3db0028p+5)
       << std::hexfloat << r.mean_pssim_geometry;
-  EXPECT_EQ(r.mean_pssim_color, 0x1.09818c81dc5fbp+6) << std::hexfloat << r.mean_pssim_color;
+  EXPECT_EQ(r.mean_pssim_color, 0x1.09818c81dc5fbp+6)
+      << std::hexfloat << r.mean_pssim_color;
   EXPECT_EQ(r.mean_throughput_mbps, 0x1.d10355d728331p+4)
       << std::hexfloat << r.mean_throughput_mbps;
   EXPECT_EQ(r.mean_capacity_mbps, 0x1.68p+6)
       << std::hexfloat << r.mean_capacity_mbps;
-  EXPECT_EQ(r.utilization, 0x1.4aad09d7940d9p-2) << std::hexfloat << r.utilization;
+  EXPECT_EQ(r.utilization, 0x1.4aad09d7940d9p-2)
+      << std::hexfloat << r.utilization;
 }
 
 // ---- Experiment helpers ----

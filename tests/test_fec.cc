@@ -339,7 +339,8 @@ TEST(ConferenceGolden, FingerprintsPinnedOnDirectAndCascadedRosters) {
   shared.shared_downlink_config.bandwidth_scale = shared.bandwidth_scale * 8;
   const std::uint64_t shared_fingerprint =
       RunConference(MixedRoster(8, kFrames), shared).Fingerprint();
-  EXPECT_EQ(shared_fingerprint, 0x9e58010491c6262bull) << std::hex << shared_fingerprint;
+  EXPECT_EQ(shared_fingerprint, 0x9e58010491c6262bull)
+      << std::hex << shared_fingerprint;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit + integration tests for livo::runtime — the discrete-event
 // scheduler, the event-driven session actor's exact equivalence with the
-// retained 1 ms tick-loop reference and its pinned mean PSSIM, determinism
-// across repeated runs and thread-pool sizes, and multi-session result
-// isolation.
+// retained 1 ms tick-loop reference, its pinned mean PSSIM and close
+// aggregates, determinism across repeated runs and thread-pool sizes, and
+// multi-session result isolation and the shared-bottleneck pin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
