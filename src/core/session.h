@@ -69,8 +69,8 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
                                           const LiVoConfig& config,
                                           const ReplayOptions& options);
 
-// Replay drivers run this long past a session's nominal end, so frames
-// still in flight drain.
+// Replay sessions run this long past their nominal end, so frames still
+// in flight drain.
 inline constexpr double kDrainMs = 600.0;
 
 // Ground-truth cloud for metric comparison: reconstruct from pristine
@@ -80,8 +80,8 @@ pointcloud::PointCloud GroundTruthCloud(
     const std::vector<geom::RgbdCamera>& cameras, const geom::Frustum& frustum,
     const ReceiverConfig& receiver_config);
 
-// PSSIM against the ground truth (§4.3), the scorer of every driver. It
-// records the session.ground_truth and metrics.pssim spans itself,
+// PSSIM against the ground truth (§4.3), the one scorer of every scheme.
+// It records the session.ground_truth and metrics.pssim spans itself,
 // because livo_metrics does not link livo_obs. The sequence is borrowed.
 class PssimScorer {
  public:
@@ -101,7 +101,7 @@ class PssimScorer {
   metrics::PointSsimConfig config_;
 };
 
-// A result that names its session; the drivers fill in the rest.
+// A result that names its session; the session fills in the rest.
 SessionResult ResultHeader(std::string scheme,
                            const sim::CapturedSequence& sequence,
                            const sim::UserTrace& user_trace,
@@ -115,7 +115,7 @@ void SetThroughput(SessionResult& result, std::size_t bytes_sent,
                    double duration_ms, double bandwidth_scale,
                    double capacity_mbps);
 
-// What both LiVo replay drivers, RunLiVoSession's runtime::SessionActor
+// What both LiVo replay loops, RunLiVoSession's runtime::SessionActor
 // and the tick reference, keep around their own schedulers: the per-frame
 // records and session counters, the handling of each batch the jitter
 // buffer releases, and the close. The sequence and user trace are
@@ -128,7 +128,7 @@ class SessionRecorder {
 
   int frames() const { return frames_; }
   double interval_ms() const { return interval_ms_; }
-  // The last virtual millisecond a driver runs.
+  // The last virtual millisecond a session runs.
   double horizon_ms() const { return duration_ms_ + kDrainMs; }
 
   // A capture the sender-side congestion valve skipped.

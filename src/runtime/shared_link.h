@@ -79,8 +79,8 @@ class SharedLink {
 };
 
 // The trace-driven access link of one replay session (§4.1 "Trace
-// replay"). Every session driver builds its channels through it, so the
-// warm start and the replay set-up exist once.
+// replay"). Every replay session, p2p or conference, builds its channels
+// through it, so the warm start and the replay set-up exist once.
 struct ReplayLink {
   // Paper-scale capacity, and the factor that maps it to simulator rates.
   const sim::BandwidthTrace* trace = nullptr;
