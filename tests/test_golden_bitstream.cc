@@ -12,6 +12,7 @@
 // reconstructions that later P-frames predict from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -217,6 +218,56 @@ TEST(GoldenBitstream, PFrameChainPinnedAcrossSimdLevels) {
   }
 }
 
+// ---- Shifted-squares golden hash ----
+//
+// The captured sequences never code an 8-bit block whose motion-compensated
+// residual is exactly zero. This input does, in an 8-bit and a 16-bit plane:
+// a keyframe of flat 8x8 squares, which reconstructs exactly at QP 4 (step
+// 1), then the same squares moved by (+2, +1) px. Each interior block of the
+// P-frame differs from its co-located block but equals the reference at
+// motion vector (-2, -1), so it takes the motion-vector mode with an all-zero
+// residual and all-zero levels. Two slices per plane, so the thread counts
+// fan out. Regenerate like kGolden above: only for a deliberate change.
+constexpr std::uint64_t kGoldenShiftedSquares = 0xe3a689dfcbcdff18ull;
+
+std::uint64_t ShiftedSquaresHash(int threads) {
+  constexpr int kSize = 64;
+  util::Fnv1a h;
+  for (const video::PlaneKind kind :
+       {video::PlaneKind::kColor8, video::PlaneKind::kDepth16}) {
+    video::CodecConfig config;
+    config.width = kSize;
+    config.height = kSize;
+    config.kind = kind;
+    config.slice_height = kSize / 2;
+    config.max_threads = threads;
+    const int scale = kind == video::PlaneKind::kDepth16 ? 257 : 1;
+    auto square = [scale](int x, int y) {
+      const int sx = std::clamp(x, 0, kSize - 1) / 8;
+      const int sy = std::clamp(y, 0, kSize - 1) / 8;
+      return static_cast<std::uint16_t>(((sx * 37 + sy * 91) % 200 + 20) *
+                                        scale);
+    };
+    video::VideoEncoder encoder(config, 1);
+    video::VideoDecoder decoder(config, 1);
+    for (const int shift : {0, 1}) {
+      std::vector<image::Plane16> planes(1, image::Plane16(kSize, kSize));
+      for (int y = 0; y < kSize; ++y) {
+        for (int x = 0; x < kSize; ++x) {
+          planes[0].at(x, y) = square(x - 2 * shift, y - shift);
+        }
+      }
+      video::EncodeResult result = encoder.EncodeAtQp(planes, 4);
+      video::ReleaseReconstruction(result);
+      const std::vector<std::uint8_t> bytes =
+          video::SerializeFrame(result.frame);
+      MixBytes(h, bytes);
+      DecodeAndMix(decoder, bytes, h);
+    }
+  }
+  return h.value();
+}
+
 TEST(GoldenBitstream, PinnedAcrossSimdLevelsAndThreadCounts) {
   struct DispatchGuard {
     ~DispatchGuard() { kernels::ResetDispatchForTest(); }
@@ -236,6 +287,16 @@ TEST(GoldenBitstream, PinnedAcrossSimdLevelsAndThreadCounts) {
             << " with codec_threads=" << threads << ": bitstream hash 0x"
             << std::hex << hash << " != pinned 0x" << golden.hash;
       }
+    }
+  }
+  for (const kernels::SimdLevel level : kernels::AvailableLevels()) {
+    kernels::ForceLevel(level);
+    for (const int threads : {1, 2, 0}) {
+      const std::uint64_t hash = ShiftedSquaresHash(threads);
+      EXPECT_EQ(hash, kGoldenShiftedSquares)
+          << "shifted squares at level " << kernels::ToString(level)
+          << " with codec_threads=" << threads << ": hash 0x" << std::hex
+          << hash << " != pinned 0x" << kGoldenShiftedSquares;
     }
   }
 }
