@@ -219,7 +219,8 @@ BENCHMARK(BM_ColorCodecDecode)->Apply(CodecThreadCounts)->UseRealTime();
 constexpr int kBlocks = 2048;
 constexpr std::size_t kPixels =
     static_cast<std::size_t>(kBlocks) * kernels::kDctPixels;
-// The 2x scalers see the working set as a kScaleWidth-wide plane.
+// The 2x scalers and ssd_block_u16 see the working set as a
+// kScaleWidth-wide plane.
 constexpr int kScaleWidth = 256;
 constexpr int kScaleHeight = static_cast<int>(kPixels) / kScaleWidth;
 
@@ -293,11 +294,13 @@ const KernelCase kKernelCases[] = {
          s += t.sad_block(&in.ia[b * 64], &in.ib[b * 64]);
        benchmark::DoNotOptimize(s);
      }},
-    {"ssd_block",
+    {"ssd_block_u16",
      [](const KernelTable& t, KernelInputs& in) {
-       long long s = 0;
-       for (int b = 0; b < kBlocks; ++b)
-         s += t.ssd_block(&in.ia[b * 64], &in.ib[b * 64]);
+       std::uint64_t s = 0;
+       for (int y = 0; y < kScaleHeight; y += 8)
+         for (int x = 0; x < kScaleWidth; x += 8)
+           s += t.ssd_block_u16(&in.y16[y * kScaleWidth + x], kScaleWidth,
+                                &in.d16[y * kScaleWidth + x], kScaleWidth);
        benchmark::DoNotOptimize(s);
      }},
     {"quantize_residual",

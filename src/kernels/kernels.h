@@ -67,7 +67,13 @@ struct KernelTable {
 
   // -- integer block kernels (64-pixel blocks of int32 samples) --
   long long (*sad_block)(const std::int32_t* a, const std::int32_t* b) = nullptr;
-  long long (*ssd_block)(const std::int32_t* a, const std::int32_t* b) = nullptr;
+  // Sum of squared differences of two 8x8 blocks read in place from uint16
+  // planes: `a` and `b` point at each block's top-left sample, and row y
+  // starts `y * stride` samples further on. The sum is exact: 64 squares of
+  // at most 65535^2 stay below 2^38, so it is accumulated in 64 bits.
+  std::uint64_t (*ssd_block_u16)(const std::uint16_t* a, int a_stride,
+                                 const std::uint16_t* b,
+                                 int b_stride) = nullptr;
   // SAD of one 8-pixel row: int32 source block row vs uint16 reference row.
   int (*sad_row8_u16)(const std::int32_t* src,
                       const std::uint16_t* ref) = nullptr;

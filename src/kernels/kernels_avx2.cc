@@ -167,13 +167,14 @@ long long SadBlockAvx2(const std::int32_t* a, const std::int32_t* b) {
   return HsumI32(acc);
 }
 
-long long SsdBlockAvx2(const std::int32_t* a, const std::int32_t* b) {
+std::uint64_t SsdBlockU16Avx2(const std::uint16_t* a, int a_stride,
+                              const std::uint16_t* b, int b_stride) {
   __m256i acc = _mm256_setzero_si256();
-  for (int i = 0; i < kDctPixels; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+  for (int y = 0; y < kDctSize; ++y) {
+    const __m256i va = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + y * a_stride)));
+    const __m256i vb = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + y * b_stride)));
     const __m256i d = _mm256_sub_epi32(va, vb);
     // 32x32->64 squares of even and odd lanes (sign-correct: mul_epi32
     // reads the low dword of each 64-bit lane as signed).
@@ -182,7 +183,7 @@ long long SsdBlockAvx2(const std::int32_t* a, const std::int32_t* b) {
     const __m256i odd = _mm256_mul_epi32(dodd, dodd);
     acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
   }
-  return static_cast<long long>(HsumU64(acc));
+  return HsumU64(acc);
 }
 
 int SadRow8U16Avx2(const std::int32_t* src, const std::uint16_t* ref) {
@@ -539,7 +540,7 @@ const KernelTable* Avx2Table() {
     t.forward_dct = ForwardDctAvx2;
     t.inverse_dct = InverseDctAvx2;
     t.sad_block = SadBlockAvx2;
-    t.ssd_block = SsdBlockAvx2;
+    t.ssd_block_u16 = SsdBlockU16Avx2;
     t.sad_row8_u16 = SadRow8U16Avx2;
     t.quantize_residual = QuantizeResidualAvx2;
     t.reconstruct_residual = ReconstructResidualAvx2;

@@ -136,7 +136,8 @@ inline std::uint16_t Downscale2xAvgPixel(const std::uint16_t* r0,
 void ForwardDct(const double* spatial, double* freq);
 void InverseDct(const double* freq, double* spatial);
 long long SadBlock(const std::int32_t* a, const std::int32_t* b);
-long long SsdBlock(const std::int32_t* a, const std::int32_t* b);
+std::uint64_t SsdBlockU16(const std::uint16_t* a, int a_stride,
+                          const std::uint16_t* b, int b_stride);
 int SadRow8U16(const std::int32_t* src, const std::uint16_t* ref);
 bool QuantizeResidual(const std::int32_t* residual, double step,
                       std::int32_t* levels);

@@ -1,7 +1,9 @@
 // NEON kernel table (aarch64). Like SSE4.2, overrides only the integer
-// kernels; double-precision kernels inherit the scalar reference. The build
-// only compiles this TU on aarch64 targets, where NEON is baseline — no
-// runtime feature probe is needed.
+// kernels; double-precision kernels inherit the scalar reference, and so do
+// the 2x scalers and the plane-row SSD (`ssd_block_u16`), which have no NEON
+// port that was run on an aarch64 host. The build only compiles this TU on
+// aarch64 targets, where NEON is baseline — no runtime feature probe is
+// needed.
 #include <arm_neon.h>
 
 #include "kernels/kernels_impl.h"
@@ -17,16 +19,6 @@ long long SadBlockNeon(const std::int32_t* a, const std::int32_t* b) {
     acc = vaddq_s32(acc, vabsq_s32(vsubq_s32(va, vb)));
   }
   return vaddvq_s32(acc);
-}
-
-long long SsdBlockNeon(const std::int32_t* a, const std::int32_t* b) {
-  int64x2_t acc = vdupq_n_s64(0);
-  for (int i = 0; i < kDctPixels; i += 4) {
-    const int32x4_t d = vsubq_s32(vld1q_s32(a + i), vld1q_s32(b + i));
-    acc = vaddq_s64(acc, vmull_s32(vget_low_s32(d), vget_low_s32(d)));
-    acc = vaddq_s64(acc, vmull_s32(vget_high_s32(d), vget_high_s32(d)));
-  }
-  return vaddvq_s64(acc);
 }
 
 int SadRow8U16Neon(const std::int32_t* src, const std::uint16_t* ref) {
@@ -89,7 +81,6 @@ const KernelTable* NeonTable() {
     t.name = "neon";
     t.level = SimdLevel::kNeon;
     t.sad_block = SadBlockNeon;
-    t.ssd_block = SsdBlockNeon;
     t.sad_row8_u16 = SadRow8U16Neon;
     t.sum_sq_diff_u16 = SumSqDiffU16Neon;
     t.sum_sq_diff_u8 = SumSqDiffU8Neon;

@@ -81,11 +81,15 @@ long long SadBlock(const std::int32_t* a, const std::int32_t* b) {
   return s;
 }
 
-long long SsdBlock(const std::int32_t* a, const std::int32_t* b) {
-  long long s = 0;
-  for (int i = 0; i < kDctPixels; ++i) {
-    const long long d = a[i] - b[i];
-    s += d * d;
+std::uint64_t SsdBlockU16(const std::uint16_t* a, int a_stride,
+                          const std::uint16_t* b, int b_stride) {
+  std::uint64_t s = 0;
+  for (int y = 0; y < kDctSize; ++y) {
+    for (int x = 0; x < kDctSize; ++x) {
+      const std::int64_t d =
+          static_cast<std::int64_t>(a[y * a_stride + x]) - b[y * b_stride + x];
+      s += static_cast<std::uint64_t>(d * d);
+    }
   }
   return s;
 }
@@ -211,7 +215,7 @@ const KernelTable& ScalarTable() {
     t.forward_dct = ref::ForwardDct;
     t.inverse_dct = ref::InverseDct;
     t.sad_block = ref::SadBlock;
-    t.ssd_block = ref::SsdBlock;
+    t.ssd_block_u16 = ref::SsdBlockU16;
     t.sad_row8_u16 = ref::SadRow8U16;
     t.quantize_residual = ref::QuantizeResidual;
     t.reconstruct_residual = ref::ReconstructResidual;

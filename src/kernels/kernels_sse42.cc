@@ -46,14 +46,21 @@ long long SadBlockSse42(const std::int32_t* a, const std::int32_t* b) {
   return HsumI32(acc);
 }
 
-long long SsdBlockSse42(const std::int32_t* a, const std::int32_t* b) {
+std::uint64_t SsdBlockU16Sse42(const std::uint16_t* a, int a_stride,
+                               const std::uint16_t* b, int b_stride) {
   __m128i acc = _mm_setzero_si128();
-  for (int i = 0; i < kDctPixels; i += 4) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    acc = AccumulateSquares(acc, _mm_sub_epi32(va, vb));
+  for (int y = 0; y < kDctSize; ++y) {
+    const __m128i va =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + y * a_stride));
+    const __m128i vb =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + y * b_stride));
+    acc = AccumulateSquares(acc, _mm_sub_epi32(_mm_cvtepu16_epi32(va),
+                                               _mm_cvtepu16_epi32(vb)));
+    acc = AccumulateSquares(
+        acc, _mm_sub_epi32(_mm_cvtepu16_epi32(_mm_srli_si128(va, 8)),
+                           _mm_cvtepu16_epi32(_mm_srli_si128(vb, 8))));
   }
-  return static_cast<long long>(HsumU64(acc));
+  return HsumU64(acc);
 }
 
 int SadRow8U16Sse42(const std::int32_t* src, const std::uint16_t* ref) {
@@ -110,7 +117,7 @@ const KernelTable* Sse42Table() {
     t.name = "sse42";
     t.level = SimdLevel::kSse42;
     t.sad_block = SadBlockSse42;
-    t.ssd_block = SsdBlockSse42;
+    t.ssd_block_u16 = SsdBlockU16Sse42;
     t.sad_row8_u16 = SadRow8U16Sse42;
     t.sum_sq_diff_u16 = SumSqDiffU16Sse42;
     t.sum_sq_diff_u8 = SumSqDiffU8Sse42;

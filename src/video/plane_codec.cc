@@ -142,11 +142,6 @@ long long SadBounded(const kernels::KernelTable& kt, const Plane16& ref,
   return s;
 }
 
-long long Sse(const kernels::KernelTable& kt, const IntBlock& a,
-              const IntBlock& b) {
-  return kt.ssd_block(a.data(), b.data());
-}
-
 // DC intra prediction from reconstructed pixels above and left of the block.
 // Mirrored exactly by the decoder (both operate on the same reconstruction).
 // Neighbours above the slice's first block row are treated as unavailable so
@@ -183,6 +178,10 @@ void ReconstructResidual(const kernels::KernelTable& kt, const IntBlock& levels,
   kt.reconstruct_residual(levels.data(), step, residual.data());
 }
 
+// Ends a block's levels; a block whose levels are all zero is this code
+// alone.
+void WriteEndOfBlock(BitWriter& writer) { writer.WriteUE(kBlockPixels); }
+
 // Entropy-codes quantized levels: zigzag (run, level) pairs, EOB = run 64.
 void WriteLevels(BitWriter& writer, const IntBlock& levels) {
   int run = 0;
@@ -196,7 +195,7 @@ void WriteLevels(BitWriter& writer, const IntBlock& levels) {
       run = 0;
     }
   }
-  writer.WriteUE(kBlockPixels);  // end of block
+  WriteEndOfBlock(writer);
 }
 
 // Largest |level| the encoder emits at quantization `step`: a residual
@@ -208,9 +207,11 @@ std::int64_t MaxLevel(int max_value, double step) {
 }
 
 // Inverse of WriteLevels; rejects a level above `max_level` in magnitude,
-// which no encoder at this QP emits.
-void ReadLevels(BitReader& reader, std::int64_t max_level, IntBlock& levels) {
+// which no encoder at this QP emits. Returns whether it stored a non-zero
+// level: a stream may code an explicit 0, so "read a level" is not enough.
+bool ReadLevels(BitReader& reader, std::int64_t max_level, IntBlock& levels) {
   levels.fill(0);
+  bool any_level = false;
   int pos = 0;
   for (;;) {
     const auto run = reader.ReadUE();
@@ -222,8 +223,10 @@ void ReadLevels(BitReader& reader, std::int64_t max_level, IntBlock& levels) {
       throw std::runtime_error("corrupt level");
     }
     levels[kZigzagOrder[pos]] = static_cast<int>(level);
+    any_level = any_level || level != 0;
     ++pos;
   }
+  return any_level;
 }
 
 // Reconstructs a SKIP block: copies the co-located reference block's eight
@@ -237,6 +240,11 @@ void CopyBlock(const Plane16& ref, int bx, int by, Plane16& recon) {
                 kBlockSize * sizeof(std::uint16_t));
   }
 }
+
+// The spatial residual of a block whose levels are all zero: each
+// dequantized level is 0, the inverse transform's sums of products with 0
+// are +-0, and rounding half away from zero maps +-0 to 0.
+constexpr IntBlock kZeroResidual{};
 
 // Writes the reconstructed block (prediction + residual, clamped) into the
 // reconstruction plane.
@@ -296,9 +304,25 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
 
   BitWriter writer;
   IntBlock src_block, zero_pred, prediction, residual, levels, recon_residual;
+  // If the co-located residual energy is below the quantization noise
+  // floor, coding it cannot improve the reconstruction: SKIP.
+  const double noise_floor = (step * step / 12.0) * kBlockPixels;
 
   for (int by = by_begin; by < by_end; ++by) {
     for (int bx = 0; bx < blocks_x; ++bx) {
+      if (is_inter) {
+        // The SKIP test reads both planes in place (the co-located block is
+        // always interior), so a skipped block loads neither into a block.
+        const int x0 = bx * kBlockSize, y0 = by * kBlockSize;
+        const std::uint64_t sse_zero =
+            kt.ssd_block_u16(src.row(y0) + x0, src.width(),
+                             reference->row(y0) + x0, reference->width());
+        if (static_cast<double>(sse_zero) <= noise_floor) {
+          writer.WriteUE(kModeSkip);
+          CopyBlock(*reference, bx, by, recon);
+          continue;
+        }
+      }
       LoadBlock(src, bx, by, src_block);
 
       int mode = kModeIntraDc;
@@ -307,17 +331,6 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
       if (is_inter) {
         // Candidate evaluation by SAD with small mode-cost biases.
         LoadPrediction(*reference, band, bx, by, 0, 0, zero_pred);
-        const long long sse_zero = Sse(kt, src_block, zero_pred);
-
-        // If the co-located residual energy is below the quantization noise
-        // floor, coding it cannot improve the reconstruction: SKIP.
-        const double noise_floor = (step * step / 12.0) * kBlockPixels;
-        if (static_cast<double>(sse_zero) <= noise_floor) {
-          writer.WriteUE(kModeSkip);
-          CopyBlock(*reference, bx, by, recon);
-          continue;
-        }
-
         const long long sad_zero = Sad(kt, src_block, zero_pred);
         long long sad_mv = sad_zero;
         if (config.motion_search) {
@@ -364,10 +377,15 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
           break;
       }
 
+      int residual_bits = 0;
       for (int i = 0; i < kBlockPixels; ++i) {
         residual[i] = src_block[i] - (*pred)[i];
+        residual_bits |= residual[i];
       }
-      const bool any_level = QuantizeResidual(kt, residual, step, levels);
+      // A zero residual needs no forward transform: every coefficient is a
+      // sum of products with 0, and +-0 / step rounds to level 0.
+      const bool any_level =
+          residual_bits != 0 && QuantizeResidual(kt, residual, step, levels);
 
       // Exact late skip: a zero-motion inter block whose residual quantizes
       // to all zeros reconstructs identically to SKIP, which costs 1 symbol
@@ -385,8 +403,13 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
           writer.WriteSE(mv_dy);
         }
       }
+      // All-zero levels need no inverse transform (kZeroResidual).
+      if (!any_level) {
+        WriteEndOfBlock(writer);
+        StoreBlock(recon, bx, by, *pred, kZeroResidual, max_value);
+        continue;
+      }
       WriteLevels(writer, levels);
-
       ReconstructResidual(kt, levels, step, recon_residual);
       StoreBlock(recon, bx, by, *pred, recon_residual, max_value);
     }
@@ -451,9 +474,12 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
           break;
       }
 
-      ReadLevels(reader, max_level, levels);
-      ReconstructResidual(kt, levels, step, residual);
-      StoreBlock(recon, bx, by, prediction, residual, max_value);
+      if (ReadLevels(reader, max_level, levels)) {
+        ReconstructResidual(kt, levels, step, residual);
+        StoreBlock(recon, bx, by, prediction, residual, max_value);
+      } else {
+        StoreBlock(recon, bx, by, prediction, kZeroResidual, max_value);
+      }
     }
   }
 }

@@ -67,7 +67,7 @@ TEST(KernelDispatch, EveryAvailableTableIsFullyPopulated) {
     EXPECT_NE(t->forward_dct, nullptr);
     EXPECT_NE(t->inverse_dct, nullptr);
     EXPECT_NE(t->sad_block, nullptr);
-    EXPECT_NE(t->ssd_block, nullptr);
+    EXPECT_NE(t->ssd_block_u16, nullptr);
     EXPECT_NE(t->sad_row8_u16, nullptr);
     EXPECT_NE(t->quantize_residual, nullptr);
     EXPECT_NE(t->reconstruct_residual, nullptr);
@@ -141,6 +141,20 @@ TEST(KernelEquivalence, DctForwardInverseBitExact) {
   }
 }
 
+// 64-bit sum of squared differences of the 8x8 blocks at `a` and `b`.
+std::uint64_t BlockSsd(const std::uint16_t* a, int a_stride,
+                       const std::uint16_t* b, int b_stride) {
+  std::uint64_t s = 0;
+  for (int y = 0; y < kernels::kDctSize; ++y) {
+    for (int x = 0; x < kernels::kDctSize; ++x) {
+      const std::int64_t d =
+          static_cast<std::int64_t>(a[y * a_stride + x]) - b[y * b_stride + x];
+      s += static_cast<std::uint64_t>(d * d);
+    }
+  }
+  return s;
+}
+
 TEST(KernelEquivalence, SadSsdBitExact) {
   const KernelTable& ref = *kernels::Table(SimdLevel::kScalar);
   util::Rng rng(7002);
@@ -150,11 +164,39 @@ TEST(KernelEquivalence, SadSsdBitExact) {
     for (auto& v : a) v = rng.UniformInt(-70000, 70000);
     for (auto& v : b) v = rng.UniformInt(-70000, 70000);
     for (auto& v : r16) v = static_cast<std::uint16_t>(rng.NextBelow(65536));
+
+    // ssd_block_u16 reads its blocks in place from two planes, one of odd
+    // width. Every 4th block sits at both planes' right and bottom edges,
+    // so reading past the block runs off the planes (ASan sees it). Every
+    // 5th pits all 0 against all 65535, a sum that needs more than 32 bits.
+    const int wa = 9 + 2 * static_cast<int>(rng.NextBelow(8));
+    const int wb = 8 + static_cast<int>(rng.NextBelow(17));
+    const int h = 8 + static_cast<int>(rng.NextBelow(9));
+    std::vector<std::uint16_t> pa(static_cast<std::size_t>(wa * h));
+    std::vector<std::uint16_t> pb(static_cast<std::size_t>(wb * h));
+    for (auto& v : pa) v = static_cast<std::uint16_t>(rng.NextBelow(65536));
+    for (auto& v : pb) v = static_cast<std::uint16_t>(rng.NextBelow(65536));
+    if (rep % 5 == 0) {
+      std::fill(pa.begin(), pa.end(), std::uint16_t{0});
+      std::fill(pb.begin(), pb.end(), std::uint16_t{65535});
+    }
+    const bool at_edge = rep % 4 == 0;
+    const int y0 = at_edge ? h - 8 : static_cast<int>(rng.NextBelow(
+                                         static_cast<std::uint64_t>(h - 7)));
+    const int xa = at_edge ? wa - 8 : static_cast<int>(rng.NextBelow(
+                                          static_cast<std::uint64_t>(wa - 7)));
+    const int xb = at_edge ? wb - 8 : static_cast<int>(rng.NextBelow(
+                                          static_cast<std::uint64_t>(wb - 7)));
+    const std::uint16_t* ba = pa.data() + y0 * wa + xa;
+    const std::uint16_t* bb = pb.data() + y0 * wb + xb;
+    const std::uint64_t want_ssd = BlockSsd(ba, wa, bb, wb);
+    EXPECT_EQ(ref.ssd_block_u16(ba, wa, bb, wb), want_ssd);
+
     for (SimdLevel level : SimdLevels()) {
       const KernelTable& t = *kernels::Table(level);
       EXPECT_EQ(t.sad_block(a, b), ref.sad_block(a, b))
           << kernels::ToString(level);
-      EXPECT_EQ(t.ssd_block(a, b), ref.ssd_block(a, b))
+      EXPECT_EQ(t.ssd_block_u16(ba, wa, bb, wb), want_ssd)
           << kernels::ToString(level);
       EXPECT_EQ(t.sad_row8_u16(a, r16), ref.sad_row8_u16(a, r16))
           << kernels::ToString(level);
