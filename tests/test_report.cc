@@ -47,6 +47,7 @@ TEST(ReportJson, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson(R"([1,2)", &v, &error));
   EXPECT_FALSE(ParseJson(R"({"a":1} trailing)", &v, &error));
   EXPECT_FALSE(ParseJson("", &v, &error));
+  EXPECT_FALSE(ParseJson(R"("\u12g4")", &v, &error));
 }
 
 TEST(ReportJson, ParsesNegativeAndExponentNumbers) {
@@ -93,16 +94,19 @@ TEST(ReportLoad, ClassifiesEveryLineTypeAndKeepsParseErrors) {
 
 // Regression: the telemetry writer escaped only quotes and backslashes,
 // so a newline in the scheme name split the run line in two and the
-// loader saw two parse errors and no run.
+// loader saw two parse errors and no run. obs::JsonEscape writes \n and \t
+// as such but \r and \001 as \u00XX, which the loader once read as '?'.
 TEST(ReportLoad, SchemeWithControlCharactersRoundTrips) {
-  conference::ConferenceResult result;
-  result.scheme = "a\nb\tc";
-  std::stringstream telemetry;
-  conference::WriteConferenceTelemetry(telemetry, result, 100.0);
-  const Telemetry t = LoadTelemetry(telemetry);
-  EXPECT_TRUE(t.parse_errors.empty());
-  EXPECT_TRUE(t.run.present);
-  EXPECT_EQ(t.run.scheme, result.scheme);
+  for (const char* scheme : {"a\nb\tc", "a\rb\001c"}) {
+    conference::ConferenceResult result;
+    result.scheme = scheme;
+    std::stringstream telemetry;
+    conference::WriteConferenceTelemetry(telemetry, result, 100.0);
+    const Telemetry t = LoadTelemetry(telemetry);
+    EXPECT_TRUE(t.parse_errors.empty());
+    EXPECT_TRUE(t.run.present);
+    EXPECT_EQ(t.run.scheme, result.scheme);
+  }
 }
 
 // ---- End-to-end: real conference -> telemetry -> checker ----

@@ -102,6 +102,26 @@ class JsonParser {
     return true;
   }
 
+  static int HexDigit(char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  }
+
+  static void AppendUtf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
   bool ParseString(std::string* out) {
     ++pos_;  // opening quote
     out->clear();
@@ -121,11 +141,16 @@ class JsonParser {
           case 'r': out->push_back('\r'); break;
           case 't': out->push_back('\t'); break;
           case 'u': {
-            // Telemetry never emits non-ASCII; decode the code point to
-            // '?' rather than failing, so foreign files still load.
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            pos_ += 4;
-            out->push_back('?');
+            // obs::JsonEscape writes control characters as \u00XX. The
+            // code unit is stored as UTF-8: one byte below 0x80.
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i, ++pos_) {
+              const int digit =
+                  pos_ < text_.size() ? HexDigit(text_[pos_]) : -1;
+              if (digit < 0) return Fail("bad \\u escape");
+              code = code * 16 + static_cast<unsigned>(digit);
+            }
+            AppendUtf8(code, out);
             break;
           }
           default:
