@@ -30,14 +30,19 @@ enum class PlaneKind : std::uint8_t {
 };
 
 // How EncodeToTarget chooses QP.
-//  kPrecise    — bisection over real encodes until the output fits the
-//                budget; never overshoots (used by offline sweeps).
+//  kPrecise    — bisection over real encodes (up to 8 trials, then one at
+//                qp_max if none fits) for the lowest QP whose output fits
+//                the budget; overshoots only when qp_max does (used by
+//                offline sweeps).
 //  kSinglePass — one encode at a QP predicted from the previous frame of
 //                the same type (I/P) via the bits ~ 2^(-QP/6) model. This
 //                is how real-time hardware encoders behave: cheap, but the
 //                output can overshoot the budget when content changes,
 //                which is precisely the source of LiVo's rare stalls
-//                ("when the rate-adaptive codec overshoots", §4.3).
+//                ("when the rate-adaptive codec overshoots", §4.3). With
+//                no frame of that type yet there is no model, so each
+//                encoder's first keyframe and first P-frame take the
+//                kPrecise search.
 enum class RateControlMode : std::uint8_t { kPrecise, kSinglePass };
 
 struct CodecConfig {

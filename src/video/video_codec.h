@@ -3,10 +3,13 @@
 // The defining property LiVo borrows from 2D conferencing codecs: "such a
 // codec takes a desired bandwidth as input, and attempts to encode the frame
 // at that target bandwidth by internally controlling the quality parameter
-// (QP)". VideoEncoder::EncodeToTarget performs that internal QP control via
-// bisection over actual encodes, warm-started from the previous frame's QP
-// (scene complexity changes slowly at 30 fps, so the warm start converges in
-// 1-3 trials in steady state).
+// (QP)". VideoEncoder::EncodeToTarget performs that internal QP control in
+// one of two modes (CodecConfig::rate_mode). kSinglePass, which LiVo's live
+// encoders run, encodes once at a QP predicted from the last frame of the
+// same type (I or P). A frame type with no such frame yet, i.e. each
+// encoder's first keyframe and first P-frame, takes the kPrecise search
+// instead: up to 8 trial encodes bisecting QP from a warm start at the
+// previous frame's QP, plus one encode at qp_max when none of them fits.
 //
 // The encoder also returns its reconstruction, bit-exact with the decoder,
 // which LiVo's bandwidth-split controller uses as the "immediately decode at
