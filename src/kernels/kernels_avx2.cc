@@ -64,6 +64,16 @@ inline long long HsumI32(__m256i v) {
   return _mm_cvtsi128_si32(s);
 }
 
+// 64-bit squares of the eight int32 lanes of d, accumulated into acc.
+// mul_epi32 squares the low dword of each 64-bit lane as signed, so the
+// odd lanes are shifted down first.
+inline __m256i AccumulateSquares(__m256i acc, __m256i d) {
+  const __m256i even = _mm256_mul_epi32(d, d);
+  const __m256i dodd = _mm256_srli_epi64(d, 32);
+  const __m256i odd = _mm256_mul_epi32(dodd, dodd);
+  return _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+}
+
 inline std::uint64_t HsumU64(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -175,13 +185,7 @@ std::uint64_t SsdBlockU16Avx2(const std::uint16_t* a, int a_stride,
         reinterpret_cast<const __m128i*>(a + y * a_stride)));
     const __m256i vb = _mm256_cvtepu16_epi32(_mm_loadu_si128(
         reinterpret_cast<const __m128i*>(b + y * b_stride)));
-    const __m256i d = _mm256_sub_epi32(va, vb);
-    // 32x32->64 squares of even and odd lanes (sign-correct: mul_epi32
-    // reads the low dword of each 64-bit lane as signed).
-    const __m256i even = _mm256_mul_epi32(d, d);
-    const __m256i dodd = _mm256_srli_epi64(d, 32);
-    const __m256i odd = _mm256_mul_epi32(dodd, dodd);
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+    acc = AccumulateSquares(acc, _mm256_sub_epi32(va, vb));
   }
   return HsumU64(acc);
 }
@@ -354,11 +358,7 @@ std::uint64_t SumSqDiffU16Avx2(const std::uint16_t* a, const std::uint16_t* b,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
     const __m256i vb = _mm256_cvtepu16_epi32(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    const __m256i d = _mm256_sub_epi32(va, vb);
-    const __m256i even = _mm256_mul_epi32(d, d);
-    const __m256i dodd = _mm256_srli_epi64(d, 32);
-    const __m256i odd = _mm256_mul_epi32(dodd, dodd);
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+    acc = AccumulateSquares(acc, _mm256_sub_epi32(va, vb));
   }
   std::uint64_t s = HsumU64(acc);
   if (i < n) s += ref::SumSqDiffU16(a + i, b + i, n - i);
@@ -374,11 +374,7 @@ std::uint64_t SumSqDiffU8Avx2(const std::uint8_t* a, const std::uint8_t* b,
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)));
     const __m256i vb = _mm256_cvtepu8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)));
-    const __m256i d = _mm256_sub_epi32(va, vb);
-    const __m256i even = _mm256_mul_epi32(d, d);
-    const __m256i dodd = _mm256_srli_epi64(d, 32);
-    const __m256i odd = _mm256_mul_epi32(dodd, dodd);
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
+    acc = AccumulateSquares(acc, _mm256_sub_epi32(va, vb));
   }
   std::uint64_t s = HsumU64(acc);
   if (i < n) s += ref::SumSqDiffU8(a + i, b + i, n - i);

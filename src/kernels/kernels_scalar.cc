@@ -85,11 +85,7 @@ std::uint64_t SsdBlockU16(const std::uint16_t* a, int a_stride,
                           const std::uint16_t* b, int b_stride) {
   std::uint64_t s = 0;
   for (int y = 0; y < kDctSize; ++y) {
-    for (int x = 0; x < kDctSize; ++x) {
-      const std::int64_t d =
-          static_cast<std::int64_t>(a[y * a_stride + x]) - b[y * b_stride + x];
-      s += static_cast<std::uint64_t>(d * d);
-    }
+    s += SumSqDiffU16(a + y * a_stride, b + y * b_stride, kDctSize);
   }
   return s;
 }

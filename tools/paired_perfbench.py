@@ -58,10 +58,15 @@ def export(rev, dest):
 
 def run_py(checkout, args):
     """Runs a side's perfbench/run.py; returns (exit code, last JSON line),
-    the line being None after a failure, whose output goes to stderr."""
+    the line being None after a failure, whose output goes to stderr. Each
+    child's run line (its status, CPU times and speedometer rates) is
+    printed, so a reading far from the others can be traced to its run."""
     proc = subprocess.run([sys.executable, "perfbench/run.py"] + args,
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    for line in lines:
+        if line.startswith("  run "):
+            log("    " + line.strip())
     result = None
     if proc.returncode == 0 and lines:
         try:
@@ -156,6 +161,7 @@ def main():
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
+                log("  seed %d %s:" % (seed, side))
                 code, result = run_py(checkouts[side], [
                     "--workload", args.workload, "--seed", str(seed),
                     "--seconds", str(args.seconds), "--trace", "0"])
