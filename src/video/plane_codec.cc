@@ -312,7 +312,8 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
     for (int bx = 0; bx < blocks_x; ++bx) {
       if (is_inter) {
         // The SKIP test reads both planes in place (the co-located block is
-        // always interior), so a skipped block loads neither into a block.
+        // always interior), so a skipped block is never copied into an
+        // IntBlock.
         const int x0 = bx * kBlockSize, y0 = by * kBlockSize;
         const std::uint64_t sse_zero =
             kt.ssd_block_u16(src.row(y0) + x0, src.width(),
@@ -360,7 +361,7 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
         }
       }
 
-      // Build the chosen prediction; zero motion reuses the skip test's.
+      // Build the chosen prediction; zero motion reuses the SAD test's.
       const IntBlock* pred = &prediction;
       switch (mode) {
         case kModeInterZero:
