@@ -169,9 +169,9 @@ TEST(KernelEquivalence, SadSsdBitExact) {
     // width. Every 4th block sits at both planes' right and bottom edges,
     // so reading past the block runs off the planes (ASan sees it). Every
     // 5th pits all 0 against all 65535, a sum that needs more than 32 bits.
-    const int wa = 9 + 2 * static_cast<int>(rng.NextBelow(8));
-    const int wb = 8 + static_cast<int>(rng.NextBelow(17));
-    const int h = 8 + static_cast<int>(rng.NextBelow(9));
+    const int wa = 9 + 2 * rng.UniformInt(0, 7);
+    const int wb = rng.UniformInt(8, 24);
+    const int h = rng.UniformInt(8, 16);
     std::vector<std::uint16_t> pa(static_cast<std::size_t>(wa * h));
     std::vector<std::uint16_t> pb(static_cast<std::size_t>(wb * h));
     for (auto& v : pa) v = static_cast<std::uint16_t>(rng.NextBelow(65536));
@@ -181,12 +181,9 @@ TEST(KernelEquivalence, SadSsdBitExact) {
       std::fill(pb.begin(), pb.end(), std::uint16_t{65535});
     }
     const bool at_edge = rep % 4 == 0;
-    const int y0 = at_edge ? h - 8 : static_cast<int>(rng.NextBelow(
-                                         static_cast<std::uint64_t>(h - 7)));
-    const int xa = at_edge ? wa - 8 : static_cast<int>(rng.NextBelow(
-                                          static_cast<std::uint64_t>(wa - 7)));
-    const int xb = at_edge ? wb - 8 : static_cast<int>(rng.NextBelow(
-                                          static_cast<std::uint64_t>(wb - 7)));
+    const int y0 = at_edge ? h - 8 : rng.UniformInt(0, h - 8);
+    const int xa = at_edge ? wa - 8 : rng.UniformInt(0, wa - 8);
+    const int xb = at_edge ? wb - 8 : rng.UniformInt(0, wb - 8);
     const std::uint16_t* ba = pa.data() + y0 * wa + xa;
     const std::uint16_t* bb = pb.data() + y0 * wb + xb;
     const std::uint64_t want_ssd = BlockSsd(ba, wa, bb, wb);
