@@ -2,7 +2,7 @@
 """Paired perfbench runs of two revisions: parent against change.
 
     python3 tools/paired_perfbench.py --parent REV --change REV \\
-        --workload W --seeds 1,2,3,90210 [--seconds 30]
+        --workload W --seeds 1,2,3,90210
 
 Run from inside the LiVo git repository. Each revision's committed files are
 exported (git archive) into a temporary directory, removed at exit, so
@@ -10,16 +10,18 @@ uncommitted edits never reach a measurement and the repository gains no
 worktree entry. Each side's perfbench/run.py is built and self-tested once,
 then for every seed both sides run `--trace 0` one after the other, the
 first seed with the parent first and each later seed in the other order, so
-a slow spell of the host does not always land on one side.
+a slow spell of the host does not always land on one side. Both sides run
+for the `run_seconds` of the change's BENCHMARK.json.
 
 For every end-to-end metric of the change's BENCHMARK.json the report gives
-each side's median and quartiles over the seeds (statistics.quantiles with
-n=4), the change's wins and ties judged by the metric's `better`, and
-whether the medians differ by more than the parent's interquartile range.
-Each side's failed runs are counted from run.py's own accounting; a seed
-whose run.py exits without a result counts as failed on that side and is
-left out of that metric's pairs. The last stdout line is one JSON object
-with every per-seed value.
+each side's median and quartiles over its seeds with a result
+(statistics.quantiles with n=4), the change's wins and ties over all seeds
+run, judged by the metric's `better`, and whether the medians differ by
+more than the parent's interquartile range. A seed whose run.py exits
+without a result on either side is neither a win nor a tie. Failures are
+counted in two units: run.py invocations that gave no result, and the
+child runs that run.py itself reports failed within the invocations that
+did. The last stdout line is one JSON object with every per-seed value.
 """
 
 import argparse
@@ -94,21 +96,20 @@ def summarize(spec, seeds, results):
     summary = {}
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
-        pairs = []
-        for seed in seeds:
-            values = [results[side].get(seed) for side in SIDES]
-            if all(v is not None for v in values):
-                pairs.append([v["metrics"][name]["value"] for v in values])
-        parent = [p for p, _ in pairs]
-        change = [c for _, c in pairs]
-        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
-        ties = sum(c == p for p, c in pairs)
-        pq, cq = quartiles(parent), quartiles(change)
+        pairs = [[results[side][seed]["metrics"][name]["value"]
+                  if seed in results[side] else None for side in SIDES]
+                 for seed in seeds]
+        complete = [(p, c) for p, c in pairs if None not in (p, c)]
+        wins = sum((c > p) if higher else (c < p) for p, c in complete)
+        ties = sum(c == p for p, c in complete)
+        pq, cq = (quartiles([pair[i] for pair in pairs if pair[i] is not None])
+                  for i in range(len(SIDES)))
         iqr = None if pq[0] is None else pq[2] - pq[0]
         resolved = (iqr is not None and cq[1] is not None and
                     abs(cq[1] - pq[1]) > iqr)
-        log("%s (%s, %s is better, %d pairs):" % (
-            name, metric["unit"], metric["better"], len(pairs)))
+        log("%s (%s, %s is better, %d pairs, %d with both results):" % (
+            name, metric["unit"], metric["better"], len(pairs),
+            len(complete)))
         for side, q in zip(SIDES, (pq, cq)):
             log("  %-7s median %s  quartiles %s / %s" % (
                 side, fmt(q[1]), fmt(q[0]), fmt(q[2])))
@@ -129,7 +130,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True,
                         help="comma-separated, e.g. 1,2,3,90210")
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s]
     commits = {"parent": git("rev-parse", args.parent + "^{commit}"),
@@ -139,23 +139,27 @@ def main():
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = tempfile.mkdtemp(prefix="paired_perfbench.")
     try:
-        checkouts = {}
+        checkouts = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
-            checkouts[side] = os.path.join(tmp, side)
             export(commits[side], checkouts[side])
+        with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        seconds = spec["run_seconds"]
+        for side in SIDES:
             code, _ = run_py(checkouts[side], ["--selftest"])
             if code != 0:
                 log("%s (%s): build or self-test failed, exit %d"
                     % (side, commits[side], code))
                 return 2
-        with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as f:
-            spec = json.load(f)
         log("== paired perfbench: workload %s, %d s, seeds %s"
-            % (args.workload, args.seconds, ",".join(map(str, seeds))))
+            % (args.workload, seconds, ",".join(map(str, seeds))))
         for side in SIDES:
             log("   %-7s %s" % (side, commits[side]))
 
         results = {side: {} for side in SIDES}
+        # Invocations without a result, and failed child runs within the
+        # invocations that gave one, each against its own total.
+        no_result = {side: 0 for side in SIDES}
         failed = {side: 0 for side in SIDES}
         attempted = {side: 0 for side in SIDES}
         for i, seed in enumerate(seeds):
@@ -164,12 +168,11 @@ def main():
                 log("  seed %d %s:" % (seed, side))
                 code, result = run_py(checkouts[side], [
                     "--workload", args.workload, "--seed", str(seed),
-                    "--seconds", str(args.seconds), "--trace", "0"])
+                    "--seconds", str(seconds), "--trace", "0"])
                 if result is None:
                     log("  seed %d %s: run.py exit %d, no result"
                         % (seed, side, code))
-                    failed[side] += 1
-                    attempted[side] += 1
+                    no_result[side] += 1
                     continue
                 results[side][seed] = result
                 failed[side] += result["failed"]
@@ -182,12 +185,15 @@ def main():
 
         summary = summarize(spec, seeds, results)
         for side in SIDES:
-            log("failed runs, %s: %d of %d" % (side, failed[side],
-                                               attempted[side]))
-        print(json.dumps({"workload": args.workload, "seconds": args.seconds,
+            log("%s: %d of %d invocations gave no result; %d of %d child "
+                "runs failed in the others" % (
+                    side, no_result[side], len(seeds), failed[side],
+                    attempted[side]))
+        print(json.dumps({"workload": args.workload, "seconds": seconds,
                           "seeds": seeds, "commits": commits,
-                          "failed": failed, "attempted": attempted,
-                          "metrics": summary}), flush=True)
+                          "no_result": no_result, "failed": failed,
+                          "attempted": attempted, "metrics": summary}),
+              flush=True)
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
