@@ -23,11 +23,14 @@ namespace {
 TEST(ReportJson, ParsesScalarsArraysAndObjects) {
   JsonValue v;
   std::string error;
-  ASSERT_TRUE(ParseJson(R"({"a":1.5,"b":"x\"y","c":[1,2],"d":true,"e":null})",
+  ASSERT_TRUE(ParseJson(R"({"a":1.5,"b":"x\"y","c":[1,2],"d":true,"e":null,)"
+                        R"("u":"\u00e9\u20ac\ud83d\ude00"})",
                         &v, &error))
       << error;
   EXPECT_DOUBLE_EQ(v.Num("a"), 1.5);
   EXPECT_EQ(v.Str("b"), "x\"y");
+  // \u escapes decode to UTF-8; a surrogate pair is one 4-byte sequence.
+  EXPECT_EQ(v.Str("u"), "\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80");
   const JsonValue* c = v.Find("c");
   ASSERT_NE(c, nullptr);
   ASSERT_EQ(c->array.size(), 2u);
@@ -48,6 +51,10 @@ TEST(ReportJson, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson(R"({"a":1} trailing)", &v, &error));
   EXPECT_FALSE(ParseJson("", &v, &error));
   EXPECT_FALSE(ParseJson(R"("\u12g4")", &v, &error));
+  EXPECT_FALSE(ParseJson(R"("\ud83d")", &v, &error));
+  EXPECT_FALSE(ParseJson(R"("\ud83dx")", &v, &error));
+  EXPECT_FALSE(ParseJson(R"("\ud83d\u0041")", &v, &error));
+  EXPECT_FALSE(ParseJson(R"("\ude00\ud83d")", &v, &error));
 }
 
 TEST(ReportJson, ParsesNegativeAndExponentNumbers) {

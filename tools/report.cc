@@ -109,14 +109,45 @@ class JsonParser {
     return -1;
   }
 
+  // Reads the four hex digits of a \u escape.
+  bool ParseHex4(unsigned* code) {
+    *code = 0;
+    for (int i = 0; i < 4; ++i, ++pos_) {
+      const int digit = pos_ < text_.size() ? HexDigit(text_[pos_]) : -1;
+      if (digit < 0) return Fail("bad \\u escape");
+      *code = *code * 16 + static_cast<unsigned>(digit);
+    }
+    return true;
+  }
+
+  // Reads the digits of a \u escape and the low half that must follow a
+  // high surrogate; returns the code point. A lone surrogate fails.
+  bool ParseCodePoint(unsigned* code) {
+    if (!ParseHex4(code)) return false;
+    if (*code >= 0xDC00 && *code < 0xE000) return Fail("lone low surrogate");
+    if (*code < 0xD800 || *code >= 0xDC00) return true;
+    unsigned low = 0;
+    if (text_.compare(pos_, 2, "\\u") != 0) return Fail("lone high surrogate");
+    pos_ += 2;
+    if (!ParseHex4(&low)) return false;
+    if (low < 0xDC00 || low >= 0xE000) return Fail("lone high surrogate");
+    *code = 0x10000 + ((*code - 0xD800) << 10) + (low - 0xDC00);
+    return true;
+  }
+
   static void AppendUtf8(unsigned code, std::string* out) {
     if (code < 0x80) {
       out->push_back(static_cast<char>(code));
     } else if (code < 0x800) {
       out->push_back(static_cast<char>(0xC0 | (code >> 6)));
       out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
+    } else if (code < 0x10000) {
       out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
       out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
       out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
@@ -142,14 +173,9 @@ class JsonParser {
           case 't': out->push_back('\t'); break;
           case 'u': {
             // obs::JsonEscape writes control characters as \u00XX. The
-            // code unit is stored as UTF-8: one byte below 0x80.
+            // code point is stored as UTF-8: one byte below 0x80.
             unsigned code = 0;
-            for (int i = 0; i < 4; ++i, ++pos_) {
-              const int digit =
-                  pos_ < text_.size() ? HexDigit(text_[pos_]) : -1;
-              if (digit < 0) return Fail("bad \\u escape");
-              code = code * 16 + static_cast<unsigned>(digit);
-            }
+            if (!ParseCodePoint(&code)) return false;
             AppendUtf8(code, out);
             break;
           }
