@@ -70,7 +70,9 @@ struct KernelTable {
   // Sum of squared differences of two 8x8 blocks read in place from uint16
   // planes: `a` and `b` point at each block's top-left sample, and row y
   // starts `y * stride` samples further on. The sum is exact: 64 squares of
-  // at most 65535^2 stay below 2^38, so it is accumulated in 64 bits.
+  // at most 65535^2 stay below 2^38, so it is accumulated in 64 bits. One
+  // call per block is measurably faster on the SKIP test than eight
+  // sum_sq_diff_u16 calls, one per row (DESIGN.md §7).
   std::uint64_t (*ssd_block_u16)(const std::uint16_t* a, int a_stride,
                                  const std::uint16_t* b,
                                  int b_stride) = nullptr;
