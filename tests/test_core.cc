@@ -629,6 +629,14 @@ class SessionTest : public ::testing::Test {
     t.mbps.assign(600, mbps);
     return t;
   }
+  // 45, 90 and 135 Mbps in turn, one per trace sample (mean 90): which of
+  // them a baseline's frames meet depends on its trace acceleration.
+  static sim::BandwidthTrace SteppedTrace() {
+    sim::BandwidthTrace t;
+    t.name = "stepped";
+    for (int i = 0; i < 600; ++i) t.mbps.push_back(45.0 * (1 + i % 3));
+    return t;
+  }
 };
 
 TEST_F(SessionTest, LiVoSessionDeliversAllFramesAtAmpleBandwidth) {
@@ -705,6 +713,15 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
       << std::hexfloat << r.mean_capacity_mbps;
   EXPECT_EQ(r.utilization, 0x1.899392189bd84p-1)
       << std::hexfloat << r.utilization;
+
+  const SessionResult stepped =
+      RunDracoOracle(seq, user, SteppedTrace(), options);
+  EXPECT_EQ(stepped.mean_latency_ms, 0x1.3848629555499p+6)
+      << std::hexfloat << stepped.mean_latency_ms;
+  EXPECT_EQ(stepped.mean_pssim_geometry, 0x1.8073d54e51755p+6)
+      << std::hexfloat << stepped.mean_pssim_geometry;
+  EXPECT_EQ(stepped.mean_throughput_mbps, 0x1.090f09c59a4d6p+6)
+      << std::hexfloat << stepped.mean_throughput_mbps;
 }
 
 TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
@@ -734,6 +751,36 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
       << std::hexfloat << r.mean_capacity_mbps;
   EXPECT_EQ(r.utilization, 0x1.4aad09d7940d9p-2)
       << std::hexfloat << r.utilization;
+
+  // Two scales at which the offline profile sits on an edge, over the
+  // stepped trace. At 1/291.4 the budget is 1158 B per frame: the 3-frame
+  // mean of stride 4 at 9 bits (1159 B) misses it, the 2- and 4-frame
+  // means fit, and the coarsest stride decides. At 1/517.6 it is 652 B,
+  // within 5% of stride 6 at 10 bits (625 B) and at 11 bits (679 B).
+  struct Golden {
+    double bandwidth_scale;
+    double latency_ms;
+    double pssim_geometry;
+    double throughput_mbps;
+  };
+  constexpr Golden kGolden[] = {
+      {1.0 / 291.4, 0x1.7f548ab837bbdp+5, 0x1.14d704fe11f8cp+3,
+       0x1.6d44075971e76p+4},
+      {1.0 / 517.6, 0x1.f9757b0bc720dp+5, 0x1.197f4d9a3b61p+3,
+       0x1.29da896c9fa2ep+5},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.bandwidth_scale);
+    MeshReduceOptions edge;
+    edge.bandwidth_scale = golden.bandwidth_scale;
+    const SessionResult e = RunMeshReduce(seq, user, SteppedTrace(), edge);
+    EXPECT_EQ(e.mean_latency_ms, golden.latency_ms)
+        << std::hexfloat << e.mean_latency_ms;
+    EXPECT_EQ(e.mean_pssim_geometry, golden.pssim_geometry)
+        << std::hexfloat << e.mean_pssim_geometry;
+    EXPECT_EQ(e.mean_throughput_mbps, golden.throughput_mbps)
+        << std::hexfloat << e.mean_throughput_mbps;
+  }
 }
 
 // ---- Experiment helpers ----

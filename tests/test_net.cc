@@ -75,6 +75,21 @@ TEST(LinkEmulator, RandomLossDropsApproximatelyAtRate) {
     accepted += link.Send(MakePacket(i, 100), i * 1.0);
   }
   EXPECT_NEAR(accepted, 800, 60);
+
+  // Gilbert–Elliott bursts over 1% good-state loss, pinned at capture: the
+  // chain's two transition probabilities and its bad-state loss each move
+  // the delivered count and the stationary mean loss.
+  LinkConfig bursty_config;
+  bursty_config.loss_model = LossModel::kGilbertElliott;
+  bursty_config.loss_rate = 0.01;
+  LinkEmulator bursty(FlatTrace(100.0), bursty_config);
+  int delivered = 0;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    delivered += bursty.Send(MakePacket(i, 100), i * 1.0);
+  }
+  EXPECT_EQ(delivered, 9556);
+  EXPECT_EQ(MeanLossRate(bursty_config), 0x1.7b425ed097b42p-5)
+      << std::hexfloat << MeanLossRate(bursty_config);
 }
 
 TEST(LinkEmulator, CapacityFollowsTrace) {
@@ -109,6 +124,19 @@ TEST(GccEstimator, IncreasesWhenStable) {
   for (int i = 0; i < 10; ++i) gcc.OnFeedback(CleanReport(1e6));
   EXPECT_GT(gcc.EstimateBps(), 1.3e6);
   EXPECT_EQ(gcc.state(), GccEstimator::State::kIncrease);
+
+  // Light loss still increases below 2%: 39 of 2000 packets lost (1.95%)
+  // increases, 41 of 2000 (2.05%) holds.
+  for (const int lost : {39, 41}) {
+    GccEstimator lossy(config);
+    FeedbackReport report = CleanReport(1e6);
+    report.received_packets = 2000 - lost;
+    report.lost_packets = lost;
+    lossy.OnFeedback(report);
+    EXPECT_EQ(lossy.state(), lost < 40 ? GccEstimator::State::kIncrease
+                                       : GccEstimator::State::kHold)
+        << lost << " of 2000 lost";
+  }
 }
 
 TEST(GccEstimator, BacksOffOnDelayGradient) {
@@ -132,6 +160,19 @@ TEST(GccEstimator, BacksOffOnHeavyLoss) {
   lossy.lost_packets = 5;  // 20% loss
   gcc.OnFeedback(lossy);
   EXPECT_LT(gcc.EstimateBps(), 2e6);
+
+  // The loss-based decrease starts above 10%: 204 of 2000 packets lost
+  // (10.2%) backs off, 196 of 2000 (9.8%) only holds.
+  for (const int lost : {196, 204}) {
+    GccEstimator at(config);
+    FeedbackReport report = CleanReport(2e6);
+    report.received_packets = 2000 - lost;
+    report.lost_packets = lost;
+    at.OnFeedback(report);
+    EXPECT_EQ(at.state(), lost > 200 ? GccEstimator::State::kDecrease
+                                     : GccEstimator::State::kHold)
+        << lost << " of 2000 lost";
+  }
 }
 
 TEST(GccEstimator, RespectsBounds) {

@@ -116,6 +116,15 @@ TEST(MlpPosePredictor, TrainingReducesError) {
   const PredictionError before = EvaluateMlp(untrained, eval);
   const PredictionError after = EvaluateMlp(trained, eval);
   EXPECT_LT(after.position_m, before.position_m);
+  // Pinned at capture: the input window, horizon, depth, learning rate and
+  // seed of the network all move both errors. The tolerance absorbs
+  // last-bit differences of std::tanh between math libraries.
+  constexpr double kPositionM = 0x1.da344941fd1e5p-6;
+  constexpr double kRotationDeg = 0x1.558137594cdbep+0;
+  EXPECT_NEAR(after.position_m, kPositionM, 1e-6 * kPositionM)
+      << std::hexfloat << after.position_m;
+  EXPECT_NEAR(after.rotation_deg, kRotationDeg, 1e-6 * kRotationDeg)
+      << std::hexfloat << after.rotation_deg;
 }
 
 TEST(MlpPosePredictor, WiderBeatsNarrowOnHeldOut) {

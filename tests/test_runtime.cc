@@ -415,6 +415,22 @@ TEST(RuntimeGolden, CloseAggregatesPinnedOnAllFiveSequences) {
     EXPECT_EQ(result.utilization, golden.utilization)
         << std::hexfloat << result.utilization;
   }
+
+  // One more session starts 2.4 s into the replay, where trace 2 fades
+  // while the frames cross the link: the trace acceleration decides which
+  // capacities they meet. Its close matches toddler4's above, so the run
+  // fingerprint pins when each frame rendered.
+  SessionSpec faded;
+  faded.sequence = &Sequence("toddler4", kFrames);
+  faded.user_trace = sim::GenerateUserTrace(
+      "toddler4", sim::TraceStyle::kOrbit, kFrames + 90);
+  faded.net_trace = sim::MakeTrace2(20.0);
+  faded.config = SmallConfig();
+  faded.options = SmallOptions();
+  faded.options.trace_offset_ms = 2400.0;
+  const std::uint64_t fingerprint =
+      MultiSessionFingerprint(RunMultiSession({faded}));
+  EXPECT_EQ(fingerprint, 0xb57b2976d0f65d7cull) << std::hex << fingerprint;
 }
 
 // Random loss exercises the NACK/PLI/deadline timers, the hardest part of
