@@ -327,8 +327,10 @@ void VideoChannel::ProcessTimers(double now_ms) {
       // requests a re-key on actual demand (see SfuActor::OnPairComplete)
       // instead of on every loss the parity packets make visible here.
       const bool continuity_broken = !config_.enable_fec;
+      const auto last = last_keyframe_request_ms_.find(f.stream_id);
       if (continuity_broken &&
-          now_ms - last_keyframe_request_ms_[f.stream_id] > 300.0) {
+          (last == last_keyframe_request_ms_.end() ||
+           now_ms - last->second > kKeyframeRequestThrottleMs)) {
         ++stats_.keyframe_requests;
         Metrics().keyframe_requests.Add();
         obs::TraceInstant("net.keyframe_request");

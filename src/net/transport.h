@@ -44,6 +44,12 @@ class TimeSeries;
 
 namespace livo::net {
 
+// Keyframe requests toward one stream are spaced at least this far apart
+// (PLI throttling, as WebRTC does): by the transport's own PLI, and by the
+// conference relays that forward subscribers' requests to an origin. A
+// stream's first request always passes.
+inline constexpr double kKeyframeRequestThrottleMs = 300.0;
+
 struct ReceivedFrame {
   std::uint32_t stream_id = 0;
   std::uint32_t frame_index = 0;

@@ -301,6 +301,14 @@ TEST(VideoChannel, UndeliverableFrameRaisesKeyframeRequest) {
   EXPECT_GT(channel.stats().frames_lost, 0u);
   EXPECT_TRUE(channel.TakeKeyframeRequest(0));
   EXPECT_FALSE(channel.TakeKeyframeRequest(0));  // one-shot
+
+  // A stream's first request is not throttled: frame 0, lost before
+  // t = 300 ms, raises one.
+  VideoChannel first(FlatTrace(50.0), config);
+  first.SendFrame(0, 0, true, Blob(12000), 0.0);
+  for (double t = 0; t <= 150.0; t += 1.0) first.Step(t);
+  EXPECT_EQ(first.stats().frames_lost, 1u);
+  EXPECT_TRUE(first.TakeKeyframeRequest(0));
 }
 
 TEST(VideoChannel, RttTracksPropagationDelay) {
