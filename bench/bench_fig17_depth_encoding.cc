@@ -58,7 +58,7 @@ DepthResult RoundTripDepth(const sim::CapturedSequence& seq,
                                    static_cast<std::uint32_t>(f));
     std::vector<image::Plane16> input;
     if (mode == core::DepthEncodingMode::kScaledY16) {
-      input.push_back(image::ScaleDepth(tiled.depth, config.depth_scaler));
+      input.push_back(image::ScaleDepth(tiled.depth, core::kDepthScaler));
     } else if (mode == core::DepthEncodingMode::kUnscaledY16) {
       input.push_back(tiled.depth);
     } else {
@@ -76,7 +76,7 @@ DepthResult RoundTripDepth(const sim::CapturedSequence& seq,
     image::DepthImage decoded_mm;
     if (mode == core::DepthEncodingMode::kScaledY16) {
       decoded_mm =
-          image::UnscaleDepth(result.reconstruction[0], config.depth_scaler);
+          image::UnscaleDepth(result.reconstruction[0], core::kDepthScaler);
     } else if (mode == core::DepthEncodingMode::kUnscaledY16) {
       decoded_mm = result.reconstruction[0];
     } else {

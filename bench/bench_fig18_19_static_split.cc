@@ -42,7 +42,7 @@ QualityPoint RunSplit(const sim::CapturedSequence& seq,
     const auto tiled = image::Tile(config.layout, seq.frames[f],
                                    static_cast<std::uint32_t>(f));
     const auto color_planes = video::RgbToYcbcr(tiled.color);
-    const auto scaled = image::ScaleDepth(tiled.depth, config.depth_scaler);
+    const auto scaled = image::ScaleDepth(tiled.depth, core::kDepthScaler);
     const double s = static_split > 0.0 ? static_split : controller.split();
 
     const auto cr = color_encoder.EncodeToTarget(
@@ -60,7 +60,7 @@ QualityPoint RunSplit(const sim::CapturedSequence& seq,
     // Reconstruct and compare clouds every other frame (metric cost).
     if (f % 2 != 0) continue;
     const auto decoded_mm =
-        image::UnscaleDepth(dr.reconstruction[0], config.depth_scaler);
+        image::UnscaleDepth(dr.reconstruction[0], core::kDepthScaler);
     const auto views = image::Untile(config.layout, decoded_color, decoded_mm);
     const auto decoded_cloud = pointcloud::VoxelDownsample(
         pointcloud::ReconstructFromViews(views, seq.rig), 0.025);

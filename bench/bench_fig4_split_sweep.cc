@@ -38,7 +38,7 @@ SweepPoint EncodeAtSplit(const sim::CapturedSequence& seq,
     const auto tiled = image::Tile(config.layout, seq.frames[f],
                                    static_cast<std::uint32_t>(f));
     const auto color_planes = video::RgbToYcbcr(tiled.color);
-    const auto scaled = image::ScaleDepth(tiled.depth, config.depth_scaler);
+    const auto scaled = image::ScaleDepth(tiled.depth, core::kDepthScaler);
 
     const auto color_result = color_encoder.EncodeToTarget(
         color_planes, static_cast<std::size_t>(frame_budget * (1.0 - split)));
@@ -92,7 +92,7 @@ int main() {
       const auto tiled = image::Tile(config.layout, seq.frames[f],
                                      static_cast<std::uint32_t>(f));
       const auto color_planes = video::RgbToYcbcr(tiled.color);
-      const auto scaled = image::ScaleDepth(tiled.depth, config.depth_scaler);
+      const auto scaled = image::ScaleDepth(tiled.depth, core::kDepthScaler);
       const double s = controller.split();
       const auto cr = color_encoder.EncodeToTarget(
           color_planes, static_cast<std::size_t>(frame_budget * (1.0 - s)));

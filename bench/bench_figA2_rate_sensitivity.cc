@@ -46,10 +46,10 @@ int main() {
       const auto cr =
           ce.EncodeToTarget(video::RgbToYcbcr(tiled.color), color_budget);
       const auto dr = de.EncodeToTarget(
-          {image::ScaleDepth(tiled.depth, config.depth_scaler)}, depth_budget);
+          {image::ScaleDepth(tiled.depth, core::kDepthScaler)}, depth_budget);
       if (f + 1 < seq.frames.size()) continue;  // measure the settled frame
       const auto decoded_mm =
-          image::UnscaleDepth(dr.reconstruction[0], config.depth_scaler);
+          image::UnscaleDepth(dr.reconstruction[0], core::kDepthScaler);
       const auto views = image::Untile(
           config.layout, video::YcbcrToRgb(cr.reconstruction), decoded_mm);
       const auto ref = pointcloud::VoxelDownsample(

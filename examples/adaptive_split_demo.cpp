@@ -45,7 +45,7 @@ int main() {
     const auto tiled =
         image::Tile(config.layout, views, static_cast<std::uint32_t>(f));
     const auto color_planes = video::RgbToYcbcr(tiled.color);
-    const auto scaled = image::ScaleDepth(tiled.depth, config.depth_scaler);
+    const auto scaled = image::ScaleDepth(tiled.depth, core::kDepthScaler);
 
     const double s = splitter.split();
     const auto color = color_encoder.EncodeToTarget(

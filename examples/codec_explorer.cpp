@@ -27,8 +27,8 @@ int main() {
   const auto tiled1 = image::Tile(config.layout, seq.frames[1], 1);
   const auto color0 = video::RgbToYcbcr(tiled0.color);
   const auto color1 = video::RgbToYcbcr(tiled1.color);
-  const auto depth0 = image::ScaleDepth(tiled0.depth, config.depth_scaler);
-  const auto depth1 = image::ScaleDepth(tiled1.depth, config.depth_scaler);
+  const auto depth0 = image::ScaleDepth(tiled0.depth, core::kDepthScaler);
+  const auto depth1 = image::ScaleDepth(tiled1.depth, core::kDepthScaler);
 
   std::printf("COLOR canvas %dx%d (I-frame)\n", config.layout.canvas_width(),
               config.layout.canvas_height());
@@ -48,7 +48,7 @@ int main() {
     video::VideoEncoder enc(config.DepthCodecConfig(), 1);
     const auto r = enc.EncodeAtQp({depth0}, qp);
     const auto decoded_mm =
-        image::UnscaleDepth(r.reconstruction[0], config.depth_scaler);
+        image::UnscaleDepth(r.reconstruction[0], core::kDepthScaler);
     // Compare over the camera tiles only (the marker strip is not depth).
     std::printf("%-4d %-7.1f %-7.1f\n", qp, r.frame.SizeBytes() / 1024.0,
                 metrics::DepthRmseMm(

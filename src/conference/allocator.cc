@@ -24,7 +24,6 @@ AllocatorConfig MakeAllocatorConfig(const ConferenceOptions& options,
   config.burst_credit_intervals = options.burst_credit_intervals;
   config.share_floor = options.share_floor;
   config.layers = EffectiveLadderLayers(options, parties);
-  config.split = options.forward_split;
   // Token buckets price the FEC parity that will ride each forwarded
   // pair, planned from the downlink's mean loss rate (the per-stream
   // redundancy tracks the live estimate; the planner only needs the
@@ -77,7 +76,7 @@ DownlinkAllocator::DownlinkAllocator(int participants,
     sub.color_credit.assign(static_cast<std::size_t>(slots_), 0.0);
     sub.depth_credit.assign(static_cast<std::size_t>(slots_), 0.0);
     sub.split.assign(static_cast<std::size_t>(slots_),
-                     core::SplitController(config_.split));
+                     core::SplitController());
     sub.current_layer.assign(static_cast<std::size_t>(slots_), -1);
   }
 }

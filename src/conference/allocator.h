@@ -52,7 +52,6 @@ struct AllocatorConfig {
   // Only sizes the per-row forwarded_by_layer histogram; pricing itself is
   // driven by the candidate vector each Admit call carries.
   int layers = 1;
-  core::SplitConfig split;
   // FEC parity surcharge (src/fec, DESIGN.md §12): every debit is priced
   // at (1 + parity_overhead) x the media bytes, so the token buckets
   // reserve headroom for the parity packets that ride each forwarded

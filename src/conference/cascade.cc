@@ -191,7 +191,7 @@ RootRelay::RootRelay(const std::vector<int>& region_of,
       dests_(static_cast<std::size_t>(regions)),
       demand_by_region_(static_cast<std::size_t>(regions)),
       last_pli_ms_(static_cast<std::size_t>(parties),
-                   -options.keyframe_relay_throttle_ms) {
+                   -net::kKeyframeRequestThrottleMs) {
   for (int d = 0; d < regions_; ++d) {
     Dest& dest = dests_[static_cast<std::size_t>(d)];
     dest.slot_of_origin.assign(static_cast<std::size_t>(parties_), -1);
@@ -279,7 +279,7 @@ void RootRelay::OnEdgeLadder(const RelayLadder& ladder, double now_ms) {
 
 void RootRelay::RelayKeyframeRequest(int origin, double now_ms) {
   double& last = last_pli_ms_[static_cast<std::size_t>(origin)];
-  if (now_ms - last < options_.keyframe_relay_throttle_ms) return;
+  if (now_ms - last < net::kKeyframeRequestThrottleMs) return;
   last = now_ms;
   ++stats_.pli_relays;
   const Dest& dest =

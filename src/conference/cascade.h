@@ -187,7 +187,7 @@ class RootRelay {
   void OnEdgeLadder(const RelayLadder& ladder, double now_ms);
   // The root's one entry for keyframe requests: forwards a PLI for
   // `origin` to the origin's edge, throttled per origin by
-  // keyframe_relay_throttle_ms. Callers: an edge relaying a local
+  // net::kKeyframeRequestThrottleMs. Callers: an edge relaying a local
   // subscriber's PLI (EdgeRelay::RequestRemoteKeyframe), and OnEdgeLadder
   // when a root->edge pipe refuses a ladder.
   void RelayKeyframeRequest(int origin, double now_ms);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "conference/sfu.h"
+#include "core/session.h"
 #include "fec/fec.h"
 #include "obs/obs.h"
 
@@ -58,7 +59,7 @@ ParticipantActor::ParticipantActor(runtime::EventLoop& loop, int index,
     for (int q = 0; q < layers_; ++q) {
       const bool low = layers_ > 1 && q == 0;
       receivers_.push_back(std::make_unique<core::LiVoReceiver>(
-          remote.config, options_.receiver, remote.sequence->rig,
+          remote.config, core::ReceiverConfig{}, remote.sequence->rig,
           low ? 2 : 1));
     }
     RemoteStreamResult& stream =
@@ -180,7 +181,7 @@ void ParticipantActor::OnWake(double now_ms) {
   obs::FrameLedger& ledger = obs::FrameLedger::Get();
   const bool ledger_on = ledger.enabled();
   while (next_capture_ < frames_ &&
-         next_capture_ * interval_ms_ + options_.sender_pipeline_delay_ms <=
+         next_capture_ * interval_ms_ + core::kSenderPipelineDelayMs <=
              now_ms) {
     const int f = next_capture_++;
     if (ledger_on) {
@@ -308,8 +309,8 @@ void ParticipantActor::OnDownlinkFrames(std::vector<net::ReceivedFrame> frames,
 
 void ParticipantActor::ScheduleNext(double now_ms) {
   if (next_capture_ >= frames_) return;  // the SFU drives everything else
-  double next = std::ceil(next_capture_ * interval_ms_ +
-                          options_.sender_pipeline_delay_ms);
+  double next =
+      std::ceil(next_capture_ * interval_ms_ + core::kSenderPipelineDelayMs);
   next = std::max(next, now_ms + 1.0);
   if (next <= horizon_ms_) {
     loop_.ScheduleAt(next, [this](double t) { OnWake(t); });

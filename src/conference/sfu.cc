@@ -66,11 +66,11 @@ SfuActor::SfuActor(runtime::EventLoop& loop,
   awaiting_key_.assign(specs.size(),
                        std::vector<bool>(specs.size() - 1, true));
   last_key_relay_ms_.assign(specs.size(),
-                            -options.keyframe_relay_throttle_ms);
+                            -net::kKeyframeRequestThrottleMs);
   seat_offsets_.reserve(specs.size() - 1);
   for (int slot = 0; slot < parties_ - 1; ++slot) {
     seat_offsets_.push_back(
-        SeatPosition(slot, parties_ - 1, options_.seats));
+        SeatPosition(slot, parties_ - 1));
   }
   uplink_prop_ms_ = (options_.uplink_mode == LinkMode::kShared
                          ? options_.shared_uplink_config
@@ -201,8 +201,7 @@ void SfuActor::RunAllocations(double now_ms) {
         const geom::Frustum frustum = predictor.PredictFrustum();
         for (int slot = 0; slot < parties_ - 1; ++slot) {
           visibility[static_cast<std::size_t>(slot)] = VisibleFraction(
-              frustum, options_.seats,
-              seat_offsets_[static_cast<std::size_t>(slot)]);
+              frustum, seat_offsets_[static_cast<std::size_t>(slot)]);
         }
       }
       for (int origin = 0; origin < parties_; ++origin) {
@@ -561,7 +560,7 @@ void SfuActor::RelayKeyframeRequests(double now_ms) {
 
 void SfuActor::RequestOriginKeyframe(int origin, double now_ms) {
   double& last = last_key_relay_ms_[static_cast<std::size_t>(origin)];
-  if (now_ms - last < options_.keyframe_relay_throttle_ms) return;
+  if (now_ms - last < net::kKeyframeRequestThrottleMs) return;
   last = now_ms;
   if (!IsLocal(origin)) {
     // The PLI crosses the cascade; the origin's own edge counts the relay

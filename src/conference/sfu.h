@@ -159,9 +159,9 @@ class SfuActor {
   void OnRelayLadder(const RelayLadder& ladder, double now_ms);
 
   // The SFU's one entry for keyframe requests: asks `origin` for a
-  // keyframe, throttled per origin by keyframe_relay_throttle_ms. A remote
-  // origin's request goes on to the root relay. Callers: this SFU's own
-  // gate drops and the uplink and downlink PLIs it polls
+  // keyframe, throttled per origin by net::kKeyframeRequestThrottleMs. A
+  // remote origin's request goes on to the root relay. Callers: this SFU's
+  // own gate drops and the uplink and downlink PLIs it polls
   // (RelayKeyframeRequests); its EdgeRelay when the edge->root pipe
   // refuses a ladder; and the root relay, delivering a PLI from another
   // region to the origin's edge.

@@ -1,25 +1,31 @@
 #include "conference/topology.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "geom/pose.h"
 
 namespace livo::conference {
+namespace {
 
-geom::Vec3 SeatPosition(int slot, int remote_count, const SeatLayout& seats) {
+// Capture volume around a seat, and the k of its k^3 visibility lattice.
+constexpr geom::Vec3 kContentMin{-1.5, 0.0, -1.5};
+constexpr geom::Vec3 kContentMax{1.5, 2.2, 1.5};
+constexpr int kSamplesPerAxis = 4;
+
+}  // namespace
+
+geom::Vec3 SeatPosition(int slot, int remote_count) {
   if (remote_count <= 1) return {0.0, 0.0, 0.0};
   const double angle =
       2.0 * geom::kPi * static_cast<double>(slot) / remote_count;
-  return {seats.radius_m * std::sin(angle), 0.0,
-          seats.radius_m * std::cos(angle)};
+  return {kSeatRadiusM * std::sin(angle), 0.0, kSeatRadiusM * std::cos(angle)};
 }
 
-double VisibleFraction(const geom::Frustum& frustum, const SeatLayout& seats,
+double VisibleFraction(const geom::Frustum& frustum,
                        const geom::Vec3& seat_offset) {
-  const int k = std::max(1, seats.samples_per_axis);
-  const geom::Vec3 lo = seats.content_min + seat_offset;
-  const geom::Vec3 hi = seats.content_max + seat_offset;
+  constexpr int k = kSamplesPerAxis;
+  const geom::Vec3 lo = kContentMin + seat_offset;
+  const geom::Vec3 hi = kContentMax + seat_offset;
   int inside = 0;
   for (int ix = 0; ix < k; ++ix) {
     for (int iy = 0; iy < k; ++iy) {

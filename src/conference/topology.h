@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/receiver.h"
-#include "core/split.h"
 #include "core/types.h"
 #include "fec/fec.h"
 #include "geom/frustum.h"
@@ -41,24 +39,20 @@ enum class LinkMode {
 // Where each remote participant's volumetric content sits in a
 // subscriber's rendering space, and how coarsely visibility is sampled.
 //
-// Remotes are seated on a circle; with a single remote (a 2-party call)
-// the seat collapses to the origin, so the geometry degenerates to the
-// point-to-point session the rest of the repo evaluates. Each seat's
-// content is approximated by the capture volume AABB: visibility of a
-// seat is the fraction of a k^3 lattice over that box inside the
-// subscriber's (guard-band-expanded, Kalman-predicted) frustum.
-struct SeatLayout {
-  double radius_m = 2.0;
-  geom::Vec3 content_min{-1.5, 0.0, -1.5};  // capture volume around a seat
-  geom::Vec3 content_max{1.5, 2.2, 1.5};
-  int samples_per_axis = 4;
-};
+// Remotes are seated on a circle of radius kSeatRadiusM; with a single
+// remote (a 2-party call) the seat collapses to the origin, so the
+// geometry degenerates to the point-to-point session the rest of the repo
+// evaluates. Each seat's content is approximated by the capture volume
+// AABB: visibility of a seat is the fraction of a 4^3 lattice over that
+// box inside the subscriber's (guard-band-expanded, Kalman-predicted)
+// frustum.
+inline constexpr double kSeatRadiusM = 2.0;
 
 // World-space offset of remote `slot` out of `remote_count` seats.
-geom::Vec3 SeatPosition(int slot, int remote_count, const SeatLayout& seats);
+geom::Vec3 SeatPosition(int slot, int remote_count);
 
 // Fraction of the seat's content lattice inside `frustum` (in [0, 1]).
-double VisibleFraction(const geom::Frustum& frustum, const SeatLayout& seats,
+double VisibleFraction(const geom::Frustum& frustum,
                        const geom::Vec3& seat_offset);
 
 // One conference participant: a capture sequence it sends, a viewpoint
@@ -82,7 +76,6 @@ struct ConferenceOptions {
   // latency; 60 ms still leaves the NACK machinery room to repair.
   net::ChannelConfig uplink_channel;
   net::ChannelConfig downlink_channel;
-  core::ReceiverConfig receiver;
 
   LinkMode uplink_mode = LinkMode::kPrivate;
   LinkMode downlink_mode = LinkMode::kPrivate;
@@ -94,14 +87,11 @@ struct ConferenceOptions {
 
   // Same scale model as core::ReplayOptions (see DESIGN.md §1).
   double bandwidth_scale = 1.0 / 48.0;
-  double trace_time_accel = 6.0;
-  double sender_pipeline_delay_ms = 33.0;
 
   // Two-level downlink allocator (allocator.h).
   double allocation_interval_ms = 100.0;
   double burst_credit_intervals = 2.0;
   double share_floor = 0.15;
-  core::SplitConfig forward_split;
 
   // Simulcast ladder (core/types.h knobs, copied into every participant's
   // LiVoConfig). Each origin encodes ladder_layers quality layers once per
@@ -113,10 +103,6 @@ struct ConferenceOptions {
   // uplink overhead (and the point-to-point equivalence tests rely on it).
   int ladder_layers = 3;
   int ladder_qp_step = 6;
-
-  // PLI relays toward one origin are spaced at least this far apart
-  // (mirrors the transport's own keyframe-request throttle).
-  double keyframe_relay_throttle_ms = 300.0;
 
   // Admission control: RunConference rejects parties above this cap
   // rather than degrading everyone below usability.
@@ -150,7 +136,6 @@ struct ConferenceOptions {
   // single loop regardless.
   int shards = 1;
 
-  SeatLayout seats;
   std::string scheme_name = "LiVo-SFU";
 
   ConferenceOptions() { uplink_channel.jitter_buffer_ms = 60.0; }

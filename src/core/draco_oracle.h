@@ -19,36 +19,14 @@
 
 namespace livo::core {
 
-struct DracoOracleOptions {
-  double fps = 15.0;                 // §4.1: evaluated at 15 fps
-  // Parameter grid profiled offline (subset of Draco's 31 qp x 10 cl that
-  // spans the useful quality range).
-  std::vector<int> quantization_bits{6, 7, 8, 9, 10, 11};
-  std::vector<int> compression_levels{3, 7};
-  // Maps simulator point counts to paper-scale counts for the encode-time
-  // model (full Panoptic scenes are ~28x bigger than our synthetic ones;
-  // frustum-culled clouds are what the oracle compresses, hence a smaller
-  // effective factor).
-  double point_scale = 9.5;
-  // Per-frame compute-time variance of the testbed encoder (Draco's
-  // measured times fluctuate with allocator/cache state); the stall
-  // decision samples a factor uniform in [jitter_min, jitter_max].
-  double jitter_min = 0.75;
-  double jitter_max = 1.35;
-  double bandwidth_scale = 1.0 / 48.0;
-  double trace_time_accel = 6.0;  // see ReplayOptions::trace_time_accel
-  int metric_every = 3;
-  int pssim_anchors = 1200;
-  ReceiverConfig receiver;
-  geom::FrustumParams viewer;
-};
-
-// Runs the Draco-Oracle over a captured sequence. The oracle knows the true
-// link capacity (no estimator) and the true receiver frustum (perfect
-// culling) -- both favours granted to the baseline, as in the paper.
+// Runs the Draco-Oracle over a captured sequence, reading `net_trace` at
+// `bandwidth_scale` (paper-scale -> simulator scale, as
+// ReplayOptions::bandwidth_scale). The oracle knows the true link capacity
+// (no estimator) and the true receiver frustum (perfect culling) -- both
+// favours granted to the baseline, as in the paper.
 SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
                              const sim::UserTrace& user_trace,
                              const sim::BandwidthTrace& net_trace,
-                             const DracoOracleOptions& options);
+                             double bandwidth_scale);
 
 }  // namespace livo::core

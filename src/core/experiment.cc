@@ -45,14 +45,13 @@ namespace {
 // Full-fidelity config descriptions for the cache key. Every field that
 // changes session outcomes must be streamed here: the key is the only
 // thing standing between a stale .bench_cache entry and a silently wrong
-// table after a config edit.
+// table after a config edit. Constants are not streamed: a constant is
+// code, and editing one moves the key's version, like any code change
+// that moves results (v7 dropped the tuning values that became
+// constants).
 void Describe(std::ostream& os, const geom::FrustumParams& v) {
   os << v.vertical_fov_rad << ',' << v.aspect << ',' << v.near_m << ','
      << v.far_m;
-}
-
-void Describe(std::ostream& os, const ReceiverConfig& r) {
-  os << r.voxel_size_m << ',' << r.max_pair_lag << ',' << r.final_cull;
 }
 
 void Describe(std::ostream& os, const net::LinkConfig& l) {
@@ -64,17 +63,12 @@ void Describe(std::ostream& os, const LiVoConfig& c) {
   // codec_threads is left out: results do not depend on it (tests assert
   // that), so it must not split cache entries.
   os << c.layout.canvas_width() << 'x' << c.layout.canvas_height() << '/'
-     << c.layout.tile_height() << ',' << c.depth_scaler.max_range_mm << ','
-     << static_cast<int>(c.depth_mode) << ',' << c.fps << ','
-     << c.enable_culling << ',' << c.enable_adaptation << ','
-     << c.dynamic_split << ','
-     << c.static_split << ',' << c.fixed_color_qp << ',' << c.fixed_depth_qp
-     << "|split:" << c.split.initial << ',' << c.split.min << ','
-     << c.split.max << ',' << c.split.step << ',' << c.split.epsilon << ','
-     << c.split.update_every << "|pred:" << c.predictor.guard_band_m << ','
-     << c.predictor.kalman.process_noise << ','
-     << c.predictor.kalman.position_meas_noise << ','
-     << c.predictor.kalman.angle_meas_noise << ',';
+     << c.layout.tile_height() << ',' << static_cast<int>(c.depth_mode)
+     << ',' << c.fps << ',' << c.enable_culling << ','
+     << c.enable_adaptation << ',' << c.dynamic_split << ','
+     << c.static_split << "|split:" << c.split.initial << ','
+     << c.split.min << ',' << c.split.max << ',' << c.split.epsilon << ','
+     << c.split.update_every << "|pred:";
   Describe(os, c.predictor.viewer);
   const video::CodecConfig color = c.ColorCodecConfig();
   const video::CodecConfig depth = c.DepthCodecConfig();
@@ -87,47 +81,9 @@ void Describe(std::ostream& os, const ReplayOptions& o) {
   os << "link:";
   Describe(os, o.channel.link);
   os << "|gcc:" << o.channel.gcc.initial_bps << ',' << o.channel.gcc.min_bps
-     << ',' << o.channel.gcc.max_bps << ','
-     << o.channel.gcc.increase_factor << ',' << o.channel.gcc.decrease_factor
-     << ',' << o.channel.gcc.overuse_gradient_ms << ','
-     << o.channel.gcc.underuse_gradient_ms << ','
-     << o.channel.gcc.loss_decrease_threshold << ','
-     << o.channel.gcc.loss_increase_threshold << "|ch:"
-     << o.channel.jitter_buffer_ms << ',' << o.channel.feedback_interval_ms
-     << ',' << o.channel.enable_nack << "|rx:";
-  Describe(os, o.receiver);
-  os << '|' << o.bandwidth_scale << ',' << o.trace_time_accel << ','
-     << o.sender_pipeline_delay_ms << ',' << o.metric_every << ','
-     << o.pssim_anchors;
-}
-
-void Describe(std::ostream& os, const MeshReduceOptions& o) {
-  os << o.fps << '|';
-  for (int s : o.strides) os << s << ',';
-  os << '|';
-  for (int b : o.position_bits) os << b << ',';
-  os << '|' << o.profile_safety << ',' << o.profile_frames << ','
-     << o.triangle_scale << ',' << o.bandwidth_scale << ','
-     << o.trace_time_accel << ',' << o.metric_every << ',' << o.pssim_anchors
-     << "|rx:";
-  Describe(os, o.receiver);
-  os << "|view:";
-  Describe(os, o.viewer);
-  os << "|link:";
-  Describe(os, o.link);
-}
-
-void Describe(std::ostream& os, const DracoOracleOptions& o) {
-  os << o.fps << '|';
-  for (int q : o.quantization_bits) os << q << ',';
-  os << '|';
-  for (int l : o.compression_levels) os << l << ',';
-  os << '|' << o.point_scale << ',' << o.jitter_min << ',' << o.jitter_max
-     << ',' << o.bandwidth_scale << ',' << o.trace_time_accel << ','
-     << o.metric_every << ',' << o.pssim_anchors << "|rx:";
-  Describe(os, o.receiver);
-  os << "|view:";
-  Describe(os, o.viewer);
+     << ',' << o.channel.gcc.max_bps << "|ch:" << o.channel.jitter_buffer_ms
+     << ',' << o.channel.enable_nack << '|' << o.bandwidth_scale << ','
+     << o.metric_every << ',' << o.pssim_anchors;
 }
 
 }  // namespace
@@ -135,7 +91,7 @@ void Describe(std::ostream& os, const DracoOracleOptions& o) {
 std::string MatrixConfig::CacheKey() const {
   std::ostringstream os;
   os.precision(17);
-  os << "v6|" << profile.camera_count << "x" << profile.camera_width << "x"
+  os << "v7|" << profile.camera_count << "x" << profile.camera_width << "x"
      << profile.camera_height << "|f" << frames << "|u" << user_traces
      << "|t" << trace_duration_s << "|";
   // Key on the full config tuple each scheme will actually run with, not
@@ -152,18 +108,10 @@ std::string MatrixConfig::CacheKey() const {
         Describe(os, MakeReplayOptions(profile));
         break;
       }
-      case Scheme::kMeshReduce: {
-        MeshReduceOptions options;
-        options.bandwidth_scale = profile.bandwidth_scale;
-        Describe(os, options);
+      case Scheme::kMeshReduce:
+      case Scheme::kDracoOracle:
+        os << profile.bandwidth_scale;
         break;
-      }
-      case Scheme::kDracoOracle: {
-        DracoOracleOptions options;
-        options.bandwidth_scale = profile.bandwidth_scale;
-        Describe(os, options);
-        break;
-      }
     }
     os << '}';
   }
@@ -229,16 +177,10 @@ SessionResult RunScheme(Scheme scheme, const sim::CapturedSequence& sequence,
       options.trace_offset_ms = 3100.0 * static_cast<int>(user.style);
       return RunLiVoSession(sequence, user, net, config, options);
     }
-    case Scheme::kMeshReduce: {
-      MeshReduceOptions options;
-      options.bandwidth_scale = profile.bandwidth_scale;
-      return RunMeshReduce(sequence, user, net, options);
-    }
-    case Scheme::kDracoOracle: {
-      DracoOracleOptions options;
-      options.bandwidth_scale = profile.bandwidth_scale;
-      return RunDracoOracle(sequence, user, net, options);
-    }
+    case Scheme::kMeshReduce:
+      return RunMeshReduce(sequence, user, net, profile.bandwidth_scale);
+    case Scheme::kDracoOracle:
+      return RunDracoOracle(sequence, user, net, profile.bandwidth_scale);
   }
   throw std::logic_error("unknown scheme");
 }

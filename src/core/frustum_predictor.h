@@ -13,16 +13,17 @@
 
 namespace livo::core {
 
+// Guard band the predicted frustum grows by (§3.4 / Fig 15).
+inline constexpr double kGuardBandM = 0.20;
+
 struct FrustumPredictorConfig {
-  double guard_band_m = 0.20;       // §3.4 / Fig 15
   geom::FrustumParams viewer;       // headset optics, exchanged at setup
-  predict::KalmanConfig kalman;
 };
 
 class FrustumPredictor {
  public:
   explicit FrustumPredictor(const FrustumPredictorConfig& config = {})
-      : config_(config), filter_(config.kalman) {}
+      : config_(config) {}
 
   // Receiver pose feedback (arrives over the back channel).
   void ObservePose(const geom::TimedPose& sample) { filter_.Observe(sample); }
@@ -39,7 +40,7 @@ class FrustumPredictor {
   // The guard-band-expanded frustum the sender culls against.
   geom::Frustum PredictFrustum() const {
     const geom::Pose pose = filter_.PredictAhead(HorizonMs());
-    return geom::Frustum(pose, config_.viewer).Expanded(config_.guard_band_m);
+    return geom::Frustum(pose, config_.viewer).Expanded(kGuardBandM);
   }
 
   // Un-expanded prediction (for accuracy evaluation, Fig 15/16).

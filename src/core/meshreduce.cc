@@ -1,12 +1,24 @@
 #include "core/meshreduce.h"
 
 #include <algorithm>
+#include <array>
 
 #include "net/transport.h"
 #include "sim/usertrace.h"
 
 namespace livo::core {
 namespace {
+
+constexpr double kFps = 15.0;  // MeshReduce runs at 15 fps (Table 2)
+// Offline profile candidates: decimation strides and geometry precision.
+constexpr std::array<int, 5> kStrides{1, 2, 3, 4, 6};
+constexpr std::array<int, 3> kPositionBits{9, 10, 11};
+// Safety factor on the average bandwidth: the profile is built offline,
+// so it must absorb within-session dips without adapting. The paper
+// measures 18-31% utilization (Table 1).
+constexpr double kProfileSafety = 0.45;
+constexpr int kProfileFrames = 3;        // frames sampled for the profile
+constexpr double kTriangleScale = 16.0;  // sim -> paper-scale triangle counts
 
 struct Profile {
   mesh::MesherConfig mesher;
@@ -19,26 +31,25 @@ struct Profile {
 // rate stays within the safety-scaled average bandwidth.
 Profile BuildProfile(const sim::CapturedSequence& sequence,
                      const sim::BandwidthTrace& net_trace,
-                     const MeshReduceOptions& options) {
-  const double mean_bps =
-      net_trace.MeanMbps() * options.bandwidth_scale * 1e6;
+                     double bandwidth_scale) {
+  const double mean_bps = net_trace.MeanMbps() * bandwidth_scale * 1e6;
   const double budget_bytes_per_frame =
-      mean_bps * options.profile_safety / 8.0 / options.fps;
+      mean_bps * kProfileSafety / 8.0 / kFps;
 
   Profile best;
-  best.mesher.stride = options.strides.back();
-  best.codec.position_bits = options.position_bits.front();
+  best.mesher.stride = kStrides.back();
+  best.codec.position_bits = kPositionBits.front();
   double best_quality = -1.0;
 
-  for (int stride : options.strides) {
-    for (int bits : options.position_bits) {
+  for (int stride : kStrides) {
+    for (int bits : kPositionBits) {
       mesh::MesherConfig mesher;
       mesher.stride = stride;
       mesh::MeshCodecConfig codec;
       codec.position_bits = bits;
 
       double total_bytes = 0.0;
-      const int samples = std::min<int>(options.profile_frames,
+      const int samples = std::min<int>(kProfileFrames,
                                         static_cast<int>(sequence.frames.size()));
       for (int f = 0; f < samples; ++f) {
         const auto m = mesh::MeshFromViews(
@@ -67,25 +78,25 @@ Profile BuildProfile(const sim::CapturedSequence& sequence,
 SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
                             const sim::UserTrace& user_trace,
                             const sim::BandwidthTrace& net_trace,
-                            const MeshReduceOptions& options) {
+                            double bandwidth_scale) {
   SessionResult result = ResultHeader("MeshReduce", sequence, user_trace,
-                                      net_trace.name, options.fps);
+                                      net_trace.name, kFps);
 
-  const Profile profile = BuildProfile(sequence, net_trace, options);
+  const Profile profile = BuildProfile(sequence, net_trace, bandwidth_scale);
 
-  net::LinkConfig link = options.link;
-  link.bandwidth_scale = options.bandwidth_scale;
+  net::LinkConfig link;
+  link.bandwidth_scale = bandwidth_scale;
   net::ReliableChannel channel(
-      net_trace.TimeCompressed(options.trace_time_accel), link);
+      net_trace.TimeCompressed(ReplayOptions::trace_time_accel), link);
 
-  const double interval_ms = 1000.0 / options.fps;
+  const double interval_ms = 1000.0 / kFps;
   const int capture_stride = std::max(
-      1, static_cast<int>(std::lround(sequence.fps / options.fps)));
+      1, static_cast<int>(std::lround(sequence.fps / kFps)));
   const int playback_frames =
       static_cast<int>(sequence.frames.size()) / capture_stride;
   const double duration_ms = playback_frames * interval_ms;
 
-  const PssimScorer scorer(sequence, options.receiver, options.pssim_anchors);
+  const PssimScorer scorer(sequence, kPssimAnchors);
 
   std::size_t bytes_sent = 0;
   double encoder_free_ms = 0.0;  // when the (all-core) encoder becomes idle
@@ -111,7 +122,7 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
         profile.mesher);
     auto encoded = mesh::EncodeMesh(m, profile.codec);
     const double encode_ms = mesh::ModelMeshEncodeTimeMs(
-        encoded.triangle_count, options.triangle_scale);
+        encoded.triangle_count, kTriangleScale);
     encoder_free_ms = capture_ms + encode_ms;
 
     bytes_sent += encoded.TotalBytes();
@@ -137,12 +148,11 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
     rec.render_time_ms = delivery.arrival_time_ms;
     rec.latency_ms = delivery.arrival_time_ms - rec.capture_time_ms;
 
-    if (delivery.frame_index %
-            static_cast<std::uint32_t>(std::max(1, options.metric_every)) ==
+    if (delivery.frame_index % static_cast<std::uint32_t>(kMetricEvery) ==
         0) {
       const geom::Pose pose =
           sim::SampleTrace(user_trace, delivery.arrival_time_ms);
-      const geom::Frustum frustum(pose, options.viewer);
+      const geom::Frustum frustum(pose, geom::FrustumParams{});
       const pointcloud::PointCloud reference = scorer.Reference(
           static_cast<std::size_t>(it->second.capture_frame), frustum);
       // "We sample as many points from the rendered mesh as there are in
@@ -165,12 +175,12 @@ SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
   }
 
   result.frames = std::move(records);
-  Aggregate(result, playback_frames, duration_ms, options.metric_every);
+  Aggregate(result, playback_frames, duration_ms, kMetricEvery);
   // MeshReduce has no stalls by construction (§4.3: "it uses reliable
   // transmissions... instead of experiencing stalls, it exhibits varying
   // frame rates") -- undelivered frames already lowered `fps` above.
   result.stall_rate = 0.0;
-  SetThroughput(result, bytes_sent, duration_ms, options.bandwidth_scale,
+  SetThroughput(result, bytes_sent, duration_ms, bandwidth_scale,
                 net_trace.MeanMbps());
   return result;
 }

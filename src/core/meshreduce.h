@@ -21,29 +21,11 @@
 
 namespace livo::core {
 
-struct MeshReduceOptions {
-  double fps = 15.0;              // MeshReduce runs at 15 fps (Table 2)
-  // Offline profile candidates: decimation strides and geometry precision.
-  std::vector<int> strides{1, 2, 3, 4, 6};
-  std::vector<int> position_bits{9, 10, 11};
-  // Safety factor on the average bandwidth: the profile is built offline,
-  // so it must absorb within-session dips without adapting. The paper
-  // measures 18-31% utilization (Table 1).
-  double profile_safety = 0.45;
-  int profile_frames = 3;         // frames sampled for the offline profile
-  double triangle_scale = 16.0;   // sim -> paper-scale triangle counts
-  double bandwidth_scale = 1.0 / 48.0;
-  double trace_time_accel = 6.0;  // see ReplayOptions::trace_time_accel
-  int metric_every = 3;
-  int pssim_anchors = 1200;
-  ReceiverConfig receiver;
-  geom::FrustumParams viewer;
-  net::LinkConfig link;
-};
-
+// Replays `net_trace` at `bandwidth_scale` (paper-scale -> simulator
+// scale, as ReplayOptions::bandwidth_scale).
 SessionResult RunMeshReduce(const sim::CapturedSequence& sequence,
                             const sim::UserTrace& user_trace,
                             const sim::BandwidthTrace& net_trace,
-                            const MeshReduceOptions& options);
+                            double bandwidth_scale);
 
 }  // namespace livo::core

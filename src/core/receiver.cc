@@ -244,7 +244,7 @@ void LiVoReceiver::BuildCloud(const std::vector<image::Plane16>& color_planes,
     image::DepthImage depth_mm;
     switch (config_.depth_mode) {
       case DepthEncodingMode::kScaledY16:
-        depth_mm = image::UnscaleDepth(depth_planes[0], config_.depth_scaler);
+        depth_mm = image::UnscaleDepth(depth_planes[0], kDepthScaler);
         break;
       case DepthEncodingMode::kUnscaledY16:
         depth_mm = depth_planes[0];
@@ -274,7 +274,7 @@ void LiVoReceiver::BuildCloud(const std::vector<image::Plane16>& color_planes,
   util::Stopwatch render_watch;
   {
     LIVO_SPAN("receiver.render");
-    cloud = pointcloud::VoxelDownsample(cloud, receiver_config_.voxel_size_m);
+    cloud = pointcloud::VoxelDownsample(cloud, kVoxelSizeM);
     if (receiver_config_.final_cull) {
       cloud = cloud.CulledTo(frustum);
     }

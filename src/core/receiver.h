@@ -44,8 +44,11 @@ struct RenderedFrame {
   bool marker_verified = false;
 };
 
+// Voxel edge of every reconstructed cloud, the receiver's and the ground
+// truth's alike.
+inline constexpr double kVoxelSizeM = 0.025;
+
 struct ReceiverConfig {
-  double voxel_size_m = 0.025;
   // Frames older than this behind the newest complete pair are skipped.
   std::uint32_t max_pair_lag = 2;
   bool final_cull = true;   // cull reconstruction to the live frustum

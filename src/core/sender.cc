@@ -141,7 +141,7 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
     case DepthEncodingMode::kScaledY16:
       depth_planes_.resize(1);
       depth_planes_[0] = tiled.depth;
-      image::ScaleDepthInPlace(depth_planes_[0], config_.depth_scaler);
+      image::ScaleDepthInPlace(depth_planes_[0], kDepthScaler);
       break;
     case DepthEncodingMode::kUnscaledY16:
       depth_planes_.resize(1);
@@ -204,11 +204,9 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
       byte_credit_ = std::max(byte_credit_, -3.0 * frame_budget_bytes);
     } else {
       encoders.Run([&] {
-        color_result = color_encoder_.EncodeAtQp(color_planes,
-                                                 config_.fixed_color_qp);
+        color_result = color_encoder_.EncodeAtQp(color_planes, kFixedColorQp);
       });
-      depth_result = depth_encoder_.EncodeAtQp(depth_planes,
-                                               config_.fixed_depth_qp);
+      depth_result = depth_encoder_.EncodeAtQp(depth_planes, kFixedDepthQp);
       encoders.Wait();
     }
 
@@ -294,7 +292,7 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
                                       image::UnpackDepthFromRgb(packed));
     } else if (config_.depth_mode == DepthEncodingMode::kScaledY16) {
       image::Plane16 scaled = tiled.depth;
-      image::ScaleDepthInPlace(scaled, config_.depth_scaler);
+      image::ScaleDepthInPlace(scaled, kDepthScaler);
       rmse_depth =
           metrics::PlaneRmse(scaled, depth_result.reconstruction[0]);
     } else {

@@ -34,17 +34,15 @@ pointcloud::PointCloud GroundTruthCloud(
     const std::vector<geom::RgbdCamera>& cameras, const geom::Frustum& frustum,
     const ReceiverConfig& receiver_config) {
   pointcloud::PointCloud cloud = pointcloud::VoxelDownsample(
-      pointcloud::ReconstructFromViews(views, cameras),
-      receiver_config.voxel_size_m);
+      pointcloud::ReconstructFromViews(views, cameras), kVoxelSizeM);
   if (receiver_config.final_cull) {
     cloud = cloud.CulledTo(frustum);
   }
   return cloud;
 }
 
-PssimScorer::PssimScorer(const sim::CapturedSequence& sequence,
-                         const ReceiverConfig& receiver, int anchors)
-    : sequence_(sequence), receiver_(receiver) {
+PssimScorer::PssimScorer(const sim::CapturedSequence& sequence, int anchors)
+    : sequence_(sequence) {
   config_.max_anchors = anchors;
 }
 
@@ -52,7 +50,7 @@ pointcloud::PointCloud PssimScorer::Reference(
     std::size_t capture_frame, const geom::Frustum& frustum) const {
   LIVO_SPAN("session.ground_truth");
   return GroundTruthCloud(sequence_.frames[capture_frame], sequence_.rig,
-                          frustum, receiver_);
+                          frustum, ReceiverConfig{});
 }
 
 void PssimScorer::Score(const pointcloud::PointCloud& reference,
@@ -145,12 +143,11 @@ SessionRecorder::SessionRecorder(const sim::CapturedSequence& sequence,
                                  std::string net_trace)
     : user_trace_(user_trace),
       viewer_(config.predictor.viewer),
-      sender_pipeline_delay_ms_(options.sender_pipeline_delay_ms),
       metric_every_(options.metric_every),
       frames_(static_cast<int>(sequence.frames.size())),
       interval_ms_(1000.0 / config.fps),
       duration_ms_(frames_ * interval_ms_),
-      scorer_(sequence, options.receiver, options.pssim_anchors),
+      scorer_(sequence, options.pssim_anchors),
       result_(ResultHeader(options.scheme_name, sequence, user_trace,
                            std::move(net_trace), config.fps)),
       records_(static_cast<std::size_t>(frames_)) {
@@ -190,7 +187,7 @@ void SessionRecorder::OnReleased(LiVoReceiver& receiver,
     rec.latency_ms = rf.render_time_ms - rec.capture_time_ms + rf.decode_ms +
                      rf.reconstruct_ms + rf.render_ms;
     const double transport_ms = rf.render_time_ms - rec.capture_time_ms -
-                                sender_pipeline_delay_ms_;
+                                kSenderPipelineDelayMs;
     session_metrics.transport_ms.Observe(transport_ms);
     session_metrics.frames_rendered.Add();
 
@@ -253,14 +250,14 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
                           net_trace.name);
   const runtime::ReplayLink link{.trace = &net_trace,
                                  .bandwidth_scale = options.bandwidth_scale,
-                                 .accel = options.trace_time_accel,
+                                 .accel = ReplayOptions::trace_time_accel,
                                  .offset_ms = options.trace_offset_ms};
   const std::unique_ptr<net::VideoChannel> owned_channel =
       link.MakeChannel(options.channel);
   net::VideoChannel& channel = *owned_channel;
 
   LiVoSender sender(config, sequence.rig);
-  LiVoReceiver receiver(config, options.receiver, sequence.rig);
+  LiVoReceiver receiver(config, ReceiverConfig{}, sequence.rig);
 
   const int frames = session.frames();
   const double interval_ms = session.interval_ms();
@@ -289,8 +286,7 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
     // Capture + encode + send at the frame cadence, offset by the sender
     // pipeline delay (§A.1 pipelining).
     while (next_capture < frames &&
-           next_capture * interval_ms + options.sender_pipeline_delay_ms <=
-               now) {
+           next_capture * interval_ms + kSenderPipelineDelayMs <= now) {
       const int f = next_capture++;
       // Sender-side congestion drop (WebRTC pacer behaviour): when the
       // link's send queue already holds more than a jitter-buffer's worth

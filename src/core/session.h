@@ -24,27 +24,31 @@
 
 namespace livo::core {
 
+// Nominal pipeline latency between capture and first packet on the wire
+// (capture + view generation + tiling stages, each under one frame
+// interval, §A.1), in every LiVo replay and conference.
+inline constexpr double kSenderPipelineDelayMs = 33.0;
+
+// Objective metrics run on every k-th frame (PSSIM is expensive; k follows
+// the paper's probe cadence) with this anchor budget per sampled frame:
+// ReplayOptions' defaults, and what the baselines always use.
+inline constexpr int kMetricEvery = 3;
+inline constexpr int kPssimAnchors = 1200;
+
 struct ReplayOptions {
   net::ChannelConfig channel;
-  ReceiverConfig receiver;
   // Paper-scale -> simulator-scale bandwidth mapping (ScaleProfile).
   double bandwidth_scale = 1.0 / 48.0;
   // Trace timeline compression: replay sessions are seconds long while the
   // paper replays minutes, so the trace clock runs faster to expose the
-  // same bandwidth dynamics (see BandwidthTrace::TimeCompressed).
-  double trace_time_accel = 6.0;
+  // same bandwidth dynamics (see BandwidthTrace::TimeCompressed). Every
+  // replay, conference and baseline runs at this acceleration.
+  static constexpr double trace_time_accel = 6.0;
   // Starting offset into the bandwidth trace (different sessions replay
   // different segments, like the paper's long replays do naturally).
   double trace_offset_ms = 0.0;
-  // Nominal pipeline latency between capture and first packet on the wire
-  // (capture + view generation + tiling stages, each under one frame
-  // interval, §A.1).
-  double sender_pipeline_delay_ms = 33.0;
-  // Compute objective metrics every k-th frame (PSSIM is expensive; k
-  // follows the paper's probe cadence).
-  int metric_every = 3;
-  // PSSIM anchor budget per sampled frame.
-  int pssim_anchors = 1200;
+  int metric_every = kMetricEvery;
+  int pssim_anchors = kPssimAnchors;
   std::string scheme_name = "LiVo";
 };
 
@@ -85,8 +89,7 @@ pointcloud::PointCloud GroundTruthCloud(
 // because livo_metrics does not link livo_obs. The sequence is borrowed.
 class PssimScorer {
  public:
-  PssimScorer(const sim::CapturedSequence& sequence,
-              const ReceiverConfig& receiver, int anchors);
+  PssimScorer(const sim::CapturedSequence& sequence, int anchors);
 
   // GroundTruthCloud of captured frame `capture_frame`.
   pointcloud::PointCloud Reference(std::size_t capture_frame,
@@ -97,7 +100,6 @@ class PssimScorer {
 
  private:
   const sim::CapturedSequence& sequence_;
-  ReceiverConfig receiver_;
   metrics::PointSsimConfig config_;
 };
 
@@ -155,7 +157,6 @@ class SessionRecorder {
  private:
   const sim::UserTrace& user_trace_;
   geom::FrustumParams viewer_;
-  double sender_pipeline_delay_ms_;
   int metric_every_;
   int frames_;
   double interval_ms_;

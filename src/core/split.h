@@ -22,7 +22,6 @@ struct SplitConfig {
   double initial = 0.7;     // s_i (can be profiled per deployment, §3.3)
   double min = 0.5;         // depth never gets less than color
   double max = 0.9;         // protects color quality at low bandwidth
-  double step = 0.005;      // delta (line-search step)
   double epsilon = 2.0;     // RMSE dead-band
   int update_every = 3;     // k: probe cadence in frames
 };

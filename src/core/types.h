@@ -21,9 +21,18 @@ enum class DepthEncodingMode {
   kRgbPacked,    // 16-bit depth split across 8-bit color channels
 };
 
+// Depth scaling of the depth stream: the 6 m commodity ToF range.
+inline constexpr image::DepthScaler kDepthScaler{};
+
+// Fixed-quality baseline (§4.5): the paper uses Starline's nvenc values
+// (color QP 22, depth QP 14). Our codec's QP scale differs; these values
+// are calibrated so the fixed-quality rate stands in the same relation
+// to the trace capacities (~1.2x trace-1, ~3x trace-2) as in the paper.
+inline constexpr int kFixedColorQp = 24;
+inline constexpr int kFixedDepthQp = 42;
+
 struct LiVoConfig {
   image::TileLayout layout{10, 80, 72};
-  image::DepthScaler depth_scaler;           // 6 m commodity ToF range
   DepthEncodingMode depth_mode = DepthEncodingMode::kScaledY16;
   SplitConfig split;
   FrustumPredictorConfig predictor;
@@ -44,12 +53,6 @@ struct LiVoConfig {
   bool enable_adaptation = true;     // off = LiVo-NoAdapt (fixed QP)
   bool dynamic_split = true;         // off = static split
   double static_split = 0.9;
-  // Fixed-quality baseline (§4.5): the paper uses Starline's nvenc values
-  // (color QP 22, depth QP 14). Our codec's QP scale differs; these values
-  // are calibrated so the fixed-quality rate stands in the same relation
-  // to the trace capacities (~1.2x trace-1, ~3x trace-2) as in the paper.
-  int fixed_color_qp = 24;
-  int fixed_depth_qp = 42;
 
   // --- Simulcast ladder (SFU conferencing; §A.1) ---
   // Number of quality layers encoded per frame. 1 = the classic single

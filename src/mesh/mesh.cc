@@ -14,6 +14,9 @@ namespace {
 using util::BitReader;
 using util::BitWriter;
 
+// Largest depth jump within a quad of a stride-1 grid.
+constexpr double kDiscontinuityM = 0.12;
+
 double TriangleArea(const geom::Vec3& a, const geom::Vec3& b,
                     const geom::Vec3& c) {
   return 0.5 * (b - a).Cross(c - a).Norm();
@@ -114,7 +117,7 @@ TriangleMesh MeshFromViews(const std::vector<image::RgbdFrame>& views,
         // A coarser grid legitimately spans more depth per quad; scale the
         // discontinuity threshold with the stride so decimated meshes stay
         // connected on sloped surfaces and only true silhouette jumps cut.
-        if (dmax - dmin > config.discontinuity_m * stride) continue;
+        if (dmax - dmin > kDiscontinuityM * stride) continue;
         mesh.triangles.push_back({static_cast<std::uint32_t>(grid[i00]),
                                   static_cast<std::uint32_t>(grid[i10]),
                                   static_cast<std::uint32_t>(grid[i01])});

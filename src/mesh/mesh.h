@@ -45,7 +45,6 @@ struct TriangleMesh {
 
 struct MesherConfig {
   int stride = 2;                      // grid decimation factor (>= 1)
-  double discontinuity_m = 0.12;       // max depth jump within a quad
 };
 
 // Triangulates the depth grids of all views into one world-frame mesh.

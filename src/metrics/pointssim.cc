@@ -11,6 +11,11 @@ namespace {
 using pointcloud::GridIndex;
 using pointcloud::PointCloud;
 
+// Neighbourhood size k, neighbourhood search radius and anchor sample seed.
+constexpr int kNeighbours = 8;
+constexpr double kMaxRadiusM = 0.25;
+constexpr std::uint64_t kSampleSeed = 42;
+
 double Luminance(const pointcloud::PointColor& c) {
   return 0.299 * c.r + 0.587 * c.g + 0.114 * c.b;
 }
@@ -86,9 +91,8 @@ std::vector<std::size_t> SampleAnchors(std::size_t total, int max_anchors,
 // matched to nearest neighbours in `to`.
 PointSsimResult OneWay(const PointCloud& from, const GridIndex& from_index,
                        const PointCloud& to, const GridIndex& to_index,
-                       const PointSsimConfig& config) {
-  const auto anchors = SampleAnchors(from.size(), config.max_anchors,
-                                     config.sample_seed);
+                       int max_anchors) {
+  const auto anchors = SampleAnchors(from.size(), max_anchors, kSampleSeed);
   double geom_sum = 0.0, color_sum = 0.0;
   int counted = 0;
   // Feature scale floors: 1 mm dispersion for geometry, 1 luminance step
@@ -99,16 +103,14 @@ PointSsimResult OneWay(const PointCloud& from, const GridIndex& from_index,
   std::vector<GridIndex::Neighbour> knn;
   for (std::size_t ai : anchors) {
     const geom::Vec3& anchor = from.points()[ai].position;
-    const LocalFeatures fa = FeaturesAt(from, from_index, anchor,
-                                        config.neighbours, config.max_radius_m,
-                                        knn);
+    const LocalFeatures fa =
+        FeaturesAt(from, from_index, anchor, kNeighbours, kMaxRadiusM, knn);
     if (!fa.valid) continue;
     // An anchor with no usable neighbourhood in the other cloud (a hole)
     // counts as zero similarity rather than being silently dropped.
     ++counted;
-    const LocalFeatures fb = FeaturesAt(to, to_index, anchor,
-                                        config.neighbours, config.max_radius_m,
-                                        knn);
+    const LocalFeatures fb =
+        FeaturesAt(to, to_index, anchor, kNeighbours, kMaxRadiusM, knn);
     if (!fb.valid) continue;
     geom_sum += FeatureSimilarity(fa.geometry, fb.geometry, kGeomEps);
     color_sum += FeatureSimilarity(fa.color, fb.color, kColorEps);
@@ -129,14 +131,14 @@ PointSsimResult PointSsim(const PointCloud& reference,
   if (reference.empty() && distorted.empty()) return {100.0, 100.0};
   if (reference.empty() || distorted.empty()) return {0.0, 0.0};
 
-  const double cell = std::max(0.01, config.max_radius_m / 2.0);
+  const double cell = kMaxRadiusM / 2.0;
   const GridIndex ref_index(reference, cell);
   const GridIndex dist_index(distorted, cell);
 
   const PointSsimResult ab =
-      OneWay(reference, ref_index, distorted, dist_index, config);
+      OneWay(reference, ref_index, distorted, dist_index, config.max_anchors);
   const PointSsimResult ba =
-      OneWay(distorted, dist_index, reference, ref_index, config);
+      OneWay(distorted, dist_index, reference, ref_index, config.max_anchors);
 
   // Symmetric pooling: the worse direction dominates (standard practice so
   // that both missing surfaces and hallucinated ones are punished).

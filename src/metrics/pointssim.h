@@ -20,11 +20,10 @@
 
 namespace livo::metrics {
 
+// Each anchor's local neighbourhood is its 8 nearest points within 25 cm;
+// anchors are subsampled with a fixed seed.
 struct PointSsimConfig {
-  int neighbours = 8;            // k for the local neighbourhood
-  double max_radius_m = 0.25;    // neighbourhood search radius
   int max_anchors = 2000;        // anchor subsample size (0 = all points)
-  std::uint64_t sample_seed = 42;
 };
 
 struct PointSsimResult {

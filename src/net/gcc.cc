@@ -8,6 +8,17 @@
 namespace livo::net {
 namespace {
 
+// Multiplicative steps per feedback interval: up while the path is stable,
+// down on sustained overuse.
+constexpr double kIncreaseFactor = 1.045;
+constexpr double kDecreaseFactor = 0.85;
+// Smoothed delay trend (ms per interval) above which the path is overused.
+constexpr double kOveruseGradientMs = 1.1;
+// Interval loss above which the loss controller backs off, and below which
+// the estimate may still increase.
+constexpr double kLossDecreaseThreshold = 0.10;
+constexpr double kLossIncreaseThreshold = 0.02;
+
 struct GccMetrics {
   obs::Registry& reg = obs::Registry::Get();
   obs::Counter& decreases = reg.GetCounter("gcc.decreases");
@@ -39,13 +50,13 @@ void GccEstimator::OnFeedback(const FeedbackReport& report) {
       0.6 * smoothed_gradient_ms_ + 0.4 * report.delay_gradient_ms;
 
   // Loss-based controller takes precedence in heavy loss.
-  if (loss > config_.loss_decrease_threshold) {
+  if (loss > kLossDecreaseThreshold) {
     estimate_bps_ *= (1.0 - 0.5 * loss);
     state_ = State::kDecrease;
     Metrics().decreases.Add();
     LIVO_LOG(Debug) << "loss-based decrease: loss " << loss << ", estimate "
                     << estimate_bps_ / 1e6 << " Mbps";
-  } else if (smoothed_gradient_ms_ > config_.overuse_gradient_ms ||
+  } else if (smoothed_gradient_ms_ > kOveruseGradientMs ||
              report.mean_delay_ms > 200.0) {
     // Overuse suspected. Real GCC's detector has hysteresis: act only on
     // sustained overuse (or outright queue blow-up), and not again within
@@ -56,7 +67,7 @@ void GccEstimator::OnFeedback(const FeedbackReport& report) {
     const bool cooled =
         report.time_ms - last_decrease_ms_ >= 3.0 * report.interval_ms;
     if ((consecutive_overuse_ >= 2 || severe) && cooled) {
-      estimate_bps_ *= config_.decrease_factor;
+      estimate_bps_ *= kDecreaseFactor;
       last_decrease_ms_ = report.time_ms;
       consecutive_overuse_ = 0;
       Metrics().decreases.Add();
@@ -65,9 +76,9 @@ void GccEstimator::OnFeedback(const FeedbackReport& report) {
                       << estimate_bps_ / 1e6 << " Mbps";
     }
     state_ = State::kDecrease;
-  } else if (loss < config_.loss_increase_threshold) {
+  } else if (loss < kLossIncreaseThreshold) {
     consecutive_overuse_ = 0;
-    estimate_bps_ *= config_.increase_factor;
+    estimate_bps_ *= kIncreaseFactor;
     state_ = State::kIncrease;
   } else {
     state_ = State::kHold;

@@ -20,12 +20,6 @@ struct GccConfig {
   double initial_bps = 2.0e6;
   double min_bps = 100e3;
   double max_bps = 400e6;
-  double increase_factor = 1.045;     // per feedback interval when stable
-  double decrease_factor = 0.85;      // on overuse
-  double overuse_gradient_ms = 1.1;   // delay trend threshold (ms / interval)
-  double underuse_gradient_ms = -0.5;
-  double loss_decrease_threshold = 0.10;
-  double loss_increase_threshold = 0.02;
 };
 
 class GccEstimator {

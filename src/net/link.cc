@@ -9,6 +9,12 @@
 namespace livo::net {
 namespace {
 
+// Gilbert–Elliott chain: per-packet probabilities of leaving the good and
+// the bad state, and the drop probability in the bad state.
+constexpr double kGePGoodBad = 0.02;
+constexpr double kGePBadGood = 0.25;
+constexpr double kGeBadLoss = 0.5;
+
 struct LinkMetrics {
   obs::Registry& reg = obs::Registry::Get();
   obs::Counter& packets_dropped = reg.GetCounter("link.packets_dropped");
@@ -25,11 +31,9 @@ LinkMetrics& Metrics() {
 
 double MeanLossRate(const LinkConfig& config) {
   if (config.loss_model == LossModel::kIid) return config.loss_rate;
-  // Stationary distribution of the two-state chain: pi_bad =
-  // p_gb / (p_gb + p_bg) (degenerate chains stay in their start state).
-  const double denom = config.ge_p_good_bad + config.ge_p_bad_good;
-  const double pi_bad = denom > 0.0 ? config.ge_p_good_bad / denom : 0.0;
-  return (1.0 - pi_bad) * config.loss_rate + pi_bad * config.ge_bad_loss;
+  // Stationary distribution of the two-state chain.
+  const double pi_bad = kGePGoodBad / (kGePGoodBad + kGePBadGood);
+  return (1.0 - pi_bad) * config.loss_rate + pi_bad * kGeBadLoss;
 }
 
 LinkEmulator::LinkEmulator(sim::BandwidthTrace trace, const LinkConfig& config)
@@ -45,9 +49,9 @@ bool LinkEmulator::DrawLoss() {
   // current state's loss probability — two draws per packet, always, so
   // the RNG stream stays aligned regardless of outcomes.
   const bool transition =
-      rng_.Chance(ge_bad_ ? config_.ge_p_bad_good : config_.ge_p_good_bad);
+      rng_.Chance(ge_bad_ ? kGePBadGood : kGePGoodBad);
   if (transition) ge_bad_ = !ge_bad_;
-  return rng_.Chance(ge_bad_ ? config_.ge_bad_loss : config_.loss_rate);
+  return rng_.Chance(ge_bad_ ? kGeBadLoss : config_.loss_rate);
 }
 
 double LinkEmulator::CapacityBitsPerMs(double now_ms) const {

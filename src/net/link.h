@@ -18,9 +18,10 @@ namespace livo::net {
 
 // Random-loss process applied before the queue. kIid draws one Bernoulli
 // per packet at loss_rate. kGilbertElliott runs the classic two-state
-// burst model: a good state losing at loss_rate and a bad state losing at
-// ge_bad_loss, with per-packet transition probabilities between them —
-// the stationary loss rate is available via MeanLossRate for budgeting.
+// burst model: a good state losing at loss_rate and a bad state losing
+// half its packets, with fixed per-packet transition probabilities between
+// them — the stationary loss rate is available via MeanLossRate for
+// budgeting.
 enum class LossModel {
   kIid = 0,
   kGilbertElliott = 1,
@@ -33,10 +34,6 @@ struct LinkConfig {
   double bandwidth_scale = 1.0;        // applied to the trace (DESIGN.md §1)
   std::uint64_t seed = 7;
   LossModel loss_model = LossModel::kIid;
-  // Gilbert–Elliott parameters (used only under kGilbertElliott).
-  double ge_p_good_bad = 0.02;  // P(good -> bad) per packet
-  double ge_p_bad_good = 0.25;  // P(bad -> good) per packet
-  double ge_bad_loss = 0.5;     // drop probability in the bad state
 };
 
 // Long-run expected loss rate of the configured model: loss_rate for iid,

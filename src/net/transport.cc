@@ -10,6 +10,9 @@
 namespace livo::net {
 namespace {
 
+// Cadence of the receiver reports that feed the GCC estimator.
+constexpr double kFeedbackIntervalMs = 100.0;
+
 struct TransportMetrics {
   obs::Registry& reg = obs::Registry::Get();
   obs::Counter& packets_sent = reg.GetCounter("net.packets_sent");
@@ -346,7 +349,7 @@ void VideoChannel::ProcessTimers(double now_ms) {
     }
   }
 
-  if (now_ms - last_feedback_ms_ >= config_.feedback_interval_ms) {
+  if (now_ms - last_feedback_ms_ >= kFeedbackIntervalMs) {
     EmitFeedback(now_ms);
   }
 }
@@ -556,7 +559,7 @@ double VideoChannel::NextEventTimeMs() const {
 
   // Feedback reports fire even on an idle channel: a zero-packet report
   // still drives the estimator (`now - last >= interval`, non-strict).
-  next = std::min(next, last_feedback_ms_ + config_.feedback_interval_ms);
+  next = std::min(next, last_feedback_ms_ + kFeedbackIntervalMs);
 
   // Jitter-buffer releases (`release <= now`, non-strict).
   for (const ReceivedFrame& r : ready_) {

@@ -64,7 +64,6 @@ struct ChannelConfig {
   LinkConfig link;
   GccConfig gcc;
   double jitter_buffer_ms = 100.0;  // §4.4: "we use 100 ms"
-  double feedback_interval_ms = 100.0;
   bool enable_nack = true;
   // ---- Forward error correction (src/fec, DESIGN.md §12) ----
   // Enables the parity send path, receiver-side recovery, and the

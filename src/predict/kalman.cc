@@ -5,6 +5,12 @@
 namespace livo::predict {
 namespace {
 
+// Acceleration spectral density of the constant-velocity model, and the
+// headset's position (m^2) and orientation (rad^2) tracking variances.
+constexpr double kProcessNoise = 4.0;
+constexpr double kPositionMeasNoise = 1e-4;
+constexpr double kAngleMeasNoise = 3e-4;
+
 // Wraps an angle difference into (-pi, pi].
 double WrapDelta(double delta) {
   while (delta > geom::kPi) delta -= 2.0 * geom::kPi;
@@ -70,10 +76,8 @@ void PoseKalmanFilter::Observe(const geom::TimedPose& sample) {
                             sample.pose.position.z, unwrapped_[0],
                             unwrapped_[1], unwrapped_[2]};
   for (int i = 0; i < 6; ++i) {
-    const double meas_noise =
-        i < 3 ? config_.position_meas_noise : config_.angle_meas_noise;
-    dims_[static_cast<std::size_t>(i)].Observe(values[i], dt_s,
-                                               config_.process_noise,
+    const double meas_noise = i < 3 ? kPositionMeasNoise : kAngleMeasNoise;
+    dims_[static_cast<std::size_t>(i)].Observe(values[i], dt_s, kProcessNoise,
                                                meas_noise);
   }
   last_time_ms_ = sample.time_ms;

@@ -13,12 +13,6 @@
 
 namespace livo::predict {
 
-struct KalmanConfig {
-  double process_noise = 4.0;        // acceleration spectral density
-  double position_meas_noise = 1e-4; // headset position tracking variance
-  double angle_meas_noise = 3e-4;    // orientation tracking variance (rad^2)
-};
-
 // Scalar constant-velocity Kalman filter.
 class ScalarKalman {
  public:
@@ -40,9 +34,6 @@ class ScalarKalman {
 
 class PoseKalmanFilter {
  public:
-  explicit PoseKalmanFilter(const KalmanConfig& config = {})
-      : config_(config) {}
-
   // Feeds one timestamped pose observation (receiver feedback).
   void Observe(const geom::TimedPose& sample);
 
@@ -54,7 +45,6 @@ class PoseKalmanFilter {
   bool initialized() const { return initialized_; }
 
  private:
-  KalmanConfig config_;
   bool initialized_ = false;
   double last_time_ms_ = 0.0;
   // Dimensions: x, y, z, yaw, pitch, roll.

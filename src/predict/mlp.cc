@@ -106,6 +106,14 @@ double Mlp::TrainStep(const std::vector<double>& input,
 
 namespace {
 
+// Past poses fed as input, prediction lookahead, hidden depth, base
+// learning rate and weight-initialisation seed.
+constexpr int kWindow = 5;
+constexpr double kHorizonMs = 100.0;
+constexpr int kHiddenLayers = 3;
+constexpr double kLearningRate = 0.02;
+constexpr std::uint64_t kSeed = 17;
+
 // Six pose coordinates used as features/targets.
 std::array<double, 6> PoseVector(const geom::Pose& pose) {
   const geom::EulerAngles e = pose.ToEuler();
@@ -118,22 +126,22 @@ std::array<double, 6> PoseVector(const geom::Pose& pose) {
 MlpPosePredictor::MlpPosePredictor(const MlpPredictorConfig& config)
     : config_(config),
       net_([&] {
-        std::vector<int> sizes{config.window * 6};
-        for (int i = 0; i < config.hidden_layers; ++i) {
+        std::vector<int> sizes{kWindow * 6};
+        for (int i = 0; i < kHiddenLayers; ++i) {
           sizes.push_back(config.hidden_units);
         }
         sizes.push_back(6);
         return sizes;
-      }(), config.seed) {}
+      }(), kSeed) {}
 
 std::vector<double> MlpPosePredictor::Featurize(
     const std::vector<geom::TimedPose>& recent, std::size_t end_index) const {
   // Deltas of each pose w.r.t. the newest one in the window, so the network
   // learns motion patterns rather than absolute room coordinates.
   std::vector<double> features;
-  features.reserve(static_cast<std::size_t>(config_.window) * 6);
+  features.reserve(static_cast<std::size_t>(kWindow) * 6);
   const auto newest = PoseVector(recent[end_index].pose);
-  for (int w = config_.window - 1; w >= 0; --w) {
+  for (int w = kWindow - 1; w >= 0; --w) {
     const auto v = PoseVector(recent[end_index - static_cast<std::size_t>(w)].pose);
     for (int d = 0; d < 6; ++d) {
       features.push_back(v[static_cast<std::size_t>(d)] -
@@ -151,8 +159,8 @@ void MlpPosePredictor::Train(const std::vector<sim::UserTrace>& traces) {
   std::vector<Sample> samples;
   for (const auto& trace : traces) {
     const auto horizon_frames = static_cast<std::size_t>(
-        std::max(1.0, std::round(config_.horizon_ms / 1000.0 * trace.fps)));
-    const auto window = static_cast<std::size_t>(config_.window);
+        std::max(1.0, std::round(kHorizonMs / 1000.0 * trace.fps)));
+    const auto window = static_cast<std::size_t>(kWindow);
     if (trace.poses.size() < window + horizon_frames) continue;
     for (std::size_t end = window - 1;
          end + horizon_frames < trace.poses.size(); ++end) {
@@ -170,10 +178,10 @@ void MlpPosePredictor::Train(const std::vector<sim::UserTrace>& traces) {
   }
   if (samples.empty()) return;
 
-  util::Rng rng(config_.seed ^ 0xabcdef);
+  util::Rng rng(kSeed ^ 0xabcdef);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     // Decaying learning rate stabilizes the small-sample regime.
-    const double lr = config_.learning_rate / (1.0 + 0.1 * epoch);
+    const double lr = kLearningRate / (1.0 + 0.1 * epoch);
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const auto& s = samples[rng.NextBelow(samples.size())];
       net_.TrainStep(s.input, s.target, lr);
@@ -183,7 +191,7 @@ void MlpPosePredictor::Train(const std::vector<sim::UserTrace>& traces) {
 
 geom::Pose MlpPosePredictor::Predict(
     const std::vector<geom::TimedPose>& recent) const {
-  if (recent.size() < static_cast<std::size_t>(config_.window)) {
+  if (recent.size() < static_cast<std::size_t>(kWindow)) {
     return recent.empty() ? geom::Pose{} : recent.back().pose;
   }
   const auto input = Featurize(recent, recent.size() - 1);
@@ -228,17 +236,16 @@ PredictionError AccumulateErrors(
 
 PredictionError EvaluateMlp(const MlpPosePredictor& predictor,
                             const std::vector<sim::UserTrace>& traces) {
-  const int window = predictor.config().window;
   return AccumulateErrors(
       traces,
       [&](const sim::UserTrace& trace, std::size_t i) {
         std::vector<geom::TimedPose> recent(
             trace.poses.begin() +
-                static_cast<std::ptrdiff_t>(i + 1 - static_cast<std::size_t>(window)),
+                static_cast<std::ptrdiff_t>(i + 1 - static_cast<std::size_t>(kWindow)),
             trace.poses.begin() + static_cast<std::ptrdiff_t>(i + 1));
         return predictor.Predict(recent);
       },
-      predictor.config().horizon_ms);
+      kHorizonMs);
 }
 
 PredictionError EvaluateKalman(const std::vector<sim::UserTrace>& traces,

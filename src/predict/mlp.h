@@ -44,14 +44,11 @@ class Mlp {
   std::vector<Layer> layers_;
 };
 
+// The predictor feeds the last 5 poses to 3 hidden layers ("MLP with 3
+// hidden layers used in ViVo") and predicts 100 ms ahead.
 struct MlpPredictorConfig {
-  int window = 5;            // past poses fed as input
-  double horizon_ms = 100.0; // prediction lookahead
   int hidden_units = 32;
-  int hidden_layers = 3;     // "MLP with 3 hidden layers used in ViVo"
   int epochs = 30;
-  double learning_rate = 0.02;
-  std::uint64_t seed = 17;
 };
 
 // Per-trace pose predictor: trained on whole traces, queried per frame.
@@ -63,11 +60,9 @@ class MlpPosePredictor {
   // the paper's point is that few traces generalize poorly).
   void Train(const std::vector<sim::UserTrace>& traces);
 
-  // Predicts the pose `horizon_ms` after the last of `recent` poses, which
-  // must contain at least `window` samples at the trace frame rate.
+  // Predicts the pose 100 ms after the last of `recent` poses, which must
+  // contain at least 5 samples at the trace frame rate.
   geom::Pose Predict(const std::vector<geom::TimedPose>& recent) const;
-
-  const MlpPredictorConfig& config() const { return config_; }
 
  private:
   std::vector<double> Featurize(const std::vector<geom::TimedPose>& recent,

@@ -27,8 +27,8 @@ MultiSessionResult RunMultiSession(std::vector<SessionSpec> specs,
   ReplayLink flow;
   if (options.share_link && !specs.empty()) {
     bottleneck = std::make_unique<SharedLink>(
-        options.shared_trace.Replayed(options.shared_trace_accel,
-                                      options.shared_trace_offset_ms),
+        options.shared_trace.Replayed(core::ReplayOptions::trace_time_accel,
+                                      0.0),
         options.shared_link_config);
     // Flows warm-start at their fair share of the shared bottleneck.
     flow = ReplayLink{

@@ -28,15 +28,11 @@ namespace livo::runtime {
 
 struct MultiSessionOptions {
   // When true, all sessions share one bottleneck link replaying
-  // shared_trace (time-compressed/rotated per shared_replay below) instead
-  // of private links.
+  // shared_trace from its start, time-compressed like every replay
+  // (core::ReplayOptions::trace_time_accel), instead of private links.
   bool share_link = false;
   sim::BandwidthTrace shared_trace;
   net::LinkConfig shared_link_config;  // bandwidth_scale applied to the trace
-  // Trace-timeline compression/offset for the shared trace (same meaning
-  // as ReplayOptions::trace_time_accel / trace_offset_ms).
-  double shared_trace_accel = 6.0;
-  double shared_trace_offset_ms = 0.0;
   // Event-loop shards (threads). Results are bit-identical for any value;
   // only wall time changes. Ignored (one domain) when share_link is set.
   int shards = 1;

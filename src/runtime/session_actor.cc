@@ -17,14 +17,14 @@ SessionActor::SessionActor(EventLoop& loop, SessionSpec spec,
                 ? *bottleneck
                 : ReplayLink{.trace = &spec_.net_trace,
                              .bandwidth_scale = spec_.options.bandwidth_scale,
-                             .accel = spec_.options.trace_time_accel,
+                             .accel = core::ReplayOptions::trace_time_accel,
                              .offset_ms = spec_.options.trace_offset_ms}),
       recorder_(*spec_.sequence, spec_.user_trace, spec_.config,
                 spec_.options,
                 bottleneck != nullptr ? "shared" : spec_.net_trace.name),
       channel_(link_.MakeChannel(spec_.options.channel)),
       sender_(spec_.config, spec_.sequence->rig),
-      receiver_(spec_.config, spec_.options.receiver, spec_.sequence->rig) {
+      receiver_(spec_.config, core::ReceiverConfig{}, spec_.sequence->rig) {
   channel_->SetFrameSink(
       [this](std::vector<net::ReceivedFrame> frames, double now_ms) {
         recorder_.OnReleased(receiver_, frames, now_ms);
@@ -69,7 +69,7 @@ void SessionActor::OnWake(double now_ms) {
   // pipeline delay (§A.1 pipelining).
   while (next_capture_ < recorder_.frames() &&
          next_capture_ * recorder_.interval_ms() +
-                 spec_.options.sender_pipeline_delay_ms <=
+                 core::kSenderPipelineDelayMs <=
              now_ms) {
     const int f = next_capture_++;
     // Sender-side congestion drop (WebRTC pacer behaviour): when the
@@ -114,7 +114,7 @@ void SessionActor::ScheduleNext(double now_ms) {
   if (next_capture_ < recorder_.frames()) {
     next = std::min(next,
                     std::ceil(next_capture_ * recorder_.interval_ms() +
-                              spec_.options.sender_pipeline_delay_ms));
+                              core::kSenderPipelineDelayMs));
   }
   next = std::min(next, std::ceil(channel_->NextEventTimeMs()));
   if (link_.shared != nullptr) {

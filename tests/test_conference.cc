@@ -132,15 +132,14 @@ TEST(ConferenceAdmission, RejectsRostersTheSfuCannotServe) {
 // ---- Seat geometry ----
 
 TEST(ConferenceTopology, SeatsDegenerateToOriginForTwoParties) {
-  const SeatLayout seats;
-  const geom::Vec3 seat = SeatPosition(0, 1, seats);
+  const geom::Vec3 seat = SeatPosition(0, 1);
   EXPECT_DOUBLE_EQ(seat.x, 0.0);
   EXPECT_DOUBLE_EQ(seat.y, 0.0);
   EXPECT_DOUBLE_EQ(seat.z, 0.0);
-  // Three remotes sit on the circle at the configured radius.
+  // Three remotes sit on the circle at the seat radius.
   for (int slot = 0; slot < 3; ++slot) {
-    const geom::Vec3 s = SeatPosition(slot, 3, seats);
-    EXPECT_NEAR(std::sqrt(s.x * s.x + s.z * s.z), seats.radius_m, 1e-9);
+    const geom::Vec3 s = SeatPosition(slot, 3);
+    EXPECT_NEAR(std::sqrt(s.x * s.x + s.z * s.z), kSeatRadiusM, 1e-9);
     EXPECT_DOUBLE_EQ(s.y, 0.0);
   }
 }

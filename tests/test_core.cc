@@ -367,11 +367,11 @@ std::vector<EncodedPair> EncodeL0(
       color.push_back(halve(plane, true));
     }
     image::Plane16 depth = tiled.depth;
-    image::ScaleDepthInPlace(depth, config.depth_scaler);
+    image::ScaleDepthInPlace(depth, kDepthScaler);
     stream.push_back(
-        {serialize(color_encoder.EncodeAtQp(color, config.fixed_color_qp)),
+        {serialize(color_encoder.EncodeAtQp(color, kFixedColorQp)),
          serialize(depth_encoder.EncodeAtQp({halve(depth, false)},
-                                            config.fixed_depth_qp))});
+                                            kFixedDepthQp))});
   }
   return stream;
 }
@@ -687,10 +687,8 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
   const auto& seq = SmallSequence();
   const auto user = sim::GenerateUserTrace("toddler4",
                                            sim::TraceStyle::kOrbit, 80);
-  DracoOracleOptions options;
-  options.viewer = geom::FrustumParams{};
   const SessionResult r =
-      RunDracoOracle(seq, user, FlatTrace(90.0), options);
+      RunDracoOracle(seq, user, FlatTrace(90.0), 1.0 / 48.0);
   EXPECT_EQ(r.scheme, "Draco-Oracle");
   EXPECT_EQ(r.target_fps, 15.0);
   EXPECT_GE(r.stall_rate, 0.0);
@@ -715,7 +713,7 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
       << std::hexfloat << r.utilization;
 
   const SessionResult stepped =
-      RunDracoOracle(seq, user, SteppedTrace(), options);
+      RunDracoOracle(seq, user, SteppedTrace(), 1.0 / 48.0);
   EXPECT_EQ(stepped.mean_latency_ms, 0x1.3848629555499p+6)
       << std::hexfloat << stepped.mean_latency_ms;
   EXPECT_EQ(stepped.mean_pssim_geometry, 0x1.8073d54e51755p+6)
@@ -728,9 +726,8 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
   const auto& seq = SmallSequence();
   const auto user = sim::GenerateUserTrace("toddler4",
                                            sim::TraceStyle::kOrbit, 80);
-  MeshReduceOptions options;
   const SessionResult r =
-      RunMeshReduce(seq, user, FlatTrace(90.0), options);
+      RunMeshReduce(seq, user, FlatTrace(90.0), 1.0 / 48.0);
   EXPECT_EQ(r.stall_rate, 0.0);
   EXPECT_GT(r.fps, 5.0);
   EXPECT_LE(r.fps, 15.5);
@@ -771,9 +768,8 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
   };
   for (const Golden& golden : kGolden) {
     SCOPED_TRACE(golden.bandwidth_scale);
-    MeshReduceOptions edge;
-    edge.bandwidth_scale = golden.bandwidth_scale;
-    const SessionResult e = RunMeshReduce(seq, user, SteppedTrace(), edge);
+    const SessionResult e =
+        RunMeshReduce(seq, user, SteppedTrace(), golden.bandwidth_scale);
     EXPECT_EQ(e.mean_latency_ms, golden.latency_ms)
         << std::hexfloat << e.mean_latency_ms;
     EXPECT_EQ(e.mean_pssim_geometry, golden.pssim_geometry)

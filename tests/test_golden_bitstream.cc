@@ -64,7 +64,7 @@ std::uint64_t EncodeAndHash(const sim::CapturedSequence& capture,
     const std::vector<image::Plane16> color_planes =
         video::RgbToYcbcr(tiled.color);
     image::Plane16 depth = tiled.depth;
-    image::ScaleDepthInPlace(depth, config.depth_scaler);
+    image::ScaleDepthInPlace(depth, core::kDepthScaler);
     std::vector<image::Plane16> depth_planes;
     depth_planes.push_back(std::move(depth));
 
