@@ -21,10 +21,19 @@ more than the parent's interquartile range. A seed whose run.py exits
 without a result on either side is neither a win nor a tie. Failures are
 counted in two units: run.py invocations that gave no result, and the
 child runs that run.py itself reports failed within the invocations that
-did. The last stdout line is one JSON object with every per-seed value.
+did.
+
+Before the timed runs, each side's benchmark binary runs every seed once
+untimed (`run --setups 1 --budget-s 0`), and the two virtual-time records
+are compared on the fields of each side's perfbench/run.py REPEATED: the
+report says "records equal" or names each field that differs, with both
+values. A change meant to be bit-identical must read "records equal" on
+every seed. The last stdout line is one JSON object with every per-seed
+value and record comparison.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -78,6 +87,65 @@ def run_py(checkout, args):
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
     return proc.returncode, result
+
+
+def repeated_fields(checkout):
+    """The REPEATED virtual-time fields of a side's perfbench/run.py."""
+    path = os.path.join(checkout, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REPEATED
+
+
+def record(checkout, workload, seed):
+    """One untimed run of a side's benchmark binary; its RESULT object, or
+    None when the run gave none."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("LIVO_TRACE")}
+    binary = os.path.join(checkout, ".bench_build", "perfbench",
+                          "livo_perfbench")
+    proc = subprocess.run([binary, "run", "--workload", workload, "--seed",
+                           str(seed), "--setups", "1", "--budget-s", "0"],
+                          cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    for line in proc.stdout.splitlines():
+        if line.startswith("RESULT "):
+            try:
+                return json.loads(line[len("RESULT "):])
+            except ValueError:
+                return None
+    sys.stderr.write(proc.stderr[-2000:])
+    return None
+
+
+def compare_records(checkouts, workload, seeds):
+    """Compares both sides' virtual-time records seed by seed; returns
+    {seed: "equal" | "no record" | {field: [parent, change]}}."""
+    fields = []
+    for side in SIDES:
+        fields += [f for f in repeated_fields(checkouts[side])
+                   if f not in fields]
+    comparison = {}
+    for seed in seeds:
+        records = {side: record(checkouts[side], workload, seed)
+                   for side in SIDES}
+        if None in records.values():
+            missing = [side for side in SIDES if records[side] is None]
+            log("  seed %d: no record on %s" % (seed, ", ".join(missing)))
+            comparison[seed] = "no record"
+            continue
+        differ = {f: [records[side].get(f) for side in SIDES]
+                  for f in fields
+                  if records["parent"].get(f) != records["change"].get(f)}
+        if differ:
+            log("  seed %d: records differ: %s" % (seed, "; ".join(
+                "%s parent %s change %s" % (f, p, c)
+                for f, (p, c) in differ.items())))
+        else:
+            log("  seed %d: records equal" % seed)
+        comparison[seed] = differ or "equal"
+    return comparison
 
 
 def quartiles(values):
@@ -155,6 +223,8 @@ def main():
             % (args.workload, seconds, ",".join(map(str, seeds))))
         for side in SIDES:
             log("   %-7s %s" % (side, commits[side]))
+        log("virtual-time records (one untimed run per side and seed):")
+        records = compare_records(checkouts, args.workload, seeds)
 
         results = {side: {} for side in SIDES}
         # Invocations without a result, and failed child runs within the
@@ -189,10 +259,13 @@ def main():
                 "runs failed in the others" % (
                     side, no_result[side], len(seeds), failed[side],
                     attempted[side]))
+        log("virtual-time records equal on %d of %d seeds" % (
+            sum(r == "equal" for r in records.values()), len(seeds)))
         print(json.dumps({"workload": args.workload, "seconds": seconds,
                           "seeds": seeds, "commits": commits,
                           "no_result": no_result, "failed": failed,
-                          "attempted": attempted, "metrics": summary}),
+                          "attempted": attempted, "metrics": summary,
+                          "records": records}),
               flush=True)
         return 0
     finally:
