@@ -142,7 +142,8 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
   runtime::ReplayLink shared_up;
   if (options.uplink_mode == LinkMode::kShared) {
     shared_uplink = std::make_unique<runtime::SharedLink>(
-        options.shared_uplink_trace.Replayed(core::ReplayOptions::trace_time_accel, 0.0),
+        options.shared_uplink_trace.Replayed(
+            core::ReplayOptions::trace_time_accel, 0.0),
         options.shared_uplink_config, "runtime.shared_uplink");
     shared_up = runtime::ReplayLink{
         .trace = &options.shared_uplink_trace,
@@ -154,7 +155,8 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
   runtime::ReplayLink shared_down;
   if (options.downlink_mode == LinkMode::kShared) {
     shared_downlink = std::make_unique<runtime::SharedLink>(
-        options.shared_downlink_trace.Replayed(core::ReplayOptions::trace_time_accel, 0.0),
+        options.shared_downlink_trace.Replayed(
+            core::ReplayOptions::trace_time_accel, 0.0),
         options.shared_downlink_config, "runtime.shared_downlink");
     shared_down = runtime::ReplayLink{
         .trace = &options.shared_downlink_trace,
@@ -179,10 +181,11 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
     const runtime::ReplayLink link =
         shared.shared != nullptr
             ? shared
-            : runtime::ReplayLink{.trace = &own_trace,
-                                  .bandwidth_scale = options.bandwidth_scale,
-                                  .accel = core::ReplayOptions::trace_time_accel,
-                                  .offset_ms = own_offset_ms};
+            : runtime::ReplayLink{
+                  .trace = &own_trace,
+                  .bandwidth_scale = options.bandwidth_scale,
+                  .accel = core::ReplayOptions::trace_time_accel,
+                  .offset_ms = own_offset_ms};
     return link.MakeChannel(std::move(cfg));
   };
 

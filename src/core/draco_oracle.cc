@@ -97,8 +97,8 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
       // quantizes every captured point regardless of how many survive
       // deduplication at the chosen qp.
       const double encode_ms =
-          compute_jitter * pccodec::ModelEncodeTimeMs(culled.size(),
-                                                      entry.config, kPointScale);
+          compute_jitter * pccodec::ModelEncodeTimeMs(
+                               culled.size(), entry.config, kPointScale);
       if (encode_ms > interval_ms) continue;           // too slow: stall risk
       if (entry.data.size() > budget_bytes) continue;  // does not fit
       if (best == nullptr ||
@@ -116,8 +116,8 @@ SessionResult RunDracoOracle(const sim::CapturedSequence& sequence,
       rec.rendered = true;
       rec.render_time_ms = display_ms;
       const double encode_ms =
-          compute_jitter * pccodec::ModelEncodeTimeMs(culled.size(),
-                                                      best->config, kPointScale);
+          compute_jitter * pccodec::ModelEncodeTimeMs(
+                               culled.size(), best->config, kPointScale);
       // Transmission takes one frame interval of link serialization
       // budget on top of the encode.
       rec.latency_ms = encode_ms + interval_ms;
