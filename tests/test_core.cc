@@ -712,14 +712,31 @@ TEST_F(SessionTest, DracoOracleRunsAndRecordsTrade) {
   EXPECT_EQ(r.utilization, 0x1.899392189bd84p-1)
       << std::hexfloat << r.utilization;
 
-  const SessionResult stepped =
-      RunDracoOracle(seq, user, SteppedTrace(), 1.0 / 48.0);
-  EXPECT_EQ(stepped.mean_latency_ms, 0x1.3848629555499p+6)
-      << std::hexfloat << stepped.mean_latency_ms;
-  EXPECT_EQ(stepped.mean_pssim_geometry, 0x1.8073d54e51755p+6)
-      << std::hexfloat << stepped.mean_pssim_geometry;
-  EXPECT_EQ(stepped.mean_throughput_mbps, 0x1.090f09c59a4d6p+6)
-      << std::hexfloat << stepped.mean_throughput_mbps;
+  // Over the stepped trace; at half the scale the coarsest quantization
+  // is the only one some frames' budgets afford.
+  struct Golden {
+    double bandwidth_scale;
+    double latency_ms;
+    double pssim_geometry;
+    double throughput_mbps;
+  };
+  constexpr Golden kGolden[] = {
+      {1.0 / 48.0, 0x1.3848629555499p+6, 0x1.8073d54e51755p+6,
+       0x1.090f09c59a4d6p+6},
+      {1.0 / 96.0, 0x1.358b43e60f45ep+6, 0x1.041bc91248d1dp+6,
+       0x1.2ce703afb7e91p+6},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.bandwidth_scale);
+    const SessionResult stepped =
+        RunDracoOracle(seq, user, SteppedTrace(), golden.bandwidth_scale);
+    EXPECT_EQ(stepped.mean_latency_ms, golden.latency_ms)
+        << std::hexfloat << stepped.mean_latency_ms;
+    EXPECT_EQ(stepped.mean_pssim_geometry, golden.pssim_geometry)
+        << std::hexfloat << stepped.mean_pssim_geometry;
+    EXPECT_EQ(stepped.mean_throughput_mbps, golden.throughput_mbps)
+        << std::hexfloat << stepped.mean_throughput_mbps;
+  }
 }
 
 TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
@@ -749,11 +766,13 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
   EXPECT_EQ(r.utilization, 0x1.4aad09d7940d9p-2)
       << std::hexfloat << r.utilization;
 
-  // Two scales at which the offline profile sits on an edge, over the
-  // stepped trace. At 1/291.4 the budget is 1158 B per frame: the 3-frame
-  // mean of stride 4 at 9 bits (1159 B) misses it, the 2- and 4-frame
-  // means fit, and the coarsest stride decides. At 1/517.6 it is 652 B,
-  // within 5% of stride 6 at 10 bits (625 B) and at 11 bits (679 B).
+  // Three scales at which the offline profile sits on an edge, over the
+  // stepped trace. At 1/20 the budget is 16.9 kB per frame and only the
+  // finest stride at 9 bits (15.6 kB) fits at stride 1. At 1/291.4 it is
+  // 1158 B: the 3-frame mean of stride 4 at 9 bits (1159 B) misses it, the
+  // 2- and 4-frame means fit, and the coarsest stride decides. At 1/517.6
+  // it is 652 B, within 5% of stride 6 at 10 bits (625 B) and at 11 bits
+  // (679 B).
   struct Golden {
     double bandwidth_scale;
     double latency_ms;
@@ -761,6 +780,8 @@ TEST_F(SessionTest, MeshReduceDeliversWithoutStalls) {
     double throughput_mbps;
   };
   constexpr Golden kGolden[] = {
+      {1.0 / 20.0, 0x1.0cc71303476a6p+6, 0x1.d6ec48191cad8p+5,
+       0x1.2a594af4f0d84p+5},
       {1.0 / 291.4, 0x1.7f548ab837bbdp+5, 0x1.14d704fe11f8cp+3,
        0x1.6d44075971e76p+4},
       {1.0 / 517.6, 0x1.f9757b0bc720dp+5, 0x1.197f4d9a3b61p+3,
