@@ -366,6 +366,7 @@ std::uint64_t ConferenceResult::Fingerprint() const {
         h.Mix(static_cast<std::uint64_t>(rec.frame_index));
         h.Mix(rec.forwarded);
         h.Mix(rec.rendered);
+        h.Mix(rec.marker_verified);
         h.Mix(rec.capture_time_ms);
         h.Mix(rec.forward_time_ms);
         h.Mix(rec.render_time_ms);

@@ -47,7 +47,8 @@ struct ConferenceResult {
 
   // FNV-1a over every virtual-time-deterministic field (per-stream
   // records, allocator audits, SFU counters). Two runs of the same
-  // conference must agree bit for bit.
+  // conference must agree bit for bit. Each record's marker_verified is
+  // what the subscriber decoded, so a decoder fault moves the value.
   std::uint64_t Fingerprint() const;
 };
 

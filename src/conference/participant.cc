@@ -292,6 +292,7 @@ void ParticipantActor::OnDownlinkFrames(std::vector<net::ReceivedFrame> frames,
       if (rf.frame_index >= stream.frames.size()) continue;
       StreamFrameRecord& rec = stream.frames[rf.frame_index];
       rec.rendered = true;
+      rec.marker_verified = rf.marker_verified;
       rec.render_time_ms = rf.render_time_ms;
       // Virtual-time latency only: the wall-clock decode/reconstruct
       // costs vary run to run and would break bitwise reproducibility.

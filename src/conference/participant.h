@@ -44,6 +44,7 @@ struct StreamFrameRecord {
   std::uint32_t frame_index = 0;
   bool forwarded = false;  // the SFU sent the pair down this subscriber's link
   bool rendered = false;   // the subscriber decoded and marker-checked it
+  bool marker_verified = false;  // its marker read back its frame number
   double capture_time_ms = 0.0;
   double forward_time_ms = 0.0;
   double render_time_ms = 0.0;
