@@ -23,7 +23,6 @@ constexpr double kTriangleScale = 16.0;  // sim -> paper-scale triangle counts
 struct Profile {
   mesh::MesherConfig mesher;
   mesh::MeshCodecConfig codec;
-  double expected_bytes = 0.0;
 };
 
 // Offline profiling (§4.1): sample a few frames, measure encoded size per
@@ -66,7 +65,6 @@ Profile BuildProfile(const sim::CapturedSequence& sequence,
         best_quality = quality;
         best.mesher = mesher;
         best.codec = codec;
-        best.expected_bytes = mean_bytes;
       }
     }
   }
