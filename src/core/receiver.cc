@@ -54,7 +54,7 @@ std::optional<std::uint32_t> ReadCanvasMarker(
   // then upscales from plane row y0 / divisor + r / divisor.
   const int y0 = layout.MarkerY() / divisor * divisor;
   const int width = layout.canvas_width();
-  const int height = layout.MarkerY() + image::kMarkerHeight - y0;
+  const int height = layout.MarkerY() + layout.MarkerHeight() - y0;
   const kernels::KernelTable& kt = kernels::Active();
   std::vector<image::Plane16> rows;
   for (const image::Plane16& plane : planes) {
@@ -72,7 +72,8 @@ std::optional<std::uint32_t> ReadCanvasMarker(
   image::ReleasePooledPlanes(rows);
   // The depth marker is more fragile under heavy quantization, so color is
   // the one checked.
-  return image::ReadMarkerRgb(rgb, layout.MarkerX(), layout.MarkerY() - y0);
+  return image::ReadMarkerRgb(rgb, layout.MarkerX(), layout.MarkerY() - y0,
+                              layout.MarkerColumns());
 }
 
 }  // namespace

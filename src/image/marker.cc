@@ -1,5 +1,7 @@
 #include "image/marker.h"
 
+#include <stdexcept>
+
 namespace livo::image {
 namespace {
 
@@ -8,16 +10,24 @@ std::uint64_t Payload(std::uint32_t value) {
   return (static_cast<std::uint64_t>(value) << 8) | MarkerChecksum(value);
 }
 
+void CheckColumns(int columns) {
+  if (columns < 1) throw std::invalid_argument("marker needs a column");
+}
+
 template <typename T>
-void WriteMarkerImpl(Plane<T>& plane, int x, int y, std::uint32_t value,
-                     T zero, T one) {
+void WriteMarkerImpl(Plane<T>& plane, int x, int y, int columns,
+                     std::uint32_t value, T zero, T one) {
+  CheckColumns(columns);
   const std::uint64_t payload = Payload(value);
   for (int bit = 0; bit < kMarkerBits; ++bit) {
     const bool set = (payload >> (kMarkerBits - 1 - bit)) & 1u;
     const T v = set ? one : zero;
+    // Cell column bit % columns, cell row bit / columns.
+    const int cx = x + bit % columns * kMarkerCell;
+    const int cy = y + bit / columns * kMarkerCell;
     for (int dy = 0; dy < kMarkerCell; ++dy) {
       for (int dx = 0; dx < kMarkerCell; ++dx) {
-        plane.at(x + bit * kMarkerCell + dx, y + dy) = v;
+        plane.at(cx + dx, cy + dy) = v;
       }
     }
   }
@@ -25,14 +35,17 @@ void WriteMarkerImpl(Plane<T>& plane, int x, int y, std::uint32_t value,
 
 template <typename T>
 std::optional<std::uint32_t> ReadMarkerImpl(const Plane<T>& plane, int x, int y,
-                                            double threshold) {
+                                            int columns, double threshold) {
+  CheckColumns(columns);
   std::uint64_t payload = 0;
   for (int bit = 0; bit < kMarkerBits; ++bit) {
     // Majority vote over the cell: average intensity vs mid-scale threshold.
+    const int cx = x + bit % columns * kMarkerCell;
+    const int cy = y + bit / columns * kMarkerCell;
     double sum = 0.0;
     for (int dy = 0; dy < kMarkerCell; ++dy) {
       for (int dx = 0; dx < kMarkerCell; ++dx) {
-        sum += plane.at(x + bit * kMarkerCell + dx, y + dy);
+        sum += plane.at(cx + dx, cy + dy);
       }
     }
     const double mean = sum / (kMarkerCell * kMarkerCell);
@@ -53,26 +66,30 @@ std::uint8_t MarkerChecksum(std::uint32_t value) {
   return c;
 }
 
-void WriteMarker8(Plane8& plane, int x, int y, std::uint32_t value) {
-  WriteMarkerImpl<std::uint8_t>(plane, x, y, value, 0, 255);
+void WriteMarker8(Plane8& plane, int x, int y, int columns,
+                  std::uint32_t value) {
+  WriteMarkerImpl<std::uint8_t>(plane, x, y, columns, value, 0, 255);
 }
 
-void WriteMarker16(Plane16& plane, int x, int y, std::uint32_t value) {
-  WriteMarkerImpl<std::uint16_t>(plane, x, y, value, 0, 65535);
+void WriteMarker16(Plane16& plane, int x, int y, int columns,
+                   std::uint32_t value) {
+  WriteMarkerImpl<std::uint16_t>(plane, x, y, columns, value, 0, 65535);
 }
 
-std::optional<std::uint32_t> ReadMarker8(const Plane8& plane, int x, int y) {
-  return ReadMarkerImpl<std::uint8_t>(plane, x, y, 127.5);
+std::optional<std::uint32_t> ReadMarker8(const Plane8& plane, int x, int y,
+                                         int columns) {
+  return ReadMarkerImpl<std::uint8_t>(plane, x, y, columns, 127.5);
 }
 
-std::optional<std::uint32_t> ReadMarker16(const Plane16& plane, int x, int y) {
-  return ReadMarkerImpl<std::uint16_t>(plane, x, y, 32767.5);
+std::optional<std::uint32_t> ReadMarker16(const Plane16& plane, int x, int y,
+                                          int columns) {
+  return ReadMarkerImpl<std::uint16_t>(plane, x, y, columns, 32767.5);
 }
 
 std::optional<std::uint32_t> ReadMarkerRgb(const ColorImage& color, int x,
-                                           int y) {
+                                           int y, int columns) {
   for (const Plane8* plane : {&color.g, &color.r, &color.b}) {
-    if (auto v = ReadMarker8(*plane, x, y)) return v;
+    if (auto v = ReadMarker8(*plane, x, y, columns)) return v;
   }
   return std::nullopt;
 }

@@ -20,9 +20,8 @@ TileLayout::TileLayout(int camera_count, int tile_width, int tile_height)
   // arrangement of 10 Kinect tiles in a 4K canvas).
   cols_ = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(camera_count))));
   rows_ = (camera_count + cols_ - 1) / cols_;
-  const int body_width = cols_ * tile_width_;
-  canvas_width_ = RoundUp(std::max(body_width, kMarkerWidth), 8);
-  canvas_height_ = RoundUp(rows_ * tile_height_ + kMarkerHeight, 8);
+  canvas_width_ = RoundUp(cols_ * tile_width_, 8);
+  canvas_height_ = RoundUp(MarkerY() + MarkerHeight(), 8);
 }
 
 TiledFramePair Tile(const TileLayout& layout, const std::vector<RgbdFrame>& views,
@@ -48,10 +47,12 @@ TiledFramePair Tile(const TileLayout& layout, const std::vector<RgbdFrame>& view
     out.depth.Blit(view.depth, x, y);
   }
 
-  WriteMarker8(out.color.r, layout.MarkerX(), layout.MarkerY(), frame_number);
-  WriteMarker8(out.color.g, layout.MarkerX(), layout.MarkerY(), frame_number);
-  WriteMarker8(out.color.b, layout.MarkerX(), layout.MarkerY(), frame_number);
-  WriteMarker16(out.depth, layout.MarkerX(), layout.MarkerY(), frame_number);
+  const int x = layout.MarkerX(), y = layout.MarkerY();
+  const int columns = layout.MarkerColumns();
+  WriteMarker8(out.color.r, x, y, columns, frame_number);
+  WriteMarker8(out.color.g, x, y, columns, frame_number);
+  WriteMarker8(out.color.b, x, y, columns, frame_number);
+  WriteMarker16(out.depth, x, y, columns, frame_number);
   return out;
 }
 
@@ -80,12 +81,14 @@ std::vector<RgbdFrame> Untile(const TileLayout& layout, const ColorImage& color,
 
 std::optional<std::uint32_t> ReadFrameNumber(const TileLayout& layout,
                                              const ColorImage& color) {
-  return ReadMarkerRgb(color, layout.MarkerX(), layout.MarkerY());
+  return ReadMarkerRgb(color, layout.MarkerX(), layout.MarkerY(),
+                       layout.MarkerColumns());
 }
 
 std::optional<std::uint32_t> ReadFrameNumber(const TileLayout& layout,
                                              const DepthImage& depth) {
-  return ReadMarker16(depth, layout.MarkerX(), layout.MarkerY());
+  return ReadMarker16(depth, layout.MarkerX(), layout.MarkerY(),
+                      layout.MarkerColumns());
 }
 
 }  // namespace livo::image

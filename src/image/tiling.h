@@ -6,10 +6,14 @@
 // camera's image occupies the same grid cell in every frame, macroblock
 // locality is preserved and 2D inter-frame prediction keeps working.
 //
-// A reserved marker strip at the bottom of the canvas carries the in-band
-// frame sequence number (the paper embeds a QR code; see marker.h).
+// A marker strip beneath the grid carries the in-band frame sequence number
+// (the paper embeds a QR code; see marker.h). The canvas is as wide as the
+// grid, rounded up to a whole macroblock, and the marker's 40 cells wrap
+// into rows as wide as the canvas: the paper's 10-camera rig (a 320-px grid)
+// holds them in one row, the conference rig's 96-px grid in four.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "image/image.h"
@@ -21,8 +25,7 @@ namespace livo::image {
 class TileLayout {
  public:
   // Chooses a near-square cols x rows grid for `camera_count` tiles of
-  // `tile_width` x `tile_height`, plus a marker strip of `marker_rows`
-  // pixels at the bottom.
+  // `tile_width` x `tile_height`, plus the marker strip beneath it.
   TileLayout(int camera_count, int tile_width, int tile_height);
 
   int camera_count() const { return camera_count_; }
@@ -40,6 +43,15 @@ class TileLayout {
   // Pixel origin of the marker strip.
   int MarkerX() const { return 0; }
   int MarkerY() const { return rows_ * tile_height_; }
+  // Marker cells per row: as many as the canvas width holds, at most all.
+  int MarkerColumns() const {
+    return std::min(kMarkerBits, canvas_width_ / kMarkerCell);
+  }
+  // Pixel height of the strip: ceil(kMarkerBits / columns) cell rows.
+  int MarkerHeight() const {
+    return (kMarkerBits + MarkerColumns() - 1) / MarkerColumns() *
+           kMarkerCell;
+  }
 
  private:
   int camera_count_;

@@ -663,9 +663,10 @@ TEST_F(SessionTest, LiVoSessionStallsAtStarvedBandwidth) {
   LiVoConfig config = SmallConfig();
   ReplayOptions options;
   options.bandwidth_scale = 1.0 / 48.0;
-  // 6 Mbps paper-scale: ~125 kbps sim-scale, unusable.
+  // 2 Mbps paper-scale: ~42 kbps sim-scale, unusable (this rig's 96x112
+  // canvas stalls below 3.5 Mbps).
   const SessionResult r =
-      RunLiVoSession(seq, user, FlatTrace(6.0), config, options);
+      RunLiVoSession(seq, user, FlatTrace(2.0), config, options);
   EXPECT_GT(r.stall_rate, 0.3);
 }
 

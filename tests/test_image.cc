@@ -49,20 +49,23 @@ TEST(Plane, CropOutOfRangeThrows) {
   EXPECT_THROW(p.Crop(-1, 0, 4, 4), std::out_of_range);
 }
 
+// A one-row marker: all kMarkerBits cells side by side.
+constexpr int kRowWidth = kMarkerBits * kMarkerCell;
+
 TEST(Marker, RoundTripExactValues) {
-  Plane8 plane(kMarkerWidth, kMarkerHeight);
+  Plane8 plane(kRowWidth, kMarkerCell);
   for (std::uint32_t value : {0u, 1u, 12345u, 0xffffffffu, 0xdeadbeefu}) {
-    WriteMarker8(plane, 0, 0, value);
-    const auto read = ReadMarker8(plane, 0, 0);
+    WriteMarker8(plane, 0, 0, kMarkerBits, value);
+    const auto read = ReadMarker8(plane, 0, 0, kMarkerBits);
     ASSERT_TRUE(read.has_value()) << value;
     EXPECT_EQ(*read, value);
   }
 }
 
 TEST(Marker, RoundTrip16Bit) {
-  Plane16 plane(kMarkerWidth, kMarkerHeight);
-  WriteMarker16(plane, 0, 0, 987654321u);
-  const auto read = ReadMarker16(plane, 0, 0);
+  Plane16 plane(kRowWidth, kMarkerCell);
+  WriteMarker16(plane, 0, 0, kMarkerBits, 987654321u);
+  const auto read = ReadMarker16(plane, 0, 0, kMarkerBits);
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(*read, 987654321u);
 }
@@ -70,38 +73,81 @@ TEST(Marker, RoundTrip16Bit) {
 TEST(Marker, SurvivesModerateNoise) {
   // Majority vote over 8x8 cells must survive per-pixel noise well beyond
   // typical quantization error.
-  Plane8 plane(kMarkerWidth, kMarkerHeight);
-  WriteMarker8(plane, 0, 0, 7777777u);
+  Plane8 plane(kRowWidth, kMarkerCell);
+  WriteMarker8(plane, 0, 0, kMarkerBits, 7777777u);
   util::Rng rng(7);
   for (auto& v : plane.data()) {
     const int noisy = v + static_cast<int>(rng.Gaussian(0.0, 40.0));
     v = static_cast<std::uint8_t>(std::clamp(noisy, 0, 255));
   }
-  const auto read = ReadMarker8(plane, 0, 0);
+  const auto read = ReadMarker8(plane, 0, 0, kMarkerBits);
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(*read, 7777777u);
 }
 
 TEST(Marker, AllZeroRegionFailsChecksum) {
-  Plane8 plane(kMarkerWidth, kMarkerHeight, 0);
-  EXPECT_FALSE(ReadMarker8(plane, 0, 0).has_value());
+  Plane8 plane(kRowWidth, kMarkerCell, 0);
+  EXPECT_FALSE(ReadMarker8(plane, 0, 0, kMarkerBits).has_value());
+}
+
+// Inverts cell (column, row) of a marker written at the plane's origin.
+void FlipCell(Plane8& plane, int column, int row) {
+  for (int y = 0; y < kMarkerCell; ++y) {
+    for (int x = 0; x < kMarkerCell; ++x) {
+      std::uint8_t& v =
+          plane.at(column * kMarkerCell + x, row * kMarkerCell + y);
+      v = static_cast<std::uint8_t>(255 - v);
+    }
+  }
 }
 
 TEST(Marker, CorruptedMarkerDetected) {
-  Plane8 plane(kMarkerWidth, kMarkerHeight);
-  WriteMarker8(plane, 0, 0, 42u);
+  Plane8 plane(kRowWidth, kMarkerCell);
+  WriteMarker8(plane, 0, 0, kMarkerBits, 42u);
   // Flip two whole bit cells - enough to break the value, checksum catches it.
-  for (int y = 0; y < kMarkerCell; ++y) {
-    for (int x = 0; x < kMarkerCell; ++x) {
-      plane.at(x, y) = static_cast<std::uint8_t>(255 - plane.at(x, y));
-      plane.at(x + kMarkerCell * 3, y) =
-          static_cast<std::uint8_t>(255 - plane.at(x + kMarkerCell * 3, y));
-    }
-  }
+  FlipCell(plane, 0, 0);
+  FlipCell(plane, 3, 0);
   // Either the checksum fails or (rarely) the flip is detected as a value
   // change; both are acceptable, but silently returning 42 is not.
-  const auto read = ReadMarker8(plane, 0, 0);
+  const auto read = ReadMarker8(plane, 0, 0, kMarkerBits);
   EXPECT_TRUE(!read.has_value() || *read != 42u);
+}
+
+// Narrower markers wrap their cells into rows: bit b in cell column
+// b % columns, cell row b / columns. Each column count round-trips at an
+// offset origin, in both sample depths, with the last row partly filled
+// (6, 7, 12) or full (1, 8, 20).
+TEST(Marker, WrappedRoundTrip) {
+  for (int columns : {1, 6, 7, 8, 12, 20}) {
+    SCOPED_TRACE("columns " + std::to_string(columns));
+    const int rows = (kMarkerBits + columns - 1) / columns;
+    Plane8 plane8(3 + columns * kMarkerCell, 5 + rows * kMarkerCell, 0);
+    Plane16 plane16(3 + columns * kMarkerCell, 5 + rows * kMarkerCell, 0);
+    for (std::uint32_t value : {0u, 12345u, 0xffffffffu, 0xdeadbeefu}) {
+      WriteMarker8(plane8, 3, 5, columns, value);
+      WriteMarker16(plane16, 3, 5, columns, value);
+      EXPECT_EQ(ReadMarker8(plane8, 3, 5, columns), value);
+      EXPECT_EQ(ReadMarker16(plane16, 3, 5, columns), value);
+    }
+  }
+}
+
+TEST(Marker, CorruptedSecondCellRowDetected) {
+  const int columns = 12;
+  Plane8 plane(columns * kMarkerCell, 4 * kMarkerCell);
+  WriteMarker8(plane, 0, 0, columns, 42u);
+  ASSERT_EQ(ReadMarker8(plane, 0, 0, columns), 42u);
+  // Cells 0 and 3 of the second cell row carry bits 12 and 15.
+  FlipCell(plane, 0, 1);
+  FlipCell(plane, 3, 1);
+  const auto read = ReadMarker8(plane, 0, 0, columns);
+  EXPECT_TRUE(!read.has_value() || *read != 42u);
+}
+
+TEST(Marker, ZeroColumnsThrows) {
+  Plane8 plane(kRowWidth, kMarkerCell);
+  EXPECT_THROW(WriteMarker8(plane, 0, 0, 0, 1u), std::invalid_argument);
+  EXPECT_THROW(ReadMarker8(plane, 0, 0, 0), std::invalid_argument);
 }
 
 class TilingTest : public ::testing::Test {
@@ -133,7 +179,39 @@ TEST_F(TilingTest, LayoutGridCoversAllCameras) {
   EXPECT_EQ(layout.canvas_width() % 8, 0);
   EXPECT_EQ(layout.canvas_height() % 8, 0);
   // Marker strip fits below the tiles.
-  EXPECT_GE(layout.canvas_height(), layout.rows() * 24 + kMarkerHeight);
+  EXPECT_GE(layout.canvas_height(), layout.rows() * 24 + layout.MarkerHeight());
+}
+
+// The canvas is as wide as the tile grid and the marker wraps beneath it.
+// The paper's 10-camera rig keeps its one-row marker and 320x224 canvas, so
+// every p2p bitstream keeps its geometry; the conference rig's 96x80 grid
+// stacks the marker in four rows; a 48-px grid needs seven.
+TEST_F(TilingTest, MarkerGeometryPinnedOnThreeRigs) {
+  struct Rig {
+    int cameras, tile_width, tile_height;
+    int canvas_width, canvas_height, columns, marker_height;
+  };
+  for (const Rig& rig : {Rig{10, 80, 72, 320, 224, 40, 8},
+                         Rig{4, 48, 40, 96, 112, 12, 32},
+                         Rig{1, 48, 37, 48, 96, 6, 56}}) {
+    SCOPED_TRACE("rig " + std::to_string(rig.cameras) + "x" +
+                 std::to_string(rig.tile_width) + "x" +
+                 std::to_string(rig.tile_height));
+    const TileLayout layout(rig.cameras, rig.tile_width, rig.tile_height);
+    EXPECT_EQ(layout.canvas_width(), rig.canvas_width);
+    EXPECT_EQ(layout.canvas_height(), rig.canvas_height);
+    EXPECT_EQ(layout.MarkerColumns(), rig.columns);
+    EXPECT_EQ(layout.MarkerHeight(), rig.marker_height);
+    EXPECT_LE(layout.MarkerX() + layout.MarkerColumns() * kMarkerCell,
+              layout.canvas_width());
+    EXPECT_LE(layout.MarkerY() + layout.MarkerHeight(),
+              layout.canvas_height());
+    const TiledFramePair tiled =
+        Tile(layout, MakeViews(rig.cameras, rig.tile_width, rig.tile_height),
+             0xdeadbeefu);
+    EXPECT_EQ(ReadFrameNumber(layout, tiled.color), 0xdeadbeefu);
+    EXPECT_EQ(ReadFrameNumber(layout, tiled.depth), 0xdeadbeefu);
+  }
 }
 
 TEST_F(TilingTest, TileUntileRoundTrip) {

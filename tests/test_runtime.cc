@@ -342,11 +342,11 @@ TEST(RuntimeGolden, MeanPssimPinnedOnAllFiveSequences) {
     double color;
   };
   constexpr Golden kGolden[] = {
-      {"band2", 0x1.7e3bc1a810aap+6, 0x1.44bfe71c409b9p+6},
-      {"dance5", 0x1.886bf7351a952p+6, 0x1.5276d148517bcp+6},
-      {"office1", 0x1.7be523ffe9d38p+6, 0x1.359dc472e3c84p+6},
-      {"pizza1", 0x1.710fe2ec571bep+6, 0x1.3e73a3b51126ep+6},
-      {"toddler4", 0x1.88759bc511addp+6, 0x1.5289fe3c13746p+6},
+      {"band2", 0x1.7fbcf1d1fce8ep+6, 0x1.785a5e6caf612p+6},
+      {"dance5", 0x1.89be795d73cebp+6, 0x1.82131eb710e36p+6},
+      {"office1", 0x1.8194e128602d4p+6, 0x1.80ccfb8b3300cp+6},
+      {"pizza1", 0x1.71cdf7a4e2eeap+6, 0x1.7357b19f8e146p+6},
+      {"toddler4", 0x1.8a2b9d020d354p+6, 0x1.81153057d8fccp+6},
   };
   const int kFrames = 8;
   const auto& videos = sim::AllVideos();
@@ -382,16 +382,16 @@ TEST(RuntimeGolden, CloseAggregatesPinnedOnAllFiveSequences) {
     double utilization;
   };
   constexpr Golden kGolden[] = {
-      {"band2", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.bf9628cbd1244p+5,
-       0x1.572c76e619b7dp+6, 0x1.4de3c33a5749ep-1},
-      {"dance5", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.e67a63736cdf2p+5,
-       0x1.572c76e619b7dp+6, 0x1.6ae6e3ccfe4ffp-1},
-      {"office1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.d54467381d7ddp+5,
-       0x1.572c76e619b7dp+6, 0x1.5e101f3e71f8ep-1},
-      {"pizza1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.cfe32a0663c75p+5,
-       0x1.572c76e619b7dp+6, 0x1.5a0cbb6bacea4p-1},
-      {"toddler4", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.e11633482be8dp+5,
-       0x1.572c76e619b7dp+6, 0x1.66e14cc86fa6ep-1},
+      {"band2", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.d000a7c5ac472p+5,
+       0x1.572c76e619b7dp+6, 0x1.5a22bb5d8cf47p-1},
+      {"dance5", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.d92641b328b6dp+5,
+       0x1.572c76e619b7dp+6, 0x1.60f583c8d6831p-1},
+      {"office1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.e3fd60e94ee39p+5,
+       0x1.572c76e619b7dp+6, 0x1.690bb1cae3da8p-1},
+      {"pizza1", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.f2cdf266ba494p+5,
+       0x1.572c76e619b7dp+6, 0x1.7418dde5a2913p-1},
+      {"toddler4", 0x0p+0, 0x1.dffffffffffffp+4, 0x1.d599ed7c6fbd3p+5,
+       0x1.572c76e619b7dp+6, 0x1.5e4febe2487ccp-1},
   };
   const int kFrames = 8;
   const auto& videos = sim::AllVideos();
@@ -430,7 +430,7 @@ TEST(RuntimeGolden, CloseAggregatesPinnedOnAllFiveSequences) {
   faded.options.trace_offset_ms = 2400.0;
   const std::uint64_t fingerprint =
       MultiSessionFingerprint(RunMultiSession({faded}));
-  EXPECT_EQ(fingerprint, 0xb57b2976d0f65d7cull) << std::hex << fingerprint;
+  EXPECT_EQ(fingerprint, 0x81e0f471d0421ab6ull) << std::hex << fingerprint;
 }
 
 // Random loss exercises the NACK/PLI/deadline timers, the hardest part of
@@ -555,7 +555,7 @@ TEST(MultiSession, SharedBottleneckRunsAndBoundsThroughput) {
   EXPECT_LT(total_throughput, 1.6 * options.shared_trace.MeanMbps());
   // Captured once: the shared link's flow set-up, the 1/N warm start and
   // the close must keep every session of this run bit for bit.
-  EXPECT_EQ(MultiSessionFingerprint(result), 0xf716eb5d85cd5a70ull)
+  EXPECT_EQ(MultiSessionFingerprint(result), 0xf4b5cc9cb7efdab0ull)
       << std::hex << MultiSessionFingerprint(result);
 }
 
