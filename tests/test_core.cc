@@ -664,7 +664,7 @@ TEST_F(SessionTest, LiVoSessionStallsAtStarvedBandwidth) {
   ReplayOptions options;
   options.bandwidth_scale = 1.0 / 48.0;
   // 2 Mbps paper-scale: ~42 kbps sim-scale, unusable (this rig's 96x112
-  // canvas stalls below 3.5 Mbps).
+  // canvas stalls on more than 30% of frames below 3.5 Mbps).
   const SessionResult r =
       RunLiVoSession(seq, user, FlatTrace(2.0), config, options);
   EXPECT_GT(r.stall_rate, 0.3);
