@@ -8,12 +8,14 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "image/depth_encoding.h"
 #include "image/image.h"
 #include "util/bitstream.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "video/color_convert.h"
 #include "video/codec_types.h"
@@ -678,6 +680,158 @@ TEST(VideoCodec, ImpossibleTargetReturnsOvershoot) {
   const auto r = encoder.EncodeToTarget(planes, 10, &stats);  // absurd target
   EXPECT_GT(r.frame.SizeBytes(), 10u);  // overshoot reported honestly
   EXPECT_EQ(r.frame.qp, config.qp_max);
+}
+
+// ---- Precise rate control, pinned from unreachable to unbounded targets ----
+
+// What one kPrecise EncodeToTarget chose: its QP, its trial count and an
+// FNV-1a of the serialized frame.
+struct SearchPin {
+  int qp;
+  int trials;
+  std::uint64_t hash;
+};
+
+// One sweep point: the keyframe's search, then the P-frame's.
+struct SweepPin {
+  SearchPin key;
+  SearchPin p;
+};
+
+std::uint64_t FrameHash(const EncodedFrame& frame) {
+  const std::vector<std::uint8_t> bytes = SerializeFrame(frame);
+  util::Fnv1a h;
+  h.MixBytes(bytes.data(), bytes.size());
+  return h.value();
+}
+
+// The size EncodeToTarget measures for `planes` coded at `qp` against
+// `reference` (nullptr for a keyframe), computed without an encoder.
+std::size_t FrameBytesAt(const CodecConfig& config,
+                         const std::vector<Plane16>& planes,
+                         const std::vector<Plane16>* reference, int qp) {
+  std::size_t total = EncodedFrame::kFrameHeaderBytes;
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    const Plane16* ref = reference != nullptr ? &(*reference)[p] : nullptr;
+    total += EncodePlane(config, planes[p], ref, qp).bits.size() + 4;
+  }
+  return total;
+}
+
+// Targets for a frame whose qp_max encode is `small` bytes and whose qp_min
+// encode is `large`: unreachable, one byte short of qp_max, exactly qp_max,
+// four steps between (1/16 to 1/2 of the span above qp_max), exactly
+// qp_min, and unbounded.
+std::vector<std::size_t> SweepTargets(std::size_t small, std::size_t large) {
+  const std::size_t span = large - small;
+  return {10,
+          small - 1,
+          small,
+          small + span / 16,
+          small + span / 8,
+          small + span / 4,
+          small + span / 2,
+          large,
+          std::numeric_limits<std::size_t>::max()};
+}
+
+// `planes` moved 2 px right and 1 px down (edge samples repeat): the
+// P-frame's content, which has motion for the encoder to find.
+std::vector<Plane16> MovedPlanes(const std::vector<Plane16>& planes) {
+  std::vector<Plane16> out;
+  for (const Plane16& p : planes) {
+    Plane16 moved(p.width(), p.height());
+    for (int y = 0; y < p.height(); ++y) {
+      for (int x = 0; x < p.width(); ++x) {
+        moved.at(x, y) = p.at(std::max(x - 2, 0), std::max(y - 1, 0));
+      }
+    }
+    out.push_back(std::move(moved));
+  }
+  return out;
+}
+
+// Runs a keyframe then a P-frame through kPrecise EncodeToTarget at each
+// sweep point and checks every result against `pins`, against a twin
+// encoder's EncodeAtQp at the chosen QP (bits and reconstruction) and
+// against the decoder.
+void CheckPreciseSweep(const CodecConfig& config,
+                       const std::vector<Plane16>& frame0,
+                       const std::vector<SweepPin>& pins) {
+  const int num_planes = static_cast<int>(frame0.size());
+  const std::vector<Plane16> frame1 = MovedPlanes(frame0);
+  const std::vector<std::size_t> key_targets =
+      SweepTargets(FrameBytesAt(config, frame0, nullptr, config.qp_max),
+                   FrameBytesAt(config, frame0, nullptr, config.qp_min));
+  ASSERT_EQ(pins.size(), key_targets.size());
+  const auto check = [&](const EncodeResult& got, const EncodeResult& twin,
+                         const RateControlStats& stats, std::size_t target,
+                         const SearchPin& pin) {
+    EXPECT_EQ(got.frame.qp, pin.qp);
+    EXPECT_EQ(stats.trials, pin.trials);
+    EXPECT_EQ(FrameHash(got.frame), pin.hash);
+    EXPECT_TRUE(got.frame.SizeBytes() <= target ||
+                got.frame.qp == config.qp_max);
+    EXPECT_EQ(SerializeFrame(got.frame), SerializeFrame(twin.frame));
+    EXPECT_EQ(got.reconstruction, twin.reconstruction);
+  };
+  for (std::size_t i = 0; i < key_targets.size(); ++i) {
+    SCOPED_TRACE("sweep point " + std::to_string(i));
+    VideoEncoder encoder(config, num_planes);
+    VideoEncoder twin(config, num_planes);
+    VideoDecoder decoder(config, num_planes);
+
+    RateControlStats key_stats;
+    const EncodeResult key =
+        encoder.EncodeToTarget(frame0, key_targets[i], &key_stats);
+    ASSERT_TRUE(key.frame.keyframe);
+    check(key, twin.EncodeAtQp(frame0, key.frame.qp), key_stats,
+          key_targets[i], pins[i].key);
+    EXPECT_EQ(decoder.Decode(key.frame), key.reconstruction);
+
+    const std::size_t p_target = SweepTargets(
+        FrameBytesAt(config, frame1, &key.reconstruction, config.qp_max),
+        FrameBytesAt(config, frame1, &key.reconstruction, config.qp_min))[i];
+    RateControlStats p_stats;
+    const EncodeResult p = encoder.EncodeToTarget(frame1, p_target, &p_stats);
+    ASSERT_FALSE(p.frame.keyframe);
+    check(p, twin.EncodeAtQp(frame1, p.frame.qp), p_stats, p_target,
+          pins[i].p);
+    EXPECT_EQ(decoder.Decode(p.frame), p.reconstruction);
+  }
+}
+
+TEST(VideoCodec, PreciseSearchPinnedFromUnreachableToUnboundedTargets) {
+  CodecConfig color = SmallColorConfig();
+  color.qp_max = 62;
+  color.slice_height = 16;
+  CheckPreciseSweep(
+      color, RandomColorPlanes(64, 48, 34),
+      {{{62, 6, 0x505034ee6515d434ull}, {62, 1, 0xc4dbc14d07aec42eull}},
+       {{62, 6, 0x505034ee6515d434ull}, {62, 1, 0xc4dbc14d07aec42eull}},
+       {{60, 6, 0x1576736d58e2e7f0ull}, {49, 8, 0x7c859df1ff1c22bbull}},
+       {{27, 7, 0xd923a3d01ef035abull}, {28, 6, 0xed130d37834b6a98ull}},
+       {{25, 7, 0x6454a3b614d8a77aull}, {25, 2, 0xb71826a9d73f9a49ull}},
+       {{22, 7, 0x5a73007527b229b6ull}, {21, 7, 0x34d37b94428a93fdull}},
+       {{16, 7, 0xd329801d94bdcfbfull}, {13, 6, 0xefdab2c1f76898f5ull}},
+       {{2, 6, 0x1d79f19906d73fe6ull}, {2, 1, 0x4f3c914cea575828ull}},
+       {{2, 6, 0x1d79f19906d73fe6ull}, {2, 1, 0x4f3c914cea575828ull}}});
+
+  CodecConfig depth = SmallColorConfig();
+  depth.kind = PlaneKind::kDepth16;
+  depth.qp_max = 92;
+  depth.slice_height = 16;
+  CheckPreciseSweep(
+      depth, {RandomPlane(64, 48, 65535, 35)},
+      {{{92, 7, 0x9a2645e144b769a7ull}, {92, 1, 0x9bfa290d055c319aull}},
+       {{92, 7, 0x9a2645e144b769a7ull}, {92, 1, 0x9bfa290d055c319aull}},
+       {{92, 7, 0x9a2645e144b769a7ull}, {86, 8, 0xa498c89f248f3840ull}},
+       {{70, 7, 0xcdf4ed5026462e8cull}, {69, 8, 0xb7e7b670cfa75391ull}},
+       {{65, 6, 0xde3e2e8df1dd4b99ull}, {61, 8, 0x0756172cda15018cull}},
+       {{53, 6, 0x7b95ae04e4427120ull}, {45, 8, 0x9113671b4de40674ull}},
+       {{35, 7, 0x617869e72c49ab04ull}, {25, 7, 0x95e778d82801e4c4ull}},
+       {{2, 7, 0x9242e3595b433f95ull}, {2, 1, 0xe75b190947569e33ull}},
+       {{2, 7, 0x9242e3595b433f95ull}, {2, 1, 0xe75b190947569e33ull}}});
 }
 
 TEST(VideoCodec, DecoderRejectsPFrameBeforeKeyframe) {
