@@ -96,11 +96,12 @@ struct EncodedFrame {
 
   std::size_t SizeBytes() const {
     std::size_t total = kFrameHeaderBytes;
-    for (const auto& p : planes) total += p.bits.size() + 4;  // 4-byte length
+    for (const auto& p : planes) total += kPlaneHeaderBytes + p.bits.size();
     return total;
   }
 
   static constexpr std::size_t kFrameHeaderBytes = 8;  // index + flags + qp
+  static constexpr std::size_t kPlaneHeaderBytes = 4;  // plane byte length
 };
 
 // Result of a rate-controlled encode: the bitstream plus the encoder's own

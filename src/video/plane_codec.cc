@@ -289,11 +289,15 @@ void MotionSearch(const kernels::KernelTable& kt, const Plane16& ref,
 
 // Encodes pixel rows [band.y0, band.y1) of `src` into an independent
 // bitstream segment, writing the slice's rows of `recon` (disjoint across
-// slices, so concurrent slice encodes never touch the same bytes).
+// slices, so concurrent slice encodes never touch the same bytes). With a
+// `budget`, each block row first draws the whole bytes written since the
+// last draw and the slice stops once the allowance is negative
+// (EncodePlane).
 std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
                                       const Plane16& src,
                                       const Plane16* reference, int qp,
-                                      const SliceBand& band, Plane16& recon) {
+                                      const SliceBand& band, Plane16& recon,
+                                      std::atomic<std::int64_t>* budget) {
   const double step = QpToStep(qp);
   const int max_value = config.MaxSampleValue();
   const int blocks_x = src.width() / kBlockSize;
@@ -307,8 +311,17 @@ std::vector<std::uint8_t> EncodeSlice(const CodecConfig& config,
   // If the co-located residual energy is below the quantization noise
   // floor, coding it cannot improve the reconstruction: SKIP.
   const double noise_floor = (step * step / 12.0) * kBlockPixels;
+  std::size_t drawn = 0;  // whole bytes of `writer` drawn from `budget`
 
   for (int by = by_begin; by < by_end; ++by) {
+    if (budget != nullptr) {
+      const std::size_t whole = writer.BitCount() / 8;
+      const auto draw = static_cast<std::int64_t>(whole - drawn);
+      drawn = whole;
+      // fetch_sub returns the allowance before the draw, which leaves it
+      // negative exactly when it held less than the draw.
+      if (budget->fetch_sub(draw, std::memory_order_relaxed) < draw) break;
+    }
     for (int bx = 0; bx < blocks_x; ++bx) {
       if (is_inter) {
         // The SKIP test reads both planes in place (the co-located block is
@@ -488,7 +501,8 @@ void DecodeSlice(const CodecConfig& config, const std::uint8_t* data,
 }  // namespace
 
 PlaneEncodeOutput EncodePlane(const CodecConfig& config, const Plane16& src,
-                              const Plane16* reference, int qp) {
+                              const Plane16* reference, int qp,
+                              std::atomic<std::int64_t>* budget) {
   LIVO_SPAN("codec.encode_plane");
   if (src.width() % kBlockSize != 0 || src.height() % kBlockSize != 0) {
     throw std::invalid_argument("plane dimensions must be multiples of 8");
@@ -501,8 +515,9 @@ PlaneEncodeOutput EncodePlane(const CodecConfig& config, const Plane16& src,
   const auto slice_count = slices.size();
 
   PlaneEncodeOutput out;
-  // Pooled storage: every pixel is written by exactly one slice below, so
-  // the unspecified initial contents never leak.
+  // Pooled storage: every pixel is written by exactly one slice below
+  // (unless the budget stops the encode), so the unspecified initial
+  // contents never leak.
   out.reconstruction = image::AcquirePooledPlane(src.width(), src.height());
 
   // Encode slices concurrently; each writes a disjoint row band of the
@@ -517,7 +532,7 @@ PlaneEncodeOutput EncodePlane(const CodecConfig& config, const Plane16& src,
         segments[static_cast<std::size_t>(i)] =
             EncodeSlice(config, src, reference, qp,
                         slices[static_cast<std::size_t>(i)],
-                        out.reconstruction);
+                        out.reconstruction, budget);
         slice_busy_ms[static_cast<std::size_t>(i)] = watch.ElapsedMs();
       });
 

@@ -23,6 +23,7 @@
 // output byte-identical for every CodecConfig::max_threads value.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -46,9 +47,21 @@ struct PlaneEncodeOutput {
 // reconstruction these functions return does. A SKIP block copies its
 // reference rows unclamped, so the encoder's reconstruction and the
 // decoder's output are only specified for such references.
+//
+// `budget`, when given, is a byte allowance that may be shared by several
+// concurrent EncodePlane calls. At the start of each block row a slice
+// draws the whole bytes it has written since its last draw, and stops
+// encoding once the allowance is negative. The slice table and each
+// slice's last row and partial byte are never drawn, so a negative
+// allowance means the complete encodes would have written more bytes than
+// it held. A stopped encode is incomplete: its bits are no valid stream
+// and its reconstruction has unwritten rows, fit only to be released to
+// the pool. An encode that never sees a negative allowance is the same as
+// one without a budget.
 PlaneEncodeOutput EncodePlane(const CodecConfig& config,
                               const image::Plane16& src,
-                              const image::Plane16* reference, int qp);
+                              const image::Plane16* reference, int qp,
+                              std::atomic<std::int64_t>* budget = nullptr);
 
 // Decodes one plane. `reference` must match the encoder's (nullptr for
 // I-frames) and the slice layout (CodecConfig::slice_height) must match

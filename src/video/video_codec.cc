@@ -1,6 +1,7 @@
 #include "video/video_codec.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "image/plane_pool.h"
@@ -16,6 +17,7 @@ struct CodecMetrics {
   obs::Registry& reg = obs::Registry::Get();
   obs::Counter& encode_trials = reg.GetCounter("codec.encode_trials");
   obs::Counter& overshoots = reg.GetCounter("codec.rate_overshoots");
+  obs::Counter& trials_stopped = reg.GetCounter("codec.encode_trials_stopped");
 };
 
 CodecMetrics& Metrics() {
@@ -38,6 +40,18 @@ std::uint32_t ReadU32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
                           static_cast<std::uint32_t>(in[pos + 3]);
   pos += 4;
   return v;
+}
+
+// The bytes a frame's plane bitstreams may hold within `target_bytes`: the
+// target less the frame header and every plane's length prefix, negative
+// when not even those fit. Saturates at INT64_MAX.
+std::int64_t PlaneByteAllowance(std::size_t target_bytes, int num_planes) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (target_bytes > static_cast<std::size_t>(kMax)) return kMax;
+  return static_cast<std::int64_t>(target_bytes) -
+         static_cast<std::int64_t>(EncodedFrame::kFrameHeaderBytes) -
+         static_cast<std::int64_t>(EncodedFrame::kPlaneHeaderBytes) *
+             num_planes;
 }
 
 }  // namespace
@@ -89,7 +103,8 @@ VideoEncoder::VideoEncoder(const CodecConfig& config, int num_planes)
 }
 
 EncodeResult VideoEncoder::TryEncode(const std::vector<image::Plane16>& planes,
-                                     int qp, bool keyframe) const {
+                                     int qp, bool keyframe,
+                                     std::atomic<std::int64_t>* budget) const {
   if (static_cast<int>(planes.size()) != num_planes_) {
     throw std::invalid_argument("plane count mismatch");
   }
@@ -108,7 +123,7 @@ EncodeResult VideoEncoder::TryEncode(const std::vector<image::Plane16>& planes,
   pool.ParallelFor(num_planes_, config_.max_threads, [&](int i) {
     const auto p = static_cast<std::size_t>(i);
     const image::Plane16* ref = keyframe ? nullptr : &reference_[p];
-    PlaneEncodeOutput out = EncodePlane(config_, planes[p], ref, qp);
+    PlaneEncodeOutput out = EncodePlane(config_, planes[p], ref, qp, budget);
     result.frame.planes[p].bits = std::move(out.bits);
     result.reconstruction[p] = std::move(out.reconstruction);
   });
@@ -178,10 +193,24 @@ EncodeResult VideoEncoder::EncodeToTarget(
 
   // Every discarded attempt hands its reconstruction planes back to the
   // pool, so rate-control probing allocates nothing in steady state.
+  //
+  // A trial below qp_max draws its planes' bytes from the target's
+  // allowance and stops once it is spent. Such a trial overshoots, and an
+  // overshoot below qp_max is never returned: the smallest fitting QP wins,
+  // and when nothing fits the qp_max encode, which has no allowance, is
+  // returned. So the stop changes no result, only the work a trial does.
+  // Where threads stop is scheduling-dependent; whether one stops is not.
+  const std::int64_t allowance = PlaneByteAllowance(target_bytes, num_planes_);
   const auto attempt_qp = [&](int qp) -> bool {  // returns "fits"
-    EncodeResult attempt = TryEncode(planes, qp, keyframe);
+    std::atomic<std::int64_t> budget{allowance};
+    std::atomic<std::int64_t>* const cap =
+        qp != config_.qp_max ? &budget : nullptr;
+    EncodeResult attempt = TryEncode(planes, qp, keyframe, cap);
     ++trials;
-    if (attempt.frame.SizeBytes() <= target_bytes) {
+    const bool stopped =
+        cap != nullptr && budget.load(std::memory_order_relaxed) < 0;
+    if (stopped) Metrics().trials_stopped.Add();
+    if (!stopped && attempt.frame.SizeBytes() <= target_bytes) {
       if (!best || attempt.frame.qp < best->frame.qp) {
         if (best) ReleaseReconstruction(*best);
         best = std::move(attempt);

@@ -10,12 +10,18 @@
 // encoder's first keyframe and first P-frame, takes the kPrecise search
 // instead: up to 8 trial encodes bisecting QP from a warm start at the
 // previous frame's QP, plus one encode at qp_max when none of them fits.
+// A trial below qp_max stops as soon as its slices have written more bytes
+// than the target allows: it would overshoot, and the search never returns
+// an overshoot below qp_max. So every frame the encoder returns is a
+// complete encode, the same as without the stop, and the discarded trials
+// cost only their prefix (counter codec.encode_trials_stopped).
 //
 // The encoder also returns its reconstruction, bit-exact with the decoder,
 // which LiVo's bandwidth-split controller uses as the "immediately decode at
 // the sender" quality probe (§3.3).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -59,9 +65,12 @@ class VideoEncoder {
 
  private:
   // Encodes all planes at `qp` against the current reference; does not
-  // mutate encoder state (so rate control can probe several QPs).
+  // mutate encoder state (so rate control can probe several QPs). Every
+  // plane draws from `budget` (EncodePlane); a result whose budget ends
+  // negative is incomplete.
   EncodeResult TryEncode(const std::vector<image::Plane16>& planes, int qp,
-                         bool keyframe) const;
+                         bool keyframe,
+                         std::atomic<std::int64_t>* budget = nullptr) const;
 
   // Adopts `result` as the committed frame: reference update + counters.
   void Commit(const EncodeResult& result);

@@ -14,6 +14,7 @@
 
 #include "image/depth_encoding.h"
 #include "image/image.h"
+#include "obs/metrics.h"
 #include "util/bitstream.h"
 #include "util/fnv1a.h"
 #include "util/rng.h"
@@ -754,19 +755,33 @@ std::vector<Plane16> MovedPlanes(const std::vector<Plane16>& planes) {
 // Runs a keyframe then a P-frame through kPrecise EncodeToTarget at each
 // sweep point and checks every result against `pins`, against a twin
 // encoder's EncodeAtQp at the chosen QP (bits and reconstruction) and
-// against the decoder.
+// against the decoder. Trials below qp_max stop once they overshoot: at
+// the unreachable target every trial but the last (at qp_max) stops, at
+// the unbounded one none does, and over the sweep some do. The encodes are
+// serial, so the counts are exact.
 void CheckPreciseSweep(const CodecConfig& config,
                        const std::vector<Plane16>& frame0,
                        const std::vector<SweepPin>& pins) {
+  obs::Counter& stopped =
+      obs::Registry::Get().GetCounter("codec.encode_trials_stopped");
+  const std::uint64_t stopped_before_sweep = stopped.value();
   const int num_planes = static_cast<int>(frame0.size());
   const std::vector<Plane16> frame1 = MovedPlanes(frame0);
   const std::vector<std::size_t> key_targets =
       SweepTargets(FrameBytesAt(config, frame0, nullptr, config.qp_max),
                    FrameBytesAt(config, frame0, nullptr, config.qp_min));
   ASSERT_EQ(pins.size(), key_targets.size());
+  const std::size_t last = key_targets.size() - 1;
+  std::uint64_t stopped_before = 0;
   const auto check = [&](const EncodeResult& got, const EncodeResult& twin,
                          const RateControlStats& stats, std::size_t target,
-                         const SearchPin& pin) {
+                         const SearchPin& pin, std::size_t i) {
+    const std::uint64_t stops = stopped.value() - stopped_before;
+    if (i == 0) {
+      EXPECT_EQ(stops, static_cast<std::uint64_t>(stats.trials - 1));
+    } else if (i == last) {
+      EXPECT_EQ(stops, 0u);
+    }
     EXPECT_EQ(got.frame.qp, pin.qp);
     EXPECT_EQ(stats.trials, pin.trials);
     EXPECT_EQ(FrameHash(got.frame), pin.hash);
@@ -782,23 +797,26 @@ void CheckPreciseSweep(const CodecConfig& config,
     VideoDecoder decoder(config, num_planes);
 
     RateControlStats key_stats;
+    stopped_before = stopped.value();
     const EncodeResult key =
         encoder.EncodeToTarget(frame0, key_targets[i], &key_stats);
     ASSERT_TRUE(key.frame.keyframe);
     check(key, twin.EncodeAtQp(frame0, key.frame.qp), key_stats,
-          key_targets[i], pins[i].key);
+          key_targets[i], pins[i].key, i);
     EXPECT_EQ(decoder.Decode(key.frame), key.reconstruction);
 
     const std::size_t p_target = SweepTargets(
         FrameBytesAt(config, frame1, &key.reconstruction, config.qp_max),
         FrameBytesAt(config, frame1, &key.reconstruction, config.qp_min))[i];
     RateControlStats p_stats;
+    stopped_before = stopped.value();
     const EncodeResult p = encoder.EncodeToTarget(frame1, p_target, &p_stats);
     ASSERT_FALSE(p.frame.keyframe);
     check(p, twin.EncodeAtQp(frame1, p.frame.qp), p_stats, p_target,
-          pins[i].p);
+          pins[i].p, i);
     EXPECT_EQ(decoder.Decode(p.frame), p.reconstruction);
   }
+  EXPECT_GT(stopped.value(), stopped_before_sweep);
 }
 
 TEST(VideoCodec, PreciseSearchPinnedFromUnreachableToUnboundedTargets) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "image/image.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "video/codec_types.h"
@@ -68,9 +69,11 @@ struct SequenceResult {
   std::vector<std::vector<Plane16>> recons;
 };
 
-// Encodes a key frame followed by a P frame at fixed QP.
+// Encodes a key frame followed by a P frame, at fixed `qp`, or through
+// kPrecise EncodeToTarget at `targets[frame]` when targets are given.
 SequenceResult EncodeSequence(const CodecConfig& config, int num_planes,
-                              int max_value, int qp) {
+                              int max_value, int qp,
+                              const std::vector<std::size_t>& targets = {}) {
   std::vector<Plane16> frame0, frame1;
   for (int p = 0; p < num_planes; ++p) {
     frame0.push_back(
@@ -80,7 +83,10 @@ SequenceResult EncodeSequence(const CodecConfig& config, int num_planes,
   VideoEncoder encoder(config, num_planes);
   SequenceResult out;
   for (const auto& planes : {frame0, frame1}) {
-    const EncodeResult r = encoder.EncodeAtQp(planes, qp);
+    const EncodeResult r =
+        targets.empty()
+            ? encoder.EncodeAtQp(planes, qp)
+            : encoder.EncodeToTarget(planes, targets[out.bytes.size()]);
     out.bytes.push_back(SerializeFrame(r.frame));
     out.recons.push_back(r.reconstruction);
   }
@@ -118,6 +124,40 @@ TEST(ParallelCodec, DepthEncodeIsByteIdenticalForEveryThreadCount) {
       EXPECT_EQ(parallel.recons[f], serial.recons[f]);
     }
   }
+}
+
+TEST(ParallelCodec, PreciseSearchIsByteIdenticalForEveryThreadCount) {
+  // The QP search's trials below qp_max draw from one byte allowance shared
+  // by every slice of every plane, here from concurrent pool workers. Where
+  // a trial stops depends on scheduling; every frame it returns does not.
+  util::ThreadPool pool(4);
+  obs::Counter& stopped =
+      obs::Registry::Get().GetCounter("codec.encode_trials_stopped");
+  const std::uint64_t stopped_before = stopped.value();
+  struct Case {
+    PlaneKind kind;
+    int num_planes;
+    int max_value;
+    std::vector<std::size_t> targets;  // keyframe, P-frame
+  };
+  const Case cases[] = {{PlaneKind::kColor8, 3, 255, {400, 120}},
+                        {PlaneKind::kDepth16, 1, 65535, {400, 60}}};
+  for (const Case& c : cases) {
+    const SequenceResult serial =
+        EncodeSequence(ParallelConfig(c.kind, 16, 1, &pool), c.num_planes,
+                       c.max_value, 0, c.targets);
+    for (int threads : {2, 4, 0}) {
+      const SequenceResult parallel =
+          EncodeSequence(ParallelConfig(c.kind, 16, threads, &pool),
+                         c.num_planes, c.max_value, 0, c.targets);
+      for (std::size_t f = 0; f < serial.bytes.size(); ++f) {
+        EXPECT_EQ(parallel.bytes[f], serial.bytes[f])
+            << "frame " << f << " with max_threads=" << threads;
+        EXPECT_EQ(parallel.recons[f], serial.recons[f]);
+      }
+    }
+  }
+  EXPECT_GT(stopped.value(), stopped_before);
 }
 
 TEST(ParallelCodec, DecodeIsIdenticalForEveryThreadCount) {
