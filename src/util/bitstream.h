@@ -81,7 +81,10 @@ class BitWriter {
   int bit_pos_ = 0;  // next free bit within buffer_.back(); 0 = byte boundary
 };
 
-// Sequential bit reader over an encoded byte span.
+// Sequential bit reader over an encoded byte span. Reads take up to a byte
+// per step; every read returns, and leaves the position at, what reading
+// one bit at a time would. Reading past the end throws std::out_of_range
+// and leaves the reader at the end.
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size)
@@ -90,29 +93,51 @@ class BitReader {
       : BitReader(data.data(), data.size()) {}
 
   int ReadBit() {
-    if (pos_ >= size_bits_) {
-      throw std::out_of_range("BitReader: read past end of stream");
-    }
+    if (pos_ >= size_bits_) ThrowPastEnd();
     const std::uint8_t byte = data_[pos_ >> 3];
     const int bit = (byte >> (7 - (pos_ & 7))) & 1;
     ++pos_;
     return bit;
   }
 
+  // Reads `bits` bits MSB first; bits <= 0 reads nothing and returns 0,
+  // and of more than 64 bits the last 64 are returned.
   std::uint64_t ReadBits(int bits) {
+    if (bits <= 0) return 0;
+    if (static_cast<std::size_t>(bits) > size_bits_ - pos_) ThrowPastEnd();
     std::uint64_t value = 0;
-    for (int i = 0; i < bits; ++i) value = (value << 1) | static_cast<unsigned>(ReadBit());
+    while (bits > 0) {
+      const int room = 8 - static_cast<int>(pos_ & 7);  // unread bits of byte
+      const int n = bits < room ? bits : room;
+      const unsigned chunk = (data_[pos_ >> 3] >> (room - n)) & ((1u << n) - 1);
+      value = (value << n) | chunk;
+      pos_ += static_cast<std::size_t>(n);
+      bits -= n;
+    }
     return value;
   }
 
+  // Inverse of BitWriter::WriteUE. Counts leading zeros over the rest of
+  // the current byte per step; the 64th leading zero throws
+  // std::runtime_error with the reader just past it.
   std::uint64_t ReadUE() {
     int len = 0;
-    while (ReadBit() == 0) {
-      if (++len > 63) throw std::runtime_error("BitReader: corrupt UE code");
+    for (;;) {
+      if (pos_ >= size_bits_) ThrowPastEnd();
+      const int offset = static_cast<int>(pos_ & 7);
+      // The byte's unread bits, moved to the top of a byte.
+      const auto rest = static_cast<std::uint8_t>(data_[pos_ >> 3] << offset);
+      const int zeros = rest == 0 ? 8 - offset : std::countl_zero(rest);
+      if (len + zeros > 63) {
+        pos_ += static_cast<std::size_t>(64 - len);
+        throw std::runtime_error("BitReader: corrupt UE code");
+      }
+      len += zeros;
+      pos_ += static_cast<std::size_t>(zeros);
+      if (rest != 0) break;
     }
-    std::uint64_t value = 1;
-    for (int i = 0; i < len; ++i) value = (value << 1) | static_cast<unsigned>(ReadBit());
-    return value - 1;
+    ++pos_;  // the code's 1 bit
+    return ((std::uint64_t{1} << len) | ReadBits(len)) - 1;
   }
 
   std::int64_t ReadSE() {
@@ -126,6 +151,11 @@ class BitReader {
   bool AtEnd() const { return pos_ >= size_bits_; }
 
  private:
+  [[noreturn]] void ThrowPastEnd() {
+    pos_ = size_bits_;
+    throw std::out_of_range("BitReader: read past end of stream");
+  }
+
   const std::uint8_t* data_;
   std::size_t size_bits_;
   std::size_t pos_ = 0;

@@ -183,6 +183,168 @@ TEST(Bitstream, WriterMatchesBitAtATimeDefinition) {
   }
 }
 
+// One bit per step: the definition the byte-stepping BitReader must match,
+// in values, position and exception types.
+class BitAtATimeReader {
+ public:
+  explicit BitAtATimeReader(const std::vector<std::uint8_t>& bytes)
+      : bytes_(bytes) {}
+  int ReadBit() {
+    if (pos_ >= bytes_.size() * 8) throw std::out_of_range("past end");
+    const int bit = (bytes_[pos_ >> 3] >> (7 - (pos_ & 7))) & 1;
+    ++pos_;
+    return bit;
+  }
+  std::uint64_t ReadBits(int bits) {
+    std::uint64_t value = 0;
+    for (int i = 0; i < bits; ++i) {
+      value = (value << 1) | static_cast<unsigned>(ReadBit());
+    }
+    return value;
+  }
+  std::uint64_t ReadUE() {
+    int len = 0;
+    while (ReadBit() == 0) {
+      if (++len > 63) throw std::runtime_error("corrupt UE code");
+    }
+    return ((std::uint64_t{1} << len) | ReadBits(len)) - 1;
+  }
+  std::int64_t ReadSE() {
+    const std::uint64_t mapped = ReadUE();
+    const auto half = static_cast<std::int64_t>(mapped / 2 + (mapped & 1));
+    return (mapped & 1) ? half : -half;
+  }
+  std::size_t BitsRemaining() const { return bytes_.size() * 8 - pos_; }
+
+ private:
+  const std::vector<std::uint8_t>& bytes_;
+  std::size_t pos_ = 0;
+};
+
+// What a read returned, or the type of exception it threw.
+struct ReadOutcome {
+  std::uint64_t value = 0;
+  std::string error;  // empty, "out_of_range", "runtime_error" or "other"
+};
+
+template <typename Read>
+ReadOutcome OutcomeOf(Read read) {
+  ReadOutcome out;
+  try {
+    out.value = static_cast<std::uint64_t>(read());
+  } catch (const std::out_of_range&) {
+    out.error = "out_of_range";
+  } catch (const std::runtime_error&) {
+    out.error = "runtime_error";
+  } catch (const std::exception&) {
+    out.error = "other";
+  }
+  return out;
+}
+
+// Applies read `op` (0 bit, 1 bits, 2 UE, 3 SE) to both readers and checks
+// they agree on the outcome and the position after it. Returns whether the
+// read threw.
+bool ReadBoth(util::BitReader& got, BitAtATimeReader& want, int op, int bits) {
+  ReadOutcome g, w;
+  switch (op) {
+    case 0:
+      g = OutcomeOf([&] { return got.ReadBit(); });
+      w = OutcomeOf([&] { return want.ReadBit(); });
+      break;
+    case 1:
+      g = OutcomeOf([&] { return got.ReadBits(bits); });
+      w = OutcomeOf([&] { return want.ReadBits(bits); });
+      break;
+    case 2:
+      g = OutcomeOf([&] { return got.ReadUE(); });
+      w = OutcomeOf([&] { return want.ReadUE(); });
+      break;
+    default:
+      g = OutcomeOf([&] { return got.ReadSE(); });
+      w = OutcomeOf([&] { return want.ReadSE(); });
+      break;
+  }
+  EXPECT_EQ(g.error, w.error) << "op " << op << " bits " << bits;
+  EXPECT_EQ(g.value, w.value) << "op " << op << " bits " << bits;
+  EXPECT_EQ(got.BitsRemaining(), want.BitsRemaining())
+      << "op " << op << " bits " << bits;
+  return !w.error.empty();
+}
+
+TEST(Bitstream, ReaderMatchesBitAtATimeDefinition) {
+  util::Rng rng(20261020);
+  // Random streams of codes, raw bits and runs of 60-70 zeros, some cut
+  // short, read back either with the ops that wrote them or with random
+  // ops, until a read throws.
+  for (int rep = 0; rep < 400; ++rep) {
+    BitAtATimeWriter writer;
+    std::vector<std::pair<int, int>> written;  // (op, bits) per write
+    const int writes = rng.UniformInt(1, 40);
+    for (int i = 0; i < writes; ++i) {
+      const std::uint64_t raw = rng.NextU64() >> rng.UniformInt(1, 63);
+      const auto op = static_cast<int>(rng.NextBelow(5));
+      int bits = 0;
+      switch (op) {
+        case 0:
+          writer.WriteBit(static_cast<int>(raw & 1));
+          break;
+        case 1:
+          bits = static_cast<int>(rng.NextBelow(65));
+          writer.WriteBits(rng.NextU64(), bits);
+          break;
+        case 2:
+          writer.WriteUE(raw);
+          break;
+        case 3:
+          writer.WriteSE(rng.Chance(0.5) ? -static_cast<std::int64_t>(raw)
+                                         : static_cast<std::int64_t>(raw));
+          break;
+        default:
+          bits = rng.UniformInt(60, 70);
+          writer.WriteBits(0, bits);
+          break;
+      }
+      written.emplace_back(op == 4 ? 2 : op, bits);  // a zero run reads as UE
+    }
+    std::vector<std::uint8_t> bytes = writer.bytes;
+    if (rng.Chance(0.3)) bytes.resize(rng.NextBelow(bytes.size() + 1));
+    util::BitReader got(bytes);
+    BitAtATimeReader want(bytes);
+    const bool replay = rep % 2 == 0;
+    for (std::size_t i = 0; i < 200; ++i) {
+      SCOPED_TRACE("rep " + std::to_string(rep) + " read " + std::to_string(i));
+      const int op = replay ? written[i % written.size()].first
+                            : static_cast<int>(rng.NextBelow(4));
+      const int bits = replay ? written[i % written.size()].second
+                              : static_cast<int>(rng.NextBelow(67)) - 1;
+      if (ReadBoth(got, want, op, bits)) break;
+    }
+  }
+  // A UE code at every bit offset behind 60-70 leading zeros: at most 63
+  // zeros read as a code (then a value, possibly cut short), the 64th
+  // zero throws runtime_error wherever it falls.
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int zeros = 60; zeros <= 70; ++zeros) {
+      for (int cut = 0; cut <= 2; ++cut) {
+        BitAtATimeWriter writer;
+        writer.WriteBits(0x5a, offset);
+        writer.WriteBits(0, zeros);
+        writer.WriteBit(1);
+        writer.WriteBits(rng.NextU64(), 64);
+        std::vector<std::uint8_t> bytes = writer.bytes;
+        bytes.resize(bytes.size() - static_cast<std::size_t>(cut) * 4);
+        SCOPED_TRACE("offset " + std::to_string(offset) + " zeros " +
+                     std::to_string(zeros) + " cut " + std::to_string(cut));
+        util::BitReader got(bytes);
+        BitAtATimeReader want(bytes);
+        ReadBoth(got, want, 1, offset);
+        ReadBoth(got, want, 2, 0);
+      }
+    }
+  }
+}
+
 TEST(Bitstream, ValuesWithoutA64BitCodeThrow) {
   util::BitWriter w;
   EXPECT_THROW(w.WriteUE(std::numeric_limits<std::uint64_t>::max()),
