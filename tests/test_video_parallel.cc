@@ -129,11 +129,11 @@ TEST(ParallelCodec, DepthEncodeIsByteIdenticalForEveryThreadCount) {
 TEST(ParallelCodec, PreciseSearchIsByteIdenticalForEveryThreadCount) {
   // The QP search's trials below qp_max draw from one byte allowance shared
   // by every slice of every plane, here from concurrent pool workers. Where
-  // a trial stops depends on scheduling; every frame it returns does not.
+  // a trial stops depends on scheduling; whether it stops, and every frame
+  // the search returns, do not.
   util::ThreadPool pool(4);
   obs::Counter& stopped =
       obs::Registry::Get().GetCounter("codec.encode_trials_stopped");
-  const std::uint64_t stopped_before = stopped.value();
   struct Case {
     PlaneKind kind;
     int num_planes;
@@ -143,13 +143,19 @@ TEST(ParallelCodec, PreciseSearchIsByteIdenticalForEveryThreadCount) {
   const Case cases[] = {{PlaneKind::kColor8, 3, 255, {400, 120}},
                         {PlaneKind::kDepth16, 1, 65535, {400, 60}}};
   for (const Case& c : cases) {
+    std::uint64_t before = stopped.value();
     const SequenceResult serial =
         EncodeSequence(ParallelConfig(c.kind, 16, 1, &pool), c.num_planes,
                        c.max_value, 0, c.targets);
+    const std::uint64_t serial_stops = stopped.value() - before;
+    EXPECT_GT(serial_stops, 0u);
     for (int threads : {2, 4, 0}) {
+      before = stopped.value();
       const SequenceResult parallel =
           EncodeSequence(ParallelConfig(c.kind, 16, threads, &pool),
                          c.num_planes, c.max_value, 0, c.targets);
+      EXPECT_EQ(stopped.value() - before, serial_stops)
+          << "max_threads=" << threads;
       for (std::size_t f = 0; f < serial.bytes.size(); ++f) {
         EXPECT_EQ(parallel.bytes[f], serial.bytes[f])
             << "frame " << f << " with max_threads=" << threads;
@@ -157,7 +163,6 @@ TEST(ParallelCodec, PreciseSearchIsByteIdenticalForEveryThreadCount) {
       }
     }
   }
-  EXPECT_GT(stopped.value(), stopped_before);
 }
 
 TEST(ParallelCodec, DecodeIsIdenticalForEveryThreadCount) {
