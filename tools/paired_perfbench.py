@@ -30,6 +30,14 @@ report says "records equal" or names each field that differs, with both
 values. A change meant to be bit-identical must read "records equal" on
 every seed. The last stdout line is one JSON object with every per-seed
 value and record comparison.
+
+Layout control: moving code alone shifts `rt_parties` by a few percent,
+so a claim of that size needs both sides built with their functions at the
+same alignment. Run the tool with CXXFLAGS=-falign-functions=64 in its
+environment: each side's run.py configures its fresh export once, and that
+first configure takes CXXFLAGS into CMAKE_CXX_FLAGS. The report prints
+each side's CMAKE_CXX_FLAGS from its .bench_build/perfbench/CMakeCache.txt
+next to its commit, so the flag can be checked on both sides.
 """
 
 import argparse
@@ -87,6 +95,20 @@ def run_py(checkout, args):
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
     return proc.returncode, result
+
+
+def cxx_flags(checkout):
+    """CMAKE_CXX_FLAGS from a side's perfbench build cache."""
+    path = os.path.join(checkout, ".bench_build", "perfbench",
+                        "CMakeCache.txt")
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.startswith("CMAKE_CXX_FLAGS:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
 
 
 def repeated_fields(checkout):
@@ -222,7 +244,8 @@ def main():
         log("== paired perfbench: workload %s, %d s, seeds %s"
             % (args.workload, seconds, ",".join(map(str, seeds))))
         for side in SIDES:
-            log("   %-7s %s" % (side, commits[side]))
+            log("   %-7s %s  CMAKE_CXX_FLAGS=%r"
+                % (side, commits[side], cxx_flags(checkouts[side])))
         log("virtual-time records (one untimed run per side and seed):")
         records = compare_records(checkouts, args.workload, seeds)
 
