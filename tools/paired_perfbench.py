@@ -97,27 +97,13 @@ def run_py(checkout, args):
     return proc.returncode, result
 
 
-def cxx_flags(checkout):
-    """CMAKE_CXX_FLAGS from a side's perfbench build cache."""
-    path = os.path.join(checkout, ".bench_build", "perfbench",
-                        "CMakeCache.txt")
-    try:
-        with open(path) as f:
-            for line in f:
-                if line.startswith("CMAKE_CXX_FLAGS:"):
-                    return line.split("=", 1)[1].strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def repeated_fields(checkout):
-    """The REPEATED virtual-time fields of a side's perfbench/run.py."""
+def run_module(checkout):
+    """A side's perfbench/run.py, loaded as a module."""
     path = os.path.join(checkout, "perfbench", "run.py")
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.REPEATED
+    return module
 
 
 def record(checkout, workload, seed):
@@ -146,7 +132,7 @@ def compare_records(checkouts, workload, seeds):
     {seed: "equal" | "no record" | {field: [parent, change]}}."""
     fields = []
     for side in SIDES:
-        fields += [f for f in repeated_fields(checkouts[side])
+        fields += [f for f in run_module(checkouts[side]).REPEATED
                    if f not in fields]
     comparison = {}
     for seed in seeds:
@@ -245,7 +231,8 @@ def main():
             % (args.workload, seconds, ",".join(map(str, seeds))))
         for side in SIDES:
             log("   %-7s %s  CMAKE_CXX_FLAGS=%r"
-                % (side, commits[side], cxx_flags(checkouts[side])))
+                % (side, commits[side], run_module(
+                    checkouts[side]).cache_value("CMAKE_CXX_FLAGS")))
         log("virtual-time records (one untimed run per side and seed):")
         records = compare_records(checkouts, args.workload, seeds)
 
