@@ -23,6 +23,15 @@ namespace {
 
 using namespace livo;
 
+// Which depth representation the depth stream carries. The live pipeline
+// (core::LiVoSender) always sends kScaledY16; the other two are the
+// baselines this bench compares it with.
+enum class DepthMode {
+  kScaledY16,    // LiVo: millimetres scaled to the full 16-bit Y range
+  kUnscaledY16,  // raw millimetres in the 16-bit Y channel (Fig A.1)
+  kRgbPacked,    // 16-bit depth split across 8-bit color channels
+};
+
 // Round-trips the depth canvas through one encoding mode at `budget_bytes`
 // per frame; returns {mean depth RMSE in mm, max abs error in mm}.
 struct DepthResult {
@@ -33,15 +42,15 @@ struct DepthResult {
 };
 
 DepthResult RoundTripDepth(const sim::CapturedSequence& seq,
-                           const core::LiVoConfig& base,
-                           core::DepthEncodingMode mode,
+                           const core::LiVoConfig& config, DepthMode mode,
                            std::size_t budget_bytes) {
-  core::LiVoConfig config = base;
-  config.depth_mode = mode;
-  const int planes = mode == core::DepthEncodingMode::kRgbPacked ? 3 : 1;
-  video::CodecConfig codec_config =
-      mode == core::DepthEncodingMode::kRgbPacked ? config.ColorCodecConfig()
-                                                  : config.DepthCodecConfig();
+  // The RGB-packed baseline feeds its packed image through the ordinary
+  // 8-bit color path (Pece et al. style) as three planes; the Y16 modes
+  // code one plane.
+  const int planes = mode == DepthMode::kRgbPacked ? 3 : 1;
+  video::CodecConfig codec_config = mode == DepthMode::kRgbPacked
+                                        ? config.ColorCodecConfig()
+                                        : config.DepthCodecConfig();
   // All modes face the STANDARD H.265 QP ceiling (51): the maximum
   // quantization step (~228) is fine-grained relative to the full 16-bit
   // range but coarse relative to raw millimetres -- the constraint that
@@ -57,39 +66,24 @@ DepthResult RoundTripDepth(const sim::CapturedSequence& seq,
     const auto tiled = image::Tile(config.layout, seq.frames[f],
                                    static_cast<std::uint32_t>(f));
     std::vector<image::Plane16> input;
-    if (mode == core::DepthEncodingMode::kScaledY16) {
+    if (mode == DepthMode::kScaledY16) {
       input.push_back(image::ScaleDepth(tiled.depth, core::kDepthScaler));
-    } else if (mode == core::DepthEncodingMode::kUnscaledY16) {
+    } else if (mode == DepthMode::kUnscaledY16) {
       input.push_back(tiled.depth);
     } else {
-      const auto packed = image::PackDepthToRgb(tiled.depth);
-      for (const auto* plane : {&packed.r, &packed.g, &packed.b}) {
-        image::Plane16 p(plane->width(), plane->height());
-        for (std::size_t i = 0; i < p.data().size(); ++i) {
-          p.data()[i] = plane->data()[i];
-        }
-        input.push_back(std::move(p));
-      }
+      input = image::PackedRgbToPlanes(image::PackDepthToRgb(tiled.depth));
     }
     const auto result = encoder.EncodeToTarget(input, budget_bytes);
 
     image::DepthImage decoded_mm;
-    if (mode == core::DepthEncodingMode::kScaledY16) {
+    if (mode == DepthMode::kScaledY16) {
       decoded_mm =
           image::UnscaleDepth(result.reconstruction[0], core::kDepthScaler);
-    } else if (mode == core::DepthEncodingMode::kUnscaledY16) {
+    } else if (mode == DepthMode::kUnscaledY16) {
       decoded_mm = result.reconstruction[0];
     } else {
-      image::ColorImage packed(tiled.depth.width(), tiled.depth.height());
-      for (std::size_t i = 0; i < packed.r.data().size(); ++i) {
-        packed.r.data()[i] =
-            static_cast<std::uint8_t>(result.reconstruction[0].data()[i]);
-        packed.g.data()[i] =
-            static_cast<std::uint8_t>(result.reconstruction[1].data()[i]);
-        packed.b.data()[i] =
-            static_cast<std::uint8_t>(result.reconstruction[2].data()[i]);
-      }
-      decoded_mm = image::UnpackDepthFromRgb(packed);
+      decoded_mm = image::UnpackDepthFromRgb(
+          image::PlanesToPackedRgb(result.reconstruction));
     }
 
     // Metrics cover the camera tiles only; the marker strip is not depth.
@@ -128,10 +122,10 @@ int main() {
   for (const auto& spec : sim::AllVideos()) {
     const auto seq = sim::CaptureVideo(spec.name, profile, 6);
     for (const auto& [mode, name] :
-         std::vector<std::pair<core::DepthEncodingMode, const char*>>{
-             {core::DepthEncodingMode::kScaledY16, "LiVo scaled Y16"},
-             {core::DepthEncodingMode::kUnscaledY16, "unscaled Y16"},
-             {core::DepthEncodingMode::kRgbPacked, "RGB-packed"}}) {
+         std::vector<std::pair<DepthMode, const char*>>{
+             {DepthMode::kScaledY16, "LiVo scaled Y16"},
+             {DepthMode::kUnscaledY16, "unscaled Y16"},
+             {DepthMode::kRgbPacked, "RGB-packed"}}) {
       const DepthResult r = RoundTripDepth(seq, config, mode, budget);
       std::printf("%-10s %-22s %-14.1f %-12.0f %-10.1f\n", spec.name.c_str(),
                   name, r.rmse_mm, r.max_err_mm, r.mean_kb);

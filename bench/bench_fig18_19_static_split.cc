@@ -23,10 +23,11 @@ struct QualityPoint {
   double color = 0.0;
 };
 
-// Encodes the sequence with a given split policy (static s, or dynamic if
-// s < 0) at `target_bps`, reconstructs clouds, returns mean PSSIM.
+// Encodes the sequence with a given split policy (`fixed_split`, or the
+// dynamic line search if it is <= 0) at `target_bps`, reconstructs clouds,
+// returns mean PSSIM.
 QualityPoint RunSplit(const sim::CapturedSequence& seq,
-                      const core::LiVoConfig& config, double static_split,
+                      const core::LiVoConfig& config, double fixed_split,
                       double target_bps) {
   video::VideoEncoder color_encoder(config.ColorCodecConfig(), 3);
   video::VideoEncoder depth_encoder(config.DepthCodecConfig(), 1);
@@ -43,7 +44,7 @@ QualityPoint RunSplit(const sim::CapturedSequence& seq,
                                    static_cast<std::uint32_t>(f));
     const auto color_planes = video::RgbToYcbcr(tiled.color);
     const auto scaled = image::ScaleDepth(tiled.depth, core::kDepthScaler);
-    const double s = static_split > 0.0 ? static_split : controller.split();
+    const double s = fixed_split > 0.0 ? fixed_split : controller.split();
 
     const auto cr = color_encoder.EncodeToTarget(
         color_planes, static_cast<std::size_t>(frame_budget * (1.0 - s)));
@@ -52,7 +53,7 @@ QualityPoint RunSplit(const sim::CapturedSequence& seq,
 
     const image::ColorImage decoded_color =
         video::YcbcrToRgb(cr.reconstruction);
-    if (static_split <= 0.0 && controller.ShouldProbe(static_cast<long>(f))) {
+    if (fixed_split <= 0.0 && controller.ShouldProbe(static_cast<long>(f))) {
       controller.Update(metrics::PlaneRmse(scaled, dr.reconstruction[0]),
                         metrics::ColorRmse(tiled.color, decoded_color));
     }

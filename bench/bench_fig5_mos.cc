@@ -2,7 +2,7 @@
 // Paper anchors: Draco-Oracle MOS 1.5, MeshReduce 2.5, LiVo-NoCull 3.4,
 // LiVo 4.1 (20 participants, 57 ratings per scheme). Here each session's
 // measured quality/stall/fps statistics feed the calibrated opinion model
-// (metrics::MosModel; see DESIGN.md §1 on this substitution) and synthetic
+// (metrics::MosScore; see DESIGN.md §1 on this substitution) and synthetic
 // per-rater scores reproduce the distribution view.
 #include <array>
 
@@ -16,7 +16,6 @@ int main() {
 
   core::MatrixConfig matrix;
   const auto summaries = core::RunOrLoadMatrix(matrix);
-  const metrics::MosModel model;
 
   bench::PrintRow({"Scheme", "MOS", "Median", "1", "2", "3", "4", "5"}, 9);
   for (const std::string scheme :
@@ -32,10 +31,10 @@ int main() {
       q.stall_rate = s->stall_rate;
       q.fps = s->fps;
       q.target_fps = s->target_fps;
-      mos_sum += model.Score(q);
+      mos_sum += metrics::MosScore(q);
       // ~2 raters per <video, user, net> cell approximates the paper's 57
       // ratings per scheme over 30 cells.
-      const auto ratings = metrics::SyntheticRatings(model, q, 2, seed++);
+      const auto ratings = metrics::SyntheticRatings(q, 2, seed++);
       all_ratings.insert(all_ratings.end(), ratings.begin(), ratings.end());
     }
     std::array<int, 6> histogram{};

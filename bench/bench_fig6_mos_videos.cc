@@ -12,7 +12,6 @@ int main() {
 
   core::MatrixConfig matrix;
   const auto summaries = core::RunOrLoadMatrix(matrix);
-  const metrics::MosModel model;
 
   bench::PrintRow({"Video", "Draco-Oracle", "MeshReduce", "LiVo-NoCull",
                    "LiVo"}, 14);
@@ -26,7 +25,7 @@ int main() {
       for (const auto* s : rows) {
         metrics::SessionQuality q{s->pssim_geometry, s->pssim_color,
                                   s->stall_rate, s->fps, s->target_fps};
-        mos += model.Score(q);
+        mos += metrics::MosScore(q);
       }
       cells.push_back(bench::Fmt(rows.empty() ? 0.0 : mos / rows.size(), 2));
     }

@@ -10,7 +10,6 @@ int main() {
   using namespace livo;
   core::MatrixConfig matrix;
   const auto summaries = core::RunOrLoadMatrix(matrix);
-  const metrics::MosModel model;
 
   for (const std::string trace : {"trace-1", "trace-2"}) {
     bench::PrintHeader(trace == "trace-1" ? "Fig 7" : "Fig 8",
@@ -27,7 +26,7 @@ int main() {
         for (const auto* s : rows) {
           metrics::SessionQuality q{s->pssim_geometry, s->pssim_color,
                                     s->stall_rate, s->fps, s->target_fps};
-          mos += model.Score(q);
+          mos += metrics::MosScore(q);
         }
         cells.push_back(
             bench::Fmt(rows.empty() ? 0.0 : mos / rows.size(), 2));

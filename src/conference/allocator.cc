@@ -297,8 +297,7 @@ bool DownlinkAllocator::Initialized(int subscriber) const {
          0.0;
 }
 
-std::vector<AllocationAuditRow> DownlinkAllocator::TakeAudits(double now_ms) {
-  (void)now_ms;
+std::vector<AllocationAuditRow> DownlinkAllocator::TakeAudits() {
   for (std::size_t s = 0; s < subscribers_.size(); ++s) {
     CloseInterval(static_cast<int>(s));
     subscribers_[s].interval_start_ms = -1.0;

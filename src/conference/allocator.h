@@ -175,7 +175,7 @@ class DownlinkAllocator {
 
   // Closes all open intervals (end of session) and returns every audit
   // row recorded, in emission order.
-  std::vector<AllocationAuditRow> TakeAudits(double now_ms);
+  std::vector<AllocationAuditRow> TakeAudits();
 
  private:
   struct Subscriber {

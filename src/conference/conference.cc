@@ -274,7 +274,7 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
   result.participants.reserve(participants.size());
   for (auto& p : participants) result.participants.push_back(p->TakeResult());
   for (auto& sfu : sfus) {
-    std::vector<AllocationAuditRow> audits = sfu->TakeAudits(end_ms);
+    std::vector<AllocationAuditRow> audits = sfu->TakeAudits();
     result.audits.insert(result.audits.end(),
                          std::make_move_iterator(audits.begin()),
                          std::make_move_iterator(audits.end()));

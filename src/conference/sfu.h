@@ -180,8 +180,8 @@ class SfuActor {
   const SfuStats& stats() const { return stats_; }
   // Effective ladder depth (options.ladder_layers, or 1 for 2 parties).
   int layers() const { return layers_; }
-  std::vector<AllocationAuditRow> TakeAudits(double now_ms) {
-    return allocator_.TakeAudits(now_ms);
+  std::vector<AllocationAuditRow> TakeAudits() {
+    return allocator_.TakeAudits();
   }
 
  private:

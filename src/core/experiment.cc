@@ -63,10 +63,8 @@ void Describe(std::ostream& os, const LiVoConfig& c) {
   // codec_threads is left out: results do not depend on it (tests assert
   // that), so it must not split cache entries.
   os << c.layout.canvas_width() << 'x' << c.layout.canvas_height() << '/'
-     << c.layout.tile_height() << ',' << static_cast<int>(c.depth_mode)
-     << ',' << c.fps << ',' << c.enable_culling << ','
-     << c.enable_adaptation << ',' << c.dynamic_split << ','
-     << c.static_split << "|split:" << c.split.initial << ','
+     << c.layout.tile_height() << ',' << c.fps << ',' << c.enable_culling
+     << ',' << c.enable_adaptation << "|split:" << c.split.initial << ','
      << c.split.min << ',' << c.split.max << ',' << c.split.epsilon << ','
      << c.split.update_every << "|pred:";
   Describe(os, c.predictor.viewer);
@@ -141,7 +139,6 @@ LiVoConfig MakeLiVoConfig(Scheme scheme, const sim::ScaleProfile& profile) {
     case Scheme::kLiVoNoAdapt:
       config.enable_culling = false;
       config.enable_adaptation = false;
-      config.dynamic_split = false;
       break;
     default:
       break;

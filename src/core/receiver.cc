@@ -91,9 +91,9 @@ LiVoReceiver::LiVoReceiver(const LiVoConfig& config,
                          : config.ColorCodecConfig(),
                      3),
       depth_decoder_(spatial_divisor == 2
-                         ? HalveForLadder(config.DepthStreamConfig())
-                         : config.DepthStreamConfig(),
-                     config.DepthStreamPlaneCount()) {
+                         ? HalveForLadder(config.DepthCodecConfig())
+                         : config.DepthCodecConfig(),
+                     1) {
   if (spatial_divisor != 1 && spatial_divisor != 2) {
     throw std::invalid_argument("spatial_divisor must be 1 or 2");
   }
@@ -242,30 +242,8 @@ void LiVoReceiver::BuildCloud(const std::vector<image::Plane16>& color_planes,
     LIVO_SPAN("receiver.reconstruct");
     const image::ColorImage color = video::YcbcrToRgb(color_planes);
 
-    image::DepthImage depth_mm;
-    switch (config_.depth_mode) {
-      case DepthEncodingMode::kScaledY16:
-        depth_mm = image::UnscaleDepth(depth_planes[0], kDepthScaler);
-        break;
-      case DepthEncodingMode::kUnscaledY16:
-        depth_mm = depth_planes[0];
-        break;
-      case DepthEncodingMode::kRgbPacked: {
-        image::ColorImage packed(config_.layout.canvas_width(),
-                                 config_.layout.canvas_height());
-        for (std::size_t i = 0; i < packed.r.data().size(); ++i) {
-          packed.r.data()[i] =
-              static_cast<std::uint8_t>(depth_planes[0].data()[i]);
-          packed.g.data()[i] =
-              static_cast<std::uint8_t>(depth_planes[1].data()[i]);
-          packed.b.data()[i] =
-              static_cast<std::uint8_t>(depth_planes[2].data()[i]);
-        }
-        depth_mm = image::UnpackDepthFromRgb(packed);
-        break;
-      }
-    }
-
+    const image::DepthImage depth_mm =
+        image::UnscaleDepth(depth_planes[0], kDepthScaler);
     const auto views = image::Untile(config_.layout, color, depth_mm);
     cloud = pointcloud::ReconstructFromViews(views, cameras_);
   }

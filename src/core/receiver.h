@@ -8,14 +8,15 @@
 //
 // Only a caller that consumes the point cloud pays for it, and only on the
 // frames it consumes. The frustum overload of OnFrames then untiles the
-// decoded canvases into per-camera views, unscales depth, reconstructs the
-// world-frame cloud using the camera parameters exchanged at setup, and
-// voxelizes and culls it to the *current* frustum before rendering (§A.1),
-// on every frame or on every `cloud_every`-th: a p2p session passes its
-// PSSIM cadence, because PSSIM is the only reader of its clouds. The other
-// overload stops after the marker check, which reads only the canvas rows
-// the marker covers; conference subscribers, which keep only which frames
-// rendered and when, use it.
+// decoded canvases into per-camera views, unscales the one depth plane (the
+// sender's scaled Y16, §3.2), reconstructs the world-frame cloud using the
+// camera parameters exchanged at setup, and voxelizes and culls it to the
+// *current* frustum before rendering (§A.1), on every frame or on every
+// `cloud_every`-th: a p2p session passes its PSSIM cadence, because PSSIM
+// is the only reader of its clouds. The other overload stops after the
+// marker check, which reads only the canvas rows the marker covers;
+// conference subscribers, which keep only which frames rendered and when,
+// use it.
 #pragma once
 
 #include <map>

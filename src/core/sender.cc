@@ -59,8 +59,7 @@ LiVoSender::LiVoSender(const LiVoConfig& config,
       predictor_(config.predictor),
       splitter_(config.split),
       color_encoder_(config.ColorCodecConfig(), 3),
-      depth_encoder_(config.DepthStreamConfig(),
-                     config.DepthStreamPlaneCount()) {
+      depth_encoder_(config.DepthCodecConfig(), 1) {
   if (static_cast<int>(cameras_.size()) != config_.layout.camera_count()) {
     throw std::invalid_argument("camera count does not match tile layout");
   }
@@ -71,16 +70,7 @@ LiVoSender::LiVoSender(const LiVoConfig& config,
     lower_color_encoders_.emplace_back(
         LadderLayerConfig(config_.ColorCodecConfig(), q), 3);
     lower_depth_encoders_.emplace_back(
-        LadderLayerConfig(config_.DepthStreamConfig(), q),
-        config_.DepthStreamPlaneCount());
-  }
-  if (!config_.dynamic_split) {
-    // Static-split ablation: pin the controller at the configured value.
-    SplitConfig pinned = config_.split;
-    pinned.initial = config_.static_split;
-    pinned.min = config_.static_split;
-    pinned.max = config_.static_split;
-    splitter_ = SplitController(pinned);
+        LadderLayerConfig(config_.DepthCodecConfig(), q), 1);
   }
 }
 
@@ -133,25 +123,13 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
   }();
   metrics.tile_ms.Observe(tile_watch.ElapsedMs());
 
-  // --- Depth encoding mode (§3.2 / Fig 17) ---
+  // --- Depth scaled into the full 16-bit Y range (§3.2) ---
   // depth_planes_ / color_planes_ are member buffers: plane copy-assignment
   // reuses existing capacity, so after the first frame these stages run
   // without frame-sized allocations.
-  switch (config_.depth_mode) {
-    case DepthEncodingMode::kScaledY16:
-      depth_planes_.resize(1);
-      depth_planes_[0] = tiled.depth;
-      image::ScaleDepthInPlace(depth_planes_[0], kDepthScaler);
-      break;
-    case DepthEncodingMode::kUnscaledY16:
-      depth_planes_.resize(1);
-      depth_planes_[0] = tiled.depth;
-      break;
-    case DepthEncodingMode::kRgbPacked:
-      depth_planes_ =
-          image::PackedRgbToPlanes(image::PackDepthToRgb(tiled.depth));
-      break;
-  }
+  depth_planes_.resize(1);
+  depth_planes_[0] = tiled.depth;
+  image::ScaleDepthInPlace(depth_planes_[0], kDepthScaler);
   const std::vector<image::Plane16>& depth_planes = depth_planes_;
   video::RgbToYcbcrInto(tiled.color, color_planes_);
   const std::vector<image::Plane16>& color_planes = color_planes_;
@@ -275,30 +253,15 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
   metrics.encode_ms.Observe(encode_watch.ElapsedMs());
 
   // --- Sender-side quality probe and split line search (§3.3) ---
-  if (config_.enable_adaptation && config_.dynamic_split &&
-      splitter_.ShouldProbe(frame_index)) {
+  if (config_.enable_adaptation && splitter_.ShouldProbe(frame_index)) {
     LIVO_SPAN("sender.probe");
     metrics.probes.Add();
     const image::ColorImage decoded_color =
         video::YcbcrToRgb(color_result.reconstruction);
     const double rmse_color = metrics::ColorRmse(tiled.color, decoded_color);
-    double rmse_depth = 0.0;
-    if (config_.depth_mode == DepthEncodingMode::kRgbPacked) {
-      // Probe on reconstructed millimetres (the packed planes have no
-      // directly comparable unit).
-      const image::ColorImage packed =
-          image::PlanesToPackedRgb(depth_result.reconstruction);
-      rmse_depth = metrics::PlaneRmse(tiled.depth,
-                                      image::UnpackDepthFromRgb(packed));
-    } else if (config_.depth_mode == DepthEncodingMode::kScaledY16) {
-      image::Plane16 scaled = tiled.depth;
-      image::ScaleDepthInPlace(scaled, kDepthScaler);
-      rmse_depth =
-          metrics::PlaneRmse(scaled, depth_result.reconstruction[0]);
-    } else {
-      rmse_depth =
-          metrics::PlaneRmse(tiled.depth, depth_result.reconstruction[0]);
-    }
+    // Depth error in the scaled codes the codec saw (the encoder's input).
+    const double rmse_depth =
+        metrics::PlaneRmse(depth_planes[0], depth_result.reconstruction[0]);
     out.stats.rmse_color = rmse_color;
     out.stats.rmse_depth = rmse_depth;
     splitter_.Update(rmse_depth, rmse_color);

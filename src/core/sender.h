@@ -6,7 +6,10 @@
 // bandwidth estimate between the two streams (§3.3), and encode each canvas
 // with the rate-adaptive 2D codec at its share of the budget. Every k
 // frames the encoder reconstruction (= sender-side decode) is compared to
-// the input to update the split via line search.
+// the input to update the split via line search. Depth is always scaled Y16
+// and the split always this line search: the unscaled and RGB-packed depth
+// baselines (Fig 17) and the static splits (Figs 18/19) run in their own
+// benches.
 #pragma once
 
 #include <algorithm>

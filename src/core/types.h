@@ -14,14 +14,10 @@
 
 namespace livo::core {
 
-// Which depth representation the depth stream carries (Fig 17 ablation).
-enum class DepthEncodingMode {
-  kScaledY16,    // LiVo: millimetres scaled to the full 16-bit Y range
-  kUnscaledY16,  // raw millimetres in the 16-bit Y channel (Fig A.1)
-  kRgbPacked,    // 16-bit depth split across 8-bit color channels
-};
-
-// Depth scaling of the depth stream: the 6 m commodity ToF range.
+// Depth scaling of the depth stream: the 6 m commodity ToF range. The
+// depth stream always carries millimetres scaled into the full 16-bit Y
+// range (§3.2); Fig 17's unscaled and RGB-packed baselines live in their
+// bench.
 inline constexpr image::DepthScaler kDepthScaler{};
 
 // Fixed-quality baseline (§4.5): the paper uses Starline's nvenc values
@@ -33,7 +29,8 @@ inline constexpr int kFixedDepthQp = 42;
 
 struct LiVoConfig {
   image::TileLayout layout{10, 80, 72};
-  DepthEncodingMode depth_mode = DepthEncodingMode::kScaledY16;
+  // The depth/color line search (§3.3). Fig 18/19's static splits run in
+  // their bench; pinning initial = min = max holds the split fixed.
   SplitConfig split;
   FrustumPredictorConfig predictor;
   double fps = 30.0;
@@ -51,8 +48,6 @@ struct LiVoConfig {
   // Ablation switches (baselines of §4):
   bool enable_culling = true;        // off = LiVo-NoCull
   bool enable_adaptation = true;     // off = LiVo-NoAdapt (fixed QP)
-  bool dynamic_split = true;         // off = static split
-  double static_split = 0.9;
 
   // --- Simulcast ladder (SFU conferencing; §A.1) ---
   // Number of quality layers encoded per frame. 1 = the classic single
@@ -102,17 +97,6 @@ struct LiVoConfig {
     c.slice_height = layout.tile_height();
     c.max_threads = codec_threads;
     return c;
-  }
-
-  // Codec config and plane count of the depth stream. The RGB-packed
-  // baseline feeds its packed image through the ordinary 8-bit color path
-  // (Pece et al. style) as three planes; the Y16 modes code one plane.
-  video::CodecConfig DepthStreamConfig() const {
-    return depth_mode == DepthEncodingMode::kRgbPacked ? ColorCodecConfig()
-                                                       : DepthCodecConfig();
-  }
-  int DepthStreamPlaneCount() const {
-    return depth_mode == DepthEncodingMode::kRgbPacked ? 3 : 1;
   }
 };
 

@@ -1,5 +1,7 @@
 #include "image/depth_encoding.h"
 
+#include <stdexcept>
+
 #include "kernels/kernels.h"
 
 namespace livo::image {

@@ -7,13 +7,14 @@
 // codec, so the decoder can still distinguish them (§3.2's x vs x+v
 // argument). Culled/invalid pixels stay at exactly 0.
 //
-// Two baselines from prior work are also implemented for the Fig 17 / A.1
-// ablations:
+// The live pipeline (core::LiVoSender / LiVoReceiver) uses only the scaler.
+// bench_fig17_depth_encoding compares it with two baselines from prior work
+// (Fig 17 / A.1):
 //  * Unscaled Y16: raw millimetres in the Y channel (block artifacts).
 //  * RGB-packed: 16-bit depth split across 8-bit color channels
-//    (Pece et al. / RealSense colorization style); the low byte wraps every
-//    256 mm, creating high-frequency discontinuities that transform coding
-//    mangles.
+//    (Pece et al. / RealSense colorization style, the packers below); the
+//    low byte wraps every 256 mm, creating high-frequency discontinuities
+//    that transform coding mangles.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,9 @@ Plane16 UnpackDepthFromRgb(const ColorImage& packed);
 
 // Widens a packed RGB image into the three 16-bit planes (values 0..255)
 // the video codec consumes, and narrows three such planes back into an RGB
-// image. The sender uses the pair to feed RGB-packed depth through the
-// ordinary 8-bit codec path and to reassemble the codec's reconstruction
-// for the quality probe.
+// image (throws std::invalid_argument unless given exactly three). The
+// Fig 17 bench uses the pair to feed RGB-packed depth through the ordinary
+// 8-bit codec path and to reassemble the codec's reconstruction.
 std::vector<Plane16> PackedRgbToPlanes(const ColorImage& packed);
 ColorImage PlanesToPackedRgb(const std::vector<Plane16>& planes);
 

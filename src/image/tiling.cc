@@ -30,7 +30,6 @@ TiledFramePair Tile(const TileLayout& layout, const std::vector<RgbdFrame>& view
     throw std::invalid_argument("view count does not match layout");
   }
   TiledFramePair out;
-  out.frame_number = frame_number;
   out.color = ColorImage(layout.canvas_width(), layout.canvas_height());
   out.depth = DepthImage(layout.canvas_width(), layout.canvas_height());
 

@@ -66,7 +66,6 @@ class TileLayout {
 // Tiled color + depth canvases for one point-in-time capture, stamped with
 // a frame sequence number in the marker strip.
 struct TiledFramePair {
-  std::uint32_t frame_number = 0;
   ColorImage color;    // tiled color canvas
   DepthImage depth;    // tiled depth canvas
 };

@@ -132,7 +132,6 @@ TriangleMesh MeshFromViews(const std::vector<image::RgbdFrame>& views,
 
 EncodedMesh EncodeMesh(const TriangleMesh& mesh, const MeshCodecConfig& config) {
   EncodedMesh out;
-  out.vertex_count = mesh.vertices.size();
   out.triangle_count = mesh.triangles.size();
   if (mesh.vertices.empty()) {
     out.geometry.push_back(0);

@@ -60,7 +60,6 @@ struct MeshCodecConfig {
 struct EncodedMesh {
   std::vector<std::uint8_t> geometry;  // Draco-like stream (TCP link 1)
   std::vector<std::uint8_t> texture;   // color stream (TCP link 2)
-  std::size_t vertex_count = 0;
   std::size_t triangle_count = 0;
 
   std::size_t TotalBytes() const { return geometry.size() + texture.size(); }

@@ -7,29 +7,48 @@
 #include "util/rng.h"
 
 namespace livo::metrics {
+namespace {
 
-double MosModel::Score(const SessionQuality& q) const {
-  const double quality = geometry_weight * q.pssim_geometry +
-                         (1.0 - geometry_weight) * q.pssim_color;
-  const double t = std::clamp(
-      (quality - quality_floor) / (quality_ceiling - quality_floor), 0.0, 1.0);
+// Weight of geometry vs color in the base quality term (humans are much
+// more sensitive to depth distortion, §3.3 / [95]).
+constexpr double kGeometryWeight = 0.65;
+// Base quality -> score mapping: score spans 1..5 as quality goes
+// kQualityFloor..kQualityCeiling. The ceiling sits above 100: even perfect
+// PSSIM is not "5.0" for every rater (headset comfort etc.).
+constexpr double kQualityFloor = 25.0;
+constexpr double kQualityCeiling = 105.0;
+// Penalties in MOS points: per unit stall rate, and per unit frame-rate
+// deficit against 30 fps.
+constexpr double kStallPenalty = 4.0;
+constexpr double kLowFpsPenalty = 1.9;
+
+double BlendedQuality(const SessionQuality& q) {
+  return kGeometryWeight * q.pssim_geometry +
+         (1.0 - kGeometryWeight) * q.pssim_color;
+}
+
+}  // namespace
+
+double MosScore(const SessionQuality& q) {
+  const double t = std::clamp((BlendedQuality(q) - kQualityFloor) /
+                                  (kQualityCeiling - kQualityFloor),
+                              0.0, 1.0);
   double score = 1.0 + 4.0 * t;
 
-  score -= stall_penalty * std::clamp(q.stall_rate, 0.0, 1.0);
+  score -= kStallPenalty * std::clamp(q.stall_rate, 0.0, 1.0);
 
   // Participants judge frame rate against full-rate conferencing (30 fps)
   // regardless of a scheme's own target -- a 15 fps scheme reads as choppy
   // even when it hits its target (Table 5's MeshReduce frame-rate column).
   const double fps_deficit = std::clamp(1.0 - q.fps / 30.0, 0.0, 1.0);
-  score -= low_fps_penalty * fps_deficit;
+  score -= kLowFpsPenalty * fps_deficit;
 
   return std::clamp(score, 1.0, 5.0);
 }
 
-std::vector<int> SyntheticRatings(const MosModel& model,
-                                  const SessionQuality& q, int raters,
+std::vector<int> SyntheticRatings(const SessionQuality& q, int raters,
                                   std::uint64_t seed) {
-  const double mean = model.Score(q);
+  const double mean = MosScore(q);
   util::Rng rng(seed);
   std::vector<int> ratings;
   ratings.reserve(static_cast<std::size_t>(raters));
@@ -67,8 +86,7 @@ FeedbackBreakdown FeedbackCategories(const SessionQuality& q) {
   // Stalls: comments flip from "smooth" (L) to "glitchy" (H) quickly.
   SoftThreeWay(q.stall_rate, 0.02, 0.15, 0.02, fb.stalls);
   // Quality from the blended PSSIM.
-  const double quality = 0.65 * q.pssim_geometry + 0.35 * q.pssim_color;
-  SoftThreeWay(quality, 55.0, 80.0, 5.0, fb.quality);
+  SoftThreeWay(BlendedQuality(q), 55.0, 80.0, 5.0, fb.quality);
   return fb;
 }
 

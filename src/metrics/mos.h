@@ -12,7 +12,7 @@
 // hard-coded. DESIGN.md documents this substitution.
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 namespace livo::metrics {
@@ -25,33 +25,20 @@ struct SessionQuality {
   double target_fps = 30.0;
 };
 
-struct MosModel {
-  // Weight of geometry vs color in the base quality term (humans are much
-  // more sensitive to depth distortion, §3.3 / [95]).
-  double geometry_weight = 0.65;
-  // Base quality -> score mapping: score spans 1..5 as quality goes
-  // quality_floor..quality_ceiling.
-  double quality_floor = 25.0;
-  double quality_ceiling = 105.0;  // >100: even perfect PSSIM is not "5.0"
-                                   // for every rater (headset comfort etc.)
-  // Penalties (in MOS points).
-  double stall_penalty = 4.0;       // per unit stall rate
-  double low_fps_penalty = 1.9;     // per unit deficit vs 30 fps
-
-  // Scalar opinion score in [1, 5].
-  double Score(const SessionQuality& q) const;
-};
+// Scalar opinion score in [1, 5]: blended PSSIM (geometry weighted above
+// color) mapped linearly onto the 1-5 range, minus stall and low-frame-rate
+// penalties. The calibration constants live in mos.cc.
+double MosScore(const SessionQuality& q);
 
 // A deterministic distribution of individual opinion ratings (1-5) around
-// the model score, emulating inter-participant spread for the Fig 5-8
+// MosScore(q), emulating inter-participant spread for the Fig 5-8
 // box-plot style outputs. `raters` samples are drawn with the given seed.
-std::vector<int> SyntheticRatings(const MosModel& model,
-                                  const SessionQuality& q, int raters,
+std::vector<int> SyntheticRatings(const SessionQuality& q, int raters,
                                   std::uint64_t seed);
 
 // Qualitative-feedback category model (Table 5): fraction of comments
 // rating frame rate / stalls / quality as Low, Medium, High, derived from
-// the same session statistics.
+// the same session statistics (quality blended as in MosScore).
 struct FeedbackBreakdown {
   double frame_rate[3];  // L, M, H fractions, sum to 1
   double stalls[3];      // L = few stalls (good), H = many stalls (bad)

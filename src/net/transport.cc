@@ -546,10 +546,12 @@ std::vector<ReceivedFrame> VideoChannel::PopReady(double now_ms) {
       ++it;
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const ReceivedFrame& a, const ReceivedFrame& b) {
-              return a.frame_index < b.frame_index;
-            });
+  // Stable: frames sharing an index (one per stream) keep their completion
+  // order, which the SFU's ladder assembly relies on.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ReceivedFrame& a, const ReceivedFrame& b) {
+                     return a.frame_index < b.frame_index;
+                   });
   return out;
 }
 

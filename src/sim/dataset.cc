@@ -242,11 +242,11 @@ Scene MakeToddler4() {
 
 const std::vector<VideoSpec>& AllVideos() {
   static const std::vector<VideoSpec> videos = {
-      {"band2", 9, 4, 0.55, 197, 11.1},
-      {"dance5", 1, 1, 0.95, 333, 10.8},
-      {"office1", 7, 1, 0.15, 187, 10.6},
-      {"pizza1", 14, 6, 0.45, 47, 13.8},
-      {"toddler4", 3, 1, 0.75, 127, 10.6},
+      {"band2", 9, 4, 197, 11.1},
+      {"dance5", 1, 1, 333, 10.8},
+      {"office1", 7, 1, 187, 10.6},
+      {"pizza1", 14, 6, 47, 13.8},
+      {"toddler4", 3, 1, 127, 10.6},
   };
   return videos;
 }
@@ -268,11 +268,13 @@ Scene MakeScene(const VideoSpec& spec) {
 }
 
 std::vector<geom::RgbdCamera> MakeRig(const ScaleProfile& profile) {
+  constexpr double kHfovDeg = 70.0;
+  constexpr double kRadiusM = 2.6;
+  constexpr double kHeightM = 1.4;
   const auto intrinsics = geom::CameraIntrinsics::FromFov(
-      profile.camera_width, profile.camera_height,
-      DegToRad(profile.camera_hfov_deg));
-  return geom::MakeCircularRig(profile.camera_count, profile.rig_radius_m,
-                               profile.rig_height_m, {0, 0.9, 0}, intrinsics);
+      profile.camera_width, profile.camera_height, DegToRad(kHfovDeg));
+  return geom::MakeCircularRig(profile.camera_count, kRadiusM, kHeightM,
+                               {0, 0.9, 0}, intrinsics);
 }
 
 CapturedSequence CaptureVideo(const std::string& name,

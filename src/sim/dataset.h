@@ -20,17 +20,13 @@
 
 namespace livo::sim {
 
-// Experiment scale knobs. Defaults are CI-scale; PaperScale() documents the
-// values from the paper's testbed for reference runs.
+// Experiment scale knobs. Defaults are CI-scale; EXPERIMENTS.md's "Scale
+// model" lists the paper testbed's values next to them.
 struct ScaleProfile {
   int camera_count = 10;
   int camera_width = 80;    // per-camera depth/color resolution
   int camera_height = 72;
-  double camera_hfov_deg = 70.0;
-  double rig_radius_m = 2.6;
-  double rig_height_m = 1.4;
   double fps = 30.0;
-  int default_frames = 60;  // frames per sequence in experiment runs
   // Network traces are recorded at broadband scale (Table 4, Mbps); the
   // synthetic scenes are ~28x smaller than Panoptic full-scene frames, so
   // links apply trace_rate * bandwidth_scale to keep the bandwidth-to-
@@ -38,21 +34,12 @@ struct ScaleProfile {
   double bandwidth_scale = 1.0 / 48.0;
 
   static ScaleProfile Default() { return {}; }
-  static ScaleProfile PaperScale() {
-    ScaleProfile p;
-    p.camera_width = 640;
-    p.camera_height = 576;
-    p.default_frames = 3600;
-    p.bandwidth_scale = 1.0;
-    return p;
-  }
 };
 
 struct VideoSpec {
   std::string name;
   int objects = 0;          // Table 3 "Objects" (people + props)
   int people = 0;
-  double motion_energy = 0; // 0 = static .. 1 = vigorous
   int paper_duration_s = 0; // Table 3 duration (for documentation)
   double paper_frame_mb = 0;// Table 3 mean raw frame size
 };
@@ -66,7 +53,9 @@ const VideoSpec& VideoByName(const std::string& name);
 // Builds the animated scene for a named sequence. Deterministic.
 Scene MakeScene(const VideoSpec& spec);
 
-// Builds the capture rig for a profile.
+// Builds the capture rig for a profile: profile.camera_count cameras of a
+// 70 degree horizontal field of view, evenly spaced on a circle of radius
+// 2.6 m at 1.4 m height, all aimed 0.9 m above the stage centre.
 std::vector<geom::RgbdCamera> MakeRig(const ScaleProfile& profile);
 
 // Convenience: a fully rendered sequence = per-frame per-camera RGB-D views.

@@ -16,6 +16,13 @@ using geom::Vec3;
 
 constexpr double kTau = 6.28318530717958647692;
 
+// Texel noise: +/- this many levels per color channel.
+constexpr double kTextureNoiseAmplitude = 8.0;
+// Depth sensor noise stddev: a floor plus a share growing with range (ToF
+// behaviour).
+constexpr double kDepthNoiseBaseMm = 2.0;
+constexpr double kDepthNoiseMmPerM = 1.0;
+
 // Deterministic 32-bit hash (for texture noise and sensor noise).
 std::uint32_t Hash32(std::uint32_t x) {
   x ^= x >> 16;
@@ -299,7 +306,7 @@ void ShadeHit(const RayHit& hit, std::uint8_t& r, std::uint8_t& g,
   const std::uint32_t h = HashCombine(
       HashCombine(quant(hit.local.x), quant(hit.local.y)),
       HashCombine(quant(hit.local.z), tex.noise_seed));
-  const double noise = HashSigned(h) * tex.noise_amplitude;
+  const double noise = HashSigned(h) * kTextureNoiseAmplitude;
 
   const auto apply = [&](std::uint8_t base) {
     return static_cast<std::uint8_t>(
@@ -312,8 +319,7 @@ void ShadeHit(const RayHit& hit, std::uint8_t& r, std::uint8_t& g,
 
 image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
                             double t_s, std::uint32_t frame_index,
-                            std::uint32_t camera_index,
-                            const SensorNoise& noise) {
+                            std::uint32_t camera_index, bool sensor_noise) {
   const auto& k = camera.intrinsics;
   image::RgbdFrame frame(k.width, k.height);
   const Mat4 to_world = camera.extrinsics.CameraToWorld();
@@ -335,7 +341,7 @@ image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
       if (depth_m < camera.min_depth_m || depth_m > camera.max_depth_m) {
         continue;
       }
-      if (noise.enabled) {
+      if (sensor_noise) {
         const std::uint32_t h = HashCombine(
             HashCombine(frame_index, camera_index),
             HashCombine(static_cast<std::uint32_t>(x),
@@ -345,7 +351,7 @@ image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
         const double u =
             (HashSigned(h) + HashSigned(h ^ 0x5bd1e995u)) / 2.0;
         const double stddev_mm =
-            noise.base_stddev_mm + noise.range_coeff * depth_m;
+            kDepthNoiseBaseMm + kDepthNoiseMmPerM * depth_m;
         depth_m += u * stddev_mm * 1.7 / 1000.0;
       }
       const long depth_mm = std::lround(depth_m * 1000.0);
@@ -362,8 +368,8 @@ image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
 
 std::vector<image::RgbdFrame> RenderRig(const Scene& scene,
                                         const std::vector<geom::RgbdCamera>& rig,
-                                        double t_s, std::uint32_t frame_index,
-                                        const SensorNoise& noise) {
+                                        double t_s,
+                                        std::uint32_t frame_index) {
   // Views are independent (the paper parallelizes view generation the same
   // way, §A.1), and each task writes only its own slot.
   std::vector<image::RgbdFrame> views(rig.size());
@@ -371,7 +377,7 @@ std::vector<image::RgbdFrame> RenderRig(const Scene& scene,
       static_cast<int>(rig.size()), 0, [&](int i) {
         const auto camera = static_cast<std::size_t>(i);
         views[camera] = RenderView(scene, rig[camera], t_s, frame_index,
-                                   static_cast<std::uint32_t>(i), noise);
+                                   static_cast<std::uint32_t>(i));
       });
   return views;
 }

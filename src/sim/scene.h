@@ -35,12 +35,12 @@ struct Motion {
 };
 
 // Procedural surface texture: base color modulated by stripes and
-// deterministic per-texel noise so the video codec sees realistic detail.
+// deterministic per-texel noise (+/- 8 levels per channel) so the video
+// codec sees realistic detail.
 struct Texture {
   std::uint8_t r = 180, g = 180, b = 180;
   double stripe_scale = 6.0;     // stripes per local unit
   double stripe_contrast = 0.25; // 0 = flat color
-  double noise_amplitude = 8.0;  // +/- per-channel noise
   std::uint32_t noise_seed = 1;
 };
 
@@ -81,27 +81,21 @@ class Scene {
   std::vector<Primitive> primitives_;
 };
 
-// Depth sensor noise model: zero-mean Gaussian in millimetres, magnitude
-// growing mildly with range (ToF behaviour). Deterministic per
-// (frame, camera, pixel) so replays are identical across schemes.
-struct SensorNoise {
-  double base_stddev_mm = 2.0;
-  double range_coeff = 1.0;  // extra stddev per metre of range
-  bool enabled = true;
-};
-
-// Renders one RGB-D view of `scene` at time t_s through `camera`.
-// `frame_index` and `camera_index` seed the deterministic sensor noise.
+// Renders one RGB-D view of `scene` at time t_s through `camera`. With
+// `sensor_noise` the depth carries the ToF noise model: zero-mean,
+// near-Gaussian, a 2 mm standard deviation plus 1 mm per metre of range.
+// `frame_index` and `camera_index` seed that noise, so it is deterministic
+// per (frame, camera, pixel) and replays are identical across schemes.
 image::RgbdFrame RenderView(const Scene& scene, const geom::RgbdCamera& camera,
                             double t_s, std::uint32_t frame_index,
                             std::uint32_t camera_index,
-                            const SensorNoise& noise = {});
+                            bool sensor_noise = true);
 
-// Renders all cameras of a rig (the per-frame "capture" stage).
+// Renders all cameras of a rig (the per-frame "capture" stage), with
+// sensor noise.
 std::vector<image::RgbdFrame> RenderRig(const Scene& scene,
                                         const std::vector<geom::RgbdCamera>& rig,
-                                        double t_s, std::uint32_t frame_index,
-                                        const SensorNoise& noise = {});
+                                        double t_s, std::uint32_t frame_index);
 
 // Shades a surface point of a primitive (texture lookup + simple lambert
 // lighting from a fixed overhead light).

@@ -1,9 +1,10 @@
 // Time abstractions.
 //
-// Experiments run against a deterministic SimClock (milliseconds since
-// session start) so that network emulation, frame pacing, and latency
-// accounting are reproducible; the live pipeline uses WallClock. Stopwatch
-// measures real compute cost of pipeline stages for Table 6.
+// Simulated time is virtual: sessions and conferences run on
+// runtime::EventLoop, which exposes its virtual milliseconds through the
+// Clock interface, and SimClock is a Clock a caller advances by hand.
+// Stopwatch measures the real compute cost of pipeline stages (Table 6);
+// it never feeds simulated time.
 #pragma once
 
 #include <chrono>
@@ -27,15 +28,6 @@ class SimClock : public Clock {
 
  private:
   double now_ms_ = 0.0;
-};
-
-// Real monotonic clock.
-class WallClock : public Clock {
- public:
-  double NowMs() const override {
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    return std::chrono::duration<double, std::milli>(now).count();
-  }
 };
 
 // Measures elapsed wall time; used for per-stage latency accounting.

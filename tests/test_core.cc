@@ -571,8 +571,7 @@ TEST(Sender, SplitRespondsToContent) {
 TEST(Sender, StaticSplitStaysPinned) {
   const auto& seq = SmallSequence();
   LiVoConfig config = SmallConfig();
-  config.dynamic_split = false;
-  config.static_split = 0.8;
+  config.split = SplitConfig{.initial = 0.8, .min = 0.8, .max = 0.8};
   LiVoSender sender(config, seq.rig);
   for (std::uint32_t f = 0; f < 4; ++f) {
     sender.ProcessFrame(seq.frames[f], f, 6e6);
@@ -584,7 +583,6 @@ TEST(Sender, NoAdaptUsesFixedQp) {
   const auto& seq = SmallSequence();
   LiVoConfig config = SmallConfig();
   config.enable_adaptation = false;
-  config.dynamic_split = false;
   LiVoSender sender(config, seq.rig);
   // Identical output size regardless of the target bitrate.
   auto a = sender.ProcessFrame(seq.frames[0], 0, 1e6);

@@ -107,7 +107,6 @@ TEST(GoldenBitstream, LadderLayersPinnedAcrossSimdLevelsAndThreadCounts) {
       config.simulcast_layers = 3;
       config.enable_culling = false;     // no predictor dependence
       config.enable_adaptation = false;  // fixed QPs per layer
-      config.dynamic_split = false;
       core::LiVoSender sender(config, capture.rig);
       util::Fnv1a hashes[3];
       for (std::uint32_t f = 0; f < capture.frames.size(); ++f) {
@@ -185,15 +184,13 @@ TEST(GoldenBitstream, PFrameChainPinnedAcrossSimdLevels) {
       config.simulcast_layers = 3;
       config.enable_culling = false;     // no predictor dependence
       config.enable_adaptation = false;  // fixed QPs per layer
-      config.dynamic_split = false;
       core::LiVoSender sender(config, capture.rig);
-      const int depth_planes = config.DepthStreamPlaneCount();
       video::VideoDecoder top_color(config.ColorCodecConfig(), 3);
-      video::VideoDecoder top_depth(config.DepthStreamConfig(), depth_planes);
+      video::VideoDecoder top_depth(config.DepthCodecConfig(), 1);
       video::VideoDecoder low_color(
           core::HalveForLadder(config.ColorCodecConfig()), 3);
       video::VideoDecoder low_depth(
-          core::HalveForLadder(config.DepthStreamConfig()), depth_planes);
+          core::HalveForLadder(config.DepthCodecConfig()), 1);
       util::Fnv1a h;
       for (std::uint32_t f = 0; f < capture.frames.size(); ++f) {
         const core::SenderOutput out =

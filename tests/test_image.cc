@@ -1,6 +1,9 @@
 // Unit tests for livo::image — planes, tiling, markers, depth encodings.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "image/depth_encoding.h"
 #include "image/image.h"
 #include "image/marker.h"
@@ -302,6 +305,18 @@ TEST(RgbPackedDepth, LosslessRoundTripWithoutCompression) {
   const ColorImage packed = PackDepthToRgb(depth);
   const Plane16 back = UnpackDepthFromRgb(packed);
   EXPECT_EQ(back, depth);
+
+  // Through the codec's three 16-bit planes and back, as Fig 17 feeds it.
+  const std::vector<Plane16> planes = PackedRgbToPlanes(packed);
+  ASSERT_EQ(planes.size(), 3u);
+  for (std::size_t i = 0; i < depth.data().size(); ++i) {
+    EXPECT_EQ(planes[0].data()[i], packed.r.data()[i]);
+    EXPECT_EQ(planes[1].data()[i], packed.g.data()[i]);
+    EXPECT_EQ(planes[2].data()[i], packed.b.data()[i]);
+  }
+  EXPECT_EQ(UnpackDepthFromRgb(PlanesToPackedRgb(planes)), depth);
+  EXPECT_THROW(PlanesToPackedRgb({planes[0], planes[1]}),
+               std::invalid_argument);
 }
 
 TEST(RgbPackedDepth, LowByteWrapsCreateDiscontinuities) {

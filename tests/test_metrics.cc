@@ -172,16 +172,15 @@ TEST(PointToPointPsnr, MonotoneInNoise) {
 // ---- MOS model ----
 
 TEST(MosModel, PaperAnchorOrdering) {
-  const MosModel model;
   // Operating points measured in the paper (§4.2-4.3).
   const SessionQuality livo{87.8, 82.9, 0.017, 30.0, 30.0};
   const SessionQuality nocull{81.0, 80.9, 0.079, 28.0, 30.0};
   const SessionQuality meshreduce{67.0, 77.3, 0.0, 12.1, 15.0};
   const SessionQuality draco{28.3, 29.9, 0.693, 4.6, 15.0};
-  const double m_livo = model.Score(livo);
-  const double m_nocull = model.Score(nocull);
-  const double m_mesh = model.Score(meshreduce);
-  const double m_draco = model.Score(draco);
+  const double m_livo = MosScore(livo);
+  const double m_nocull = MosScore(nocull);
+  const double m_mesh = MosScore(meshreduce);
+  const double m_draco = MosScore(draco);
   EXPECT_GT(m_livo, m_nocull);
   EXPECT_GT(m_nocull, m_mesh);
   EXPECT_GT(m_mesh, m_draco);
@@ -193,32 +192,28 @@ TEST(MosModel, PaperAnchorOrdering) {
 }
 
 TEST(MosModel, BoundedToLikertRange) {
-  const MosModel model;
-  EXPECT_GE(model.Score({0, 0, 1.0, 0, 30}), 1.0);
-  EXPECT_LE(model.Score({100, 100, 0.0, 30, 30}), 5.0);
+  EXPECT_GE(MosScore({0, 0, 1.0, 0, 30}), 1.0);
+  EXPECT_LE(MosScore({100, 100, 0.0, 30, 30}), 5.0);
 }
 
 TEST(MosModel, StallsHurt) {
-  const MosModel model;
   const SessionQuality good{85, 85, 0.0, 30, 30};
   SessionQuality stalled = good;
   stalled.stall_rate = 0.3;
-  EXPECT_LT(model.Score(stalled), model.Score(good) - 0.5);
+  EXPECT_LT(MosScore(stalled), MosScore(good) - 0.5);
 }
 
 TEST(MosModel, LowFpsHurts) {
-  const MosModel model;
   const SessionQuality fast{85, 85, 0.0, 30, 30};
   SessionQuality slow = fast;
   slow.fps = 12.0;
-  EXPECT_LT(model.Score(slow), model.Score(fast) - 0.5);
+  EXPECT_LT(MosScore(slow), MosScore(fast) - 0.5);
 }
 
 TEST(SyntheticRatings, DeterministicAndInRange) {
-  const MosModel model;
   const SessionQuality q{85, 85, 0.0, 30, 30};
-  const auto a = SyntheticRatings(model, q, 20, 42);
-  const auto b = SyntheticRatings(model, q, 20, 42);
+  const auto a = SyntheticRatings(q, 20, 42);
+  const auto b = SyntheticRatings(q, 20, 42);
   EXPECT_EQ(a, b);
   for (int r : a) {
     EXPECT_GE(r, 1);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "net/gcc.h"
 #include "net/link.h"
@@ -261,6 +262,19 @@ TEST(VideoChannel, FramesArriveInOrderAcrossStreams) {
   }
   EXPECT_EQ(channel.stats().frames_delivered, 10u);
   EXPECT_EQ(channel.stats().frames_lost, 0u);
+
+  // Frames that share an index leave in completion order: frame 0 sent on
+  // 20 streams completes in send order and is released at one instant.
+  VideoChannel wide(FlatTrace(50.0), FastChannel());
+  std::vector<std::uint32_t> sent;
+  for (std::uint32_t s = 0; s < 20; ++s) {
+    wide.SendFrame(s, 0, true, Blob(1000), 0.0);
+    sent.push_back(s);
+  }
+  for (double t = 0; t < 60.0; t += 1.0) wide.Step(t);
+  std::vector<std::uint32_t> released;
+  for (const auto& r : wide.PopReady(60.0)) released.push_back(r.stream_id);
+  EXPECT_EQ(released, sent);
 }
 
 TEST(VideoChannel, NackRecoversIsolatedLoss) {

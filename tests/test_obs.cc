@@ -12,124 +12,27 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "report.h"
 
 namespace livo::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON syntax checker. Not a parser — just enough to prove that the
-// exporters emit structurally valid JSON (balanced, correctly quoted, no
-// trailing garbage), so Perfetto/jq can load it.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    pos_ = 0;
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
+// Loads `text` with the JSON parser livo_report uses, so every exporter
+// check proves its output loads in the tool that reads it.
+::testing::AssertionResult ParsesAsJson(const std::string& text) {
+  report::JsonValue value;
+  std::string error;
+  if (report::ParseJson(text, &value, &error)) {
+    return ::testing::AssertionSuccess();
   }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return Object();
-      case '[': return Array();
-      case '"': return String();
-      case 't': return Literal("true");
-      case 'f': return Literal("false");
-      case 'n': return Literal("null");
-      default: return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') { ++pos_; continue; }
-      if (Peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') { ++pos_; continue; }
-      if (Peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\\') {
-        pos_ += 2;
-        continue;
-      }
-      if (c == '"') { ++pos_; return true; }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool Number() {
-    const std::size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(const char* word) {
-    const std::string w(word);
-    if (text_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return ::testing::AssertionFailure() << error;
+}
 
 TEST(JsonChecker, SanityOnKnownInputs) {
-  EXPECT_TRUE(JsonChecker(R"({"a":[1,2.5,-3e4],"b":"x\"y","c":null})").Valid());
-  EXPECT_FALSE(JsonChecker(R"({"a":1)").Valid());
-  EXPECT_FALSE(JsonChecker(R"({"a":1}},)").Valid());
+  EXPECT_TRUE(ParsesAsJson(R"({"a":[1,2.5,-3e4],"b":"x\"y","c":null})"));
+  EXPECT_FALSE(ParsesAsJson(R"({"a":1)"));
+  EXPECT_FALSE(ParsesAsJson(R"({"a":1}},)"));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +189,7 @@ TEST(Registry, WriteJsonlEmitsOneValidObjectPerLine) {
   int count = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
+    EXPECT_TRUE(ParsesAsJson(line)) << line;
     ++count;
   }
   EXPECT_EQ(count, 3);
@@ -373,7 +276,7 @@ TEST_F(TraceTest, ChromeTraceExportIsValidJson) {
   std::ostringstream out;
   WriteChromeTrace(out, events);
   const std::string text = out.str();
-  EXPECT_TRUE(JsonChecker(text).Valid()) << text;
+  EXPECT_TRUE(ParsesAsJson(text)) << text;
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("sender.encode"), std::string::npos);
   EXPECT_NE(text.find("net.frame_lost"), std::string::npos);
@@ -543,7 +446,7 @@ TEST_F(TimeSeriesTest, WriteJsonlEmitsTimeseriesLines) {
   std::string line;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
+    EXPECT_TRUE(ParsesAsJson(line)) << line;
   }
 }
 
@@ -739,7 +642,7 @@ TEST_F(FrameLedgerTest, WriteJsonlEmitsOneValidObjectPerHop) {
   int count = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
+    EXPECT_TRUE(ParsesAsJson(line)) << line;
     ++count;
   }
   EXPECT_EQ(count, 2);

@@ -220,9 +220,7 @@ TEST(RenderView, NoiseIsBoundedAndZeroMeanish) {
   geom::RgbdCamera cam;
   cam.intrinsics = geom::CameraIntrinsics::FromFov(40, 36, geom::DegToRad(70));
   cam.extrinsics.pose = geom::Pose::LookAt({0, 1, 2.5}, {0, 1, 0});
-  SensorNoise no_noise;
-  no_noise.enabled = false;
-  const auto clean = RenderView(scene, cam, 0.0, 0, 0, no_noise);
+  const auto clean = RenderView(scene, cam, 0.0, 0, 0, /*sensor_noise=*/false);
   const auto noisy = RenderView(scene, cam, 0.0, 0, 0);
   double err_sum = 0.0;
   int count = 0;

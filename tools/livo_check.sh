@@ -2,10 +2,11 @@
 # Strict-mode gate for the sanitizer-sensitive parts of the tree, in four
 # passes:
 #
-#  1. TSan pass — builds the livo_check_tests target with -Wall -Wextra
+#  1. TSan pass — builds the livo_check_tests target and every bench and
+#     example program (the livo_programs target) with -Wall -Wextra
 #     -Werror and, when the toolchain supports it, ThreadSanitizer, then
-#     runs it. TSan is the real gate for the M-threads-M-loops runtime:
-#     cross-loop sends and barrier hand-offs, the thread-pool codec,
+#     runs the tests. TSan is the real gate for the M-threads-M-loops
+#     runtime: cross-loop sends and barrier hand-offs, the thread-pool codec,
 #     multi-session runs, the N-party and cascaded conferences and
 #     capture's pool fan-out race-check here.
 #  2. ASan+UBSan pass — builds the livo_asan_tests target with
@@ -81,7 +82,8 @@ fi
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${FLAGS}" > /dev/null
 
-"${CMAKE_BIN}" --build "${BUILD_DIR}" --target livo_check_tests -j "$(nproc)"
+"${CMAKE_BIN}" --build "${BUILD_DIR}" --target livo_check_tests livo_programs \
+  -j "$(nproc)"
 
 echo "[livo_check] running livo_check_tests"
 "${BUILD_DIR}/tests/livo_check_tests" --gtest_brief=1
