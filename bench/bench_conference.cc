@@ -17,6 +17,7 @@
 #include "bench_util.h"
 #include "conference/conference.h"
 #include "conference/topology.h"
+#include "fec/fec.h"
 #include "obs/metrics.h"
 #include "sim/dataset.h"
 #include "sim/nettrace.h"
@@ -387,7 +388,7 @@ int main(int argc, char** argv) {
     // Acceptance: at every point the FEC arm is no worse than NACK-only
     // on PLI rate and stall rate, strictly better on their totals, and
     // its parity overhead stays under the redundancy cap.
-    const double cap = conference::ConferenceOptions{}.fec.redundancy_cap;
+    const double cap = fec::kRedundancyCap;
     bool accept = true;
     double nack_pli = 0.0, fec_pli = 0.0, nack_stall = 0.0, fec_stall = 0.0;
     for (std::size_t i = 0; i + 1 < resilience.size(); i += 2) {

@@ -20,9 +20,6 @@ constexpr double kKeyframeSeedScale = 0.25;
 AllocatorConfig MakeAllocatorConfig(const ConferenceOptions& options,
                                     int parties) {
   AllocatorConfig config;
-  config.interval_ms = options.allocation_interval_ms;
-  config.burst_credit_intervals = options.burst_credit_intervals;
-  config.share_floor = options.share_floor;
   config.layers = EffectiveLadderLayers(options, parties);
   // Token buckets price the FEC parity that will ride each forwarded
   // pair, planned from the downlink's mean loss rate (the per-stream
@@ -37,10 +34,8 @@ AllocatorConfig MakeAllocatorConfig(const ConferenceOptions& options,
   return config;
 }
 
-LadderPricer::LadderPricer(int origins, int layers,
-                           double allocation_interval_ms)
-    : allocation_interval_ms_(allocation_interval_ms),
-      ema_(static_cast<std::size_t>(origins),
+LadderPricer::LadderPricer(int origins, int layers)
+    : ema_(static_cast<std::size_t>(origins),
            std::vector<double>(static_cast<std::size_t>(layers), 0.0)) {}
 
 void LadderPricer::Price(int origin, bool key_pair,
@@ -48,9 +43,8 @@ void LadderPricer::Price(int origin, bool key_pair,
                          std::vector<LayerPairBytes>& candidates) {
   std::vector<double>& ema = ema_[static_cast<std::size_t>(origin)];
   const double pairs_per_interval =
-      capture_interval_ms > 0.0
-          ? allocation_interval_ms_ / capture_interval_ms
-          : 0.0;
+      capture_interval_ms > 0.0 ? kAllocationIntervalMs / capture_interval_ms
+                                : 0.0;
   for (std::size_t q = 0; q < candidates.size() && q < ema.size(); ++q) {
     LayerPairBytes& c = candidates[q];
     if (!c.valid) continue;
@@ -88,12 +82,12 @@ std::vector<double> DownlinkAllocator::NormalizeShares(
   const double equal = 1.0 / slots_;
   // Clamp the floor so the floors always leave room to distribute by
   // visibility. The cap is *half* the equal share, not the equal share:
-  // at N-1 >= 1/share_floor slots a floor of `equal` would consume the
+  // at N-1 >= 1/kShareFloor slots a floor of `equal` would consume the
   // whole budget and collapse every share to uniform no matter what the
   // viewer looks at — with the 0.5 cap at least half the budget always
   // follows visibility, so distinct visible fractions keep distinct
   // shares at any party count.
-  const double floor = std::min(config_.share_floor, 0.5 * equal);
+  const double floor = std::min(kShareFloor, 0.5 * equal);
   const double total =
       std::accumulate(visibility.begin(), visibility.end(), 0.0);
   const double spread = 1.0 - floor * slots_;

@@ -44,10 +44,16 @@
 
 namespace livo::conference {
 
+// Length of one allocation interval: subscriber downlinks and relay pipes
+// refill their token buckets, and the SFU audits them, on this grid.
+inline constexpr double kAllocationIntervalMs = 100.0;
+// Level-1 share floor that keeps an off-screen remote's trickle (at most
+// half the equal share; see NormalizeShares).
+inline constexpr double kShareFloor = 0.15;
+
 struct AllocatorConfig {
-  double interval_ms = 100.0;
+  // Refills a token bucket may bank beyond the current one.
   double burst_credit_intervals = 2.0;
-  double share_floor = 0.15;
   // Simulcast ladder depth the SFU offers per origin (1 = no ladder).
   // Only sizes the per-row forwarded_by_layer histogram; pricing itself is
   // driven by the candidate vector each Admit call carries.
@@ -99,7 +105,7 @@ struct LayerPairBytes {
 // by P ladders only. Virtual-time deterministic.
 class LadderPricer {
  public:
-  LadderPricer(int origins, int layers, double allocation_interval_ms);
+  LadderPricer(int origins, int layers);
 
   // Updates `origin`'s EMAs from every valid candidate and fills its
   // sustained_interval_bytes. Call exactly once per ladder, before any
@@ -110,7 +116,6 @@ class LadderPricer {
              std::vector<LayerPairBytes>& candidates);
 
  private:
-  double allocation_interval_ms_;
   std::vector<std::vector<double>> ema_;  // [origin][layer]
 };
 

@@ -9,8 +9,8 @@ namespace livo::conference {
 namespace {
 
 double PipeIntervalBytes(const ConferenceOptions& options) {
-  return options.relay_rate_mbps * 1e6 / 8.0 *
-         options.allocation_interval_ms / 1000.0;
+  return options.relay_rate_mbps * 1e6 / 8.0 * kAllocationIntervalMs /
+         1000.0;
 }
 
 }  // namespace
@@ -41,8 +41,7 @@ double RelayPipe::SendArrivalMs(double now_ms, std::uint64_t bytes) {
 RelayStage::RelayStage(int slots, int ledger_subscriber,
                        const ConferenceOptions& options, int parties)
     : alloc(slots + 1, MakeAllocatorConfig(options, parties)),
-      pricer(parties, EffectiveLadderLayers(options, parties),
-             options.allocation_interval_ms),
+      pricer(parties, EffectiveLadderLayers(options, parties)),
       pipe(options.relay_rate_mbps, options.relay_hop_delay_ms),
       ledger_subscriber(ledger_subscriber) {}
 

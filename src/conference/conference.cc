@@ -28,23 +28,16 @@ void Validate(const std::vector<ParticipantSpec>& specs,
         "RunConference: a conference needs at least 2 participants, got " +
         std::to_string(n));
   }
-  if (n > options.max_parties) {
+  if (n > kMaxParties) {
     throw std::invalid_argument(
         "RunConference: admission control rejects " + std::to_string(n) +
-        " parties (max_parties = " + std::to_string(options.max_parties) +
-        ")");
+        " parties (at most " + std::to_string(kMaxParties) + ")");
   }
   for (const ParticipantSpec& spec : specs) {
     if (spec.sequence == nullptr) {
       throw std::invalid_argument(
           "RunConference: participant spec without a capture sequence");
     }
-  }
-  // The SFU advances its allocation clock by this step until it passes
-  // the current event; a step that is not positive never gets there.
-  if (!(options.allocation_interval_ms > 0.0)) {
-    throw std::invalid_argument(
-        "RunConference: allocation_interval_ms must be positive");
   }
   if (options.regions > 1) {
     if (options.regions > n) {
@@ -118,7 +111,7 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
                                : runtime::LoopGroup::kDefaultWindowMs);
 
   ConferenceResult result;
-  result.scheme = options.scheme_name;
+  result.scheme = kSchemeName;
   result.regions = regions;
   result.shards = shards;
   result.fec = options.fec.enabled;
@@ -174,10 +167,7 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
                                       const sim::BandwidthTrace& own_trace,
                                       double own_offset_ms) {
     cfg.obs_label = std::move(obs_label);
-    if (options.fec.enabled) {
-      cfg.enable_fec = true;
-      cfg.fec_redundancy_cap = options.fec.redundancy_cap;
-    }
+    if (options.fec.enabled) cfg.enable_fec = true;
     const runtime::ReplayLink link =
         shared.shared != nullptr
             ? shared
@@ -313,7 +303,7 @@ ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
     const std::string telemetry_path = stem + ".telemetry.jsonl";
     std::ofstream out(telemetry_path);
     if (out) {
-      WriteConferenceTelemetry(out, result, options.allocation_interval_ms);
+      WriteConferenceTelemetry(out, result);
       LIVO_LOG(Info) << "conference telemetry -> " << telemetry_path;
     } else {
       LIVO_LOG(Error) << "cannot write telemetry file " << telemetry_path;

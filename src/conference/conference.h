@@ -21,6 +21,12 @@
 
 namespace livo::conference {
 
+// Admission control: RunConference rejects rosters above this cap rather
+// than degrading everyone below usability.
+inline constexpr int kMaxParties = 16;
+// ConferenceResult::scheme of every conference run.
+inline constexpr char kSchemeName[] = "LiVo-SFU";
+
 struct ConferenceResult {
   std::string scheme;
   std::vector<ParticipantResult> participants;
@@ -53,8 +59,8 @@ struct ConferenceResult {
 };
 
 // Runs one conference. Throws std::invalid_argument for a roster the SFU
-// refuses to admit: fewer than 2 parties, more than options.max_parties,
-// or a spec without a capture sequence.
+// refuses to admit: fewer than 2 parties, more than kMaxParties, or a spec
+// without a capture sequence.
 ConferenceResult RunConference(const std::vector<ParticipantSpec>& specs,
                                const ConferenceOptions& options);
 

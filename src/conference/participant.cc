@@ -34,7 +34,6 @@ ParticipantActor::ParticipantActor(runtime::EventLoop& loop, int index,
   // the conference's ladder (encode-once/serve-many; see topology.h).
   layers_ = EffectiveLadderLayers(options, static_cast<int>(specs.size()));
   spec_.config.simulcast_layers = layers_;
-  spec_.config.ladder_qp_step = options.ladder_qp_step;
 
   // Per-participant instrument prefix (spec_ is this actor's own copy).
   spec_.config.obs_label = "participant" + std::to_string(index_) + ".sender";
@@ -205,9 +204,8 @@ void ParticipantActor::OnWake(double now_ms) {
     // The uplink constraint pays for the whole ladder, so only it is
     // divided by the ladder overhead — the subscriber-side allocation
     // bounds the (single) layer that actually goes down a downlink.
-    const double ladder_overhead = core::LadderOverheadFactor(
-        layers_, spec_.config.ladder_qp_step);
-    double target_bps = uplink_->TargetBitrateBps() / ladder_overhead;
+    double target_bps =
+        uplink_->TargetBitrateBps() / core::LadderOverheadFactor(layers_);
     if (sfu_ != nullptr) {
       target_bps = std::min(target_bps, sfu_->OriginBudgetBps(index_));
     }

@@ -52,7 +52,7 @@ SfuActor::SfuActor(runtime::EventLoop& loop,
       parties_(static_cast<int>(specs.size())),
       layers_(EffectiveLadderLayers(options, parties_)),
       allocator_(parties_, MakeAllocatorConfig(options, parties_)),
-      pricer_(parties_, layers_, options.allocation_interval_ms) {
+      pricer_(parties_, layers_) {
   stats_.forwarded_by_layer.assign(static_cast<std::size_t>(layers_), 0);
   predictors_.reserve(specs.size());
   for (const ParticipantSpec& spec : specs) {
@@ -211,15 +211,14 @@ void SfuActor::RunAllocations(double now_ms) {
             d, visibility[static_cast<std::size_t>(SlotOf(s, origin))]);
       }
       const double budget_bytes = sub->downlink().TargetBitrateBps() *
-                                  options_.allocation_interval_ms / 1000.0 /
-                                  8.0;
+                                  kAllocationIntervalMs / 1000.0 / 8.0;
       visibility_[static_cast<std::size_t>(s)] = visibility;
       allocator_.BeginInterval(s, next_alloc_ms_, budget_bytes, visibility);
     }
     if (relay_ != nullptr) {
       relay_->OnAllocationInterval(next_alloc_ms_, demand, now_ms);
     }
-    next_alloc_ms_ += options_.allocation_interval_ms;
+    next_alloc_ms_ += kAllocationIntervalMs;
   }
 }
 

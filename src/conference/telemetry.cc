@@ -8,8 +8,8 @@ namespace livo::conference {
 using obs::JsonEscape;
 using obs::JsonSafe;
 
-void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
-                              double interval_ms) {
+void WriteConferenceTelemetry(std::ostream& os,
+                              const ConferenceResult& result) {
   const auto flags = os.flags();
   const auto precision = os.precision(12);
 
@@ -18,7 +18,7 @@ void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
   os << "\",\"parties\":" << result.participants.size()
      << ",\"virtual_ms\":" << JsonSafe(result.virtual_ms)
      << ",\"duration_ms\":" << JsonSafe(result.duration_ms)
-     << ",\"interval_ms\":" << JsonSafe(interval_ms)
+     << ",\"interval_ms\":" << JsonSafe(kAllocationIntervalMs)
      << ",\"events_dispatched\":" << result.events_dispatched
      << ",\"frames_in\":" << result.sfu.frames_in
      << ",\"pairs_completed\":" << result.sfu.pairs_completed

@@ -15,9 +15,8 @@
 namespace livo::conference {
 
 // Serializes `result` plus the current obs::FrameLedger and time-series
-// registry contents. `interval_ms` is the allocation interval, echoed on
-// the run line so the analyzer buckets hops without guessing.
-void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result,
-                              double interval_ms);
+// registry contents. The run line echoes kAllocationIntervalMs as
+// `interval_ms`, so the analyzer buckets hops without guessing.
+void WriteConferenceTelemetry(std::ostream& os, const ConferenceResult& result);
 
 }  // namespace livo::conference

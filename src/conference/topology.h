@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/types.h"
@@ -88,25 +87,16 @@ struct ConferenceOptions {
   // Same scale model as core::ReplayOptions (see DESIGN.md §1).
   double bandwidth_scale = 1.0 / 48.0;
 
-  // Two-level downlink allocator (allocator.h).
-  double allocation_interval_ms = 100.0;
-  double burst_credit_intervals = 2.0;
-  double share_floor = 0.15;
-
-  // Simulcast ladder (core/types.h knobs, copied into every participant's
-  // LiVoConfig). Each origin encodes ladder_layers quality layers once per
-  // frame; the SFU forwards exactly one layer per (subscriber, origin),
-  // the best its token buckets afford, switching layers only at keyframe
-  // boundaries. 1 disables the ladder. A 2-party conference always runs
+  // Simulcast ladder, copied into every participant's
+  // LiVoConfig::simulcast_layers. Each origin encodes ladder_layers
+  // quality layers (core::kLadderQpStep apart) once per frame; the SFU
+  // forwards exactly one layer per (subscriber, origin), the best its
+  // token buckets afford, switching layers only at keyframe boundaries.
+  // 1 disables the ladder. A 2-party conference always runs
   // single-layer regardless: with one subscriber the origin already paces
   // itself to that subscriber's allocation, so lower layers would be pure
   // uplink overhead (and the point-to-point equivalence tests rely on it).
   int ladder_layers = 3;
-  int ladder_qp_step = 6;
-
-  // Admission control: RunConference rejects parties above this cap
-  // rather than degrading everyone below usability.
-  int max_parties = 16;
 
   // Visibility-weighted FEC + deadline-aware repair scheduling (src/fec,
   // DESIGN.md §12). When fec.enabled, RunConference turns on parity
@@ -135,8 +125,6 @@ struct ConferenceOptions {
   // (regions == 1) conference is one coupling domain and always runs on a
   // single loop regardless.
   int shards = 1;
-
-  std::string scheme_name = "LiVo-SFU";
 
   ConferenceOptions() { uplink_channel.jitter_buffer_ms = 60.0; }
 };

@@ -45,8 +45,8 @@ video::CodecConfig LadderLayerConfig(video::CodecConfig top, int q) {
 
 // QP of lower layer `q` relative to the committed top-layer QP.
 int LadderLayerQp(const video::CodecConfig& config, int layers, int q,
-                  int qp_step, int top_qp) {
-  const int qp = top_qp + (layers - 1 - q) * qp_step;
+                  int top_qp) {
+  const int qp = top_qp + (layers - 1 - q) * kLadderQpStep;
   return std::clamp(qp, config.qp_min, config.qp_max);
 }
 
@@ -232,11 +232,11 @@ SenderOutput LiVoSender::ProcessFrame(std::vector<image::RgbdFrame> views,
         video::EncodeResult color_low = color_low_encoder.EncodeAtQp(
             *layer_color,
             LadderLayerQp(color_low_encoder.config(), layers, q,
-                          config_.ladder_qp_step, color_result.frame.qp));
+                          color_result.frame.qp));
         video::EncodeResult depth_low = depth_low_encoder.EncodeAtQp(
             *layer_depth,
             LadderLayerQp(depth_low_encoder.config(), layers, q,
-                          config_.ladder_qp_step, depth_result.frame.qp));
+                          depth_result.frame.qp));
         SenderLayerOutput& layer =
             out.lower_layers[static_cast<std::size_t>(q)];
         layer.color_keyframe = color_low.frame.keyframe;

@@ -54,14 +54,13 @@ struct LiVoConfig {
   // stream (direct sessions, all ablations). With L > 1 the sender encodes
   // every frame L times — once per layer, never per subscriber: layer L-1
   // is the rate-controlled full-quality stream; each lower full-resolution
-  // layer re-encodes the same planes at +ladder_qp_step QP per step down;
+  // layer re-encodes the same planes at +kLadderQpStep QP per step down;
   // the lowest layer additionally halves both canvas dimensions through the
   // kernel downscalers (~1/4 the pixels). Keyframes stay aligned across
   // layers: all layer encoders advance in lockstep and share GOP phase and
   // PLI re-key requests, which is what lets the SFU switch a subscriber's
   // layer only at keyframes without breaking P-frame continuity.
   int simulcast_layers = 1;
-  int ladder_qp_step = 6;
 
   video::CodecConfig ColorCodecConfig() const {
     video::CodecConfig c;
@@ -100,6 +99,10 @@ struct LiVoConfig {
   }
 };
 
+// QP distance between adjacent simulcast layers: each rung down re-encodes
+// at the committed top-layer QP plus this step per rung.
+inline constexpr int kLadderQpStep = 6;
+
 inline constexpr std::uint32_t kColorStream = 0;
 inline constexpr std::uint32_t kDepthStream = 1;
 
@@ -127,15 +130,15 @@ inline video::CodecConfig HalveForLadder(video::CodecConfig c) {
 }
 
 // Expected uplink bytes of the whole ladder relative to the top layer
-// alone, from the codec's bits ~ 2^(-QP/6) model (+step QP per layer down;
-// the lowest layer also carries ~1/4 the pixels). The participant divides
-// its uplink bandwidth constraint by this factor so the ladder as a whole
-// fits what GCC grants.
-inline double LadderOverheadFactor(int layers, int qp_step) {
+// alone, from the codec's bits ~ 2^(-QP/6) model (+kLadderQpStep QP per
+// layer down; the lowest layer also carries ~1/4 the pixels). The
+// participant divides its uplink bandwidth constraint by this factor so the
+// ladder as a whole fits what GCC grants.
+inline double LadderOverheadFactor(int layers) {
   if (layers <= 1) return 1.0;
   double factor = 1.0;
   for (int q = layers - 2; q >= 0; --q) {
-    const double rel = std::pow(2.0, -(layers - 1 - q) * qp_step / 6.0);
+    const double rel = std::pow(2.0, -(layers - 1 - q) * kLadderQpStep / 6.0);
     factor += q == 0 ? 0.25 * rel : rel;
   }
   return factor;

@@ -19,9 +19,9 @@ double ChooseRedundancy(const FecPolicy& policy, double loss_estimate,
                         double utility) {
   if (!policy.enabled) return 0.0;
   const double weight =
-      policy.utility_floor + (1.0 - policy.utility_floor) * Clamp01(utility);
-  const double r = policy.loss_gain * Clamp01(loss_estimate) * weight;
-  return std::clamp(r, 0.0, std::max(0.0, policy.redundancy_cap));
+      kUtilityFloor + (1.0 - kUtilityFloor) * Clamp01(utility);
+  const double r = kLossGain * Clamp01(loss_estimate) * weight;
+  return std::clamp(r, 0.0, kRedundancyCap);
 }
 
 double PlanningOverhead(const FecPolicy& policy, double mean_loss_rate) {

@@ -26,24 +26,26 @@
 
 namespace livo::fec {
 
-// Tunable policy knobs; ConferenceOptions embeds one copy shared by every
-// participant and SFU in the run.
+// Policy constants, one design point shared by every participant and SFU.
+// Hard ceiling on the parity/media packet ratio per frame; the transport
+// clamps every stream's redundancy to it too. Also the planning overhead
+// the allocators price when no live loss estimate is available (see
+// PlanningOverhead).
+inline constexpr double kRedundancyCap = 0.5;
+// Parity packets bought per unit of loss estimate: redundancy ~
+// kLossGain * loss * weight(utility). 4.0 means 5% loss at full utility
+// asks for ~20% parity.
+inline constexpr double kLossGain = 4.0;
+// Weight floor for zero-utility streams, so an off-screen stream that
+// suddenly rotates into view is not naked while the estimate warms up.
+inline constexpr double kUtilityFloor = 0.25;
+
+// The conference-level FEC switch; ConferenceOptions embeds one copy.
 struct FecPolicy {
   bool enabled = false;
-  // Hard ceiling on the parity/media packet ratio per frame. Also the
-  // planning overhead the allocators price when no live loss estimate is
-  // available (see PlanningOverhead).
-  double redundancy_cap = 0.5;
-  // Parity packets bought per unit of loss estimate: redundancy ~
-  // loss_gain * loss * weight(utility). 4.0 means 5% loss at full utility
-  // asks for ~20% parity.
-  double loss_gain = 4.0;
-  // Weight floor for zero-utility streams, so an off-screen stream that
-  // suddenly rotates into view is not naked while the estimate warms up.
-  double utility_floor = 0.25;
 };
 
-// Redundancy ratio in [0, redundancy_cap] for a stream with the given
+// Redundancy ratio in [0, kRedundancyCap] for a stream with the given
 // smoothed loss estimate and utility weight (both clamped to [0, 1]).
 double ChooseRedundancy(const FecPolicy& policy, double loss_estimate,
                         double utility);

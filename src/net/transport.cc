@@ -324,11 +324,13 @@ void VideoChannel::ProcessTimers(double now_ms) {
       // loss burst would make every frame an I-frame and deepen the
       // congestion that caused the losses. Under FEC the speculative PLI
       // goes away entirely: parity + the deadline-aware scheduler already
-      // spent every repair that could land in time, a lost delta frame
-      // costs one stall and nothing else, and a lost keyframe surfaces as
-      // subscribers blocked at the SFU's decoder-safety gate — which
-      // requests a re-key on actual demand (see SfuActor::OnPairComplete)
-      // instead of on every loss the parity packets make visible here.
+      // spent every repair that could land in time, and a lost delta frame
+      // costs one stall and nothing else. A keyframe lost on an uplink
+      // surfaces as subscribers blocked at the SFU's awaiting-key gate
+      // (SfuActor::FanOutLadder), which requests a re-key on actual demand.
+      // A keyframe lost on a subscriber's downlink does not reach that
+      // gate: the SFU already forwarded it, so the loss itself raises no
+      // request and the subscriber waits for the origin's next keyframe.
       const bool continuity_broken = !config_.enable_fec;
       const auto last = last_keyframe_request_ms_.find(f.stream_id);
       if (continuity_broken &&
@@ -459,8 +461,8 @@ void VideoChannel::RunRepairScheduler(double now_ms) {
 
 void VideoChannel::SetStreamRedundancy(std::uint32_t stream_id,
                                        double redundancy) {
-  stream_redundancy_[stream_id] = std::clamp(
-      redundancy, 0.0, std::max(0.0, config_.fec_redundancy_cap));
+  stream_redundancy_[stream_id] =
+      std::clamp(redundancy, 0.0, fec::kRedundancyCap);
 }
 
 double VideoChannel::RedundancyFor(std::uint32_t stream_id) const {

@@ -72,7 +72,6 @@ struct ChannelConfig {
   // retransmit). Per-stream redundancy defaults to 0 until the owner
   // calls SetStreamRedundancy.
   bool enable_fec = false;
-  double fec_redundancy_cap = 0.5;  // ceiling on parity/media per frame
   // When non-empty, the channel samples `<obs_label>.queue_delay_ms` and
   // `<obs_label>.delivered_bytes` time series on every Step. Excluded from
   // cache keys: pure observability, no behavioral effect.
@@ -152,7 +151,7 @@ class VideoChannel {
   // ---- Loss resilience (src/fec, DESIGN.md §12) ----
 
   // Parity/media ratio for subsequent SendFrame calls on `stream_id`,
-  // clamped to [0, fec_redundancy_cap]. No-op while enable_fec is false.
+  // clamped to [0, fec::kRedundancyCap]. No-op while enable_fec is false.
   void SetStreamRedundancy(std::uint32_t stream_id, double redundancy);
 
   // Smoothed receiver-path loss fraction from the feedback loop, in

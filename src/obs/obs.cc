@@ -4,13 +4,10 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 
 namespace livo::obs {
 namespace {
 
-std::mutex g_config_mu;
-ObsConfig g_config;
 std::atomic<std::uint64_t> g_dump_sequence{0};
 
 std::string SanitizeLabel(const std::string& label) {
@@ -29,49 +26,42 @@ bool EnvFlagSet(const char* name) {
   return v != nullptr && v[0] != '\0' && std::string(v) != "0";
 }
 
+// The process's LIVO_TRACE / LIVO_TRACE_DIR, read on first use.
+struct EnvExport {
+  bool on = false;
+  std::string output_dir = ".";
+};
+
+const EnvExport& Export() {
+  static const EnvExport env = [] {
+    EnvExport e;
+    if (!EnvFlagSet("LIVO_TRACE")) return e;
+    e.on = true;
+    if (const char* dir = std::getenv("LIVO_TRACE_DIR")) {
+      if (dir[0] != '\0') e.output_dir = dir;
+    }
+    SetTraceEnabled(true);
+    SetTimeSeriesEnabled(true);
+    FrameLedger::Get().SetEnabled(true);
+    LIVO_LOG(Info) << "tracing enabled via LIVO_TRACE, artifacts -> "
+                   << e.output_dir;
+    return e;
+  }();
+  return env;
+}
+
 }  // namespace
 
-void Init(const ObsConfig& config) {
-  {
-    std::lock_guard<std::mutex> lock(g_config_mu);
-    g_config = config;
-  }
-  SetTraceEnabled(config.trace);
-  SetTimeSeriesEnabled(config.time_series);
-  FrameLedger::Get().SetEnabled(config.frame_ledger);
-}
-
-ObsConfig CurrentConfig() {
-  std::lock_guard<std::mutex> lock(g_config_mu);
-  return g_config;
-}
-
-void AutoInitFromEnv() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    if (!EnvFlagSet("LIVO_TRACE")) return;
-    ObsConfig config;
-    config.trace = true;
-    config.metrics_export = true;
-    config.time_series = true;
-    config.frame_ledger = true;
-    if (const char* dir = std::getenv("LIVO_TRACE_DIR")) {
-      if (dir[0] != '\0') config.output_dir = dir;
-    }
-    Init(config);
-    LIVO_LOG(Info) << "tracing enabled via LIVO_TRACE, artifacts -> "
-                   << config.output_dir;
-  });
-}
+void AutoInitFromEnv() { (void)Export(); }
 
 std::optional<SessionArtifacts> DumpSessionArtifacts(
     const std::string& label) {
-  const ObsConfig config = CurrentConfig();
-  if (!config.trace) return std::nullopt;
+  const EnvExport& env = Export();
+  if (!env.on) return std::nullopt;
 
   const std::uint64_t seq =
       g_dump_sequence.fetch_add(1, std::memory_order_relaxed);
-  const std::string stem = config.output_dir + "/" + SanitizeLabel(label) +
+  const std::string stem = env.output_dir + "/" + SanitizeLabel(label) +
                            "_" + std::to_string(seq);
 
   SessionArtifacts artifacts;
@@ -91,8 +81,8 @@ std::optional<SessionArtifacts> DumpSessionArtifacts(
                    << " events dropped (session " << label << ")";
   }
 
-  if (config.metrics_export) {
-    artifacts.metrics_path = stem + ".metrics.jsonl";
+  artifacts.metrics_path = stem + ".metrics.jsonl";
+  {
     std::ofstream out(artifacts.metrics_path);
     if (out) {
       Registry::Get().WriteJsonl(out);

@@ -1,21 +1,17 @@
 // livo::obs — umbrella header and session-level export.
 //
 // The metrics registry (obs/metrics.h) always records; it is cheap enough
-// to stay on unconditionally. Span tracing and on-disk export are off by
-// default and enabled either programmatically:
-//
-//   obs::ObsConfig cfg;
-//   cfg.trace = true;
-//   obs::Init(cfg);
-//
-// or by environment variable, picked up by the session driver:
+// to stay on unconditionally. Span tracing, time series, the frame ledger
+// and on-disk export are off by default. One environment variable turns
+// all four on together, picked up by the session and conference drivers:
 //
 //   LIVO_TRACE=1 ./build/examples/conference_session
 //
 // which makes every RunLiVoSession dump `<label>.trace.json` (Chrome
 // trace-event format, loadable in chrome://tracing or Perfetto) and
 // `<label>.metrics.jsonl` (one JSON metric per line) into
-// LIVO_TRACE_DIR (default ".").
+// LIVO_TRACE_DIR (default "."). A program that wants spans without the
+// export calls SetTraceEnabled (obs/trace.h) itself.
 #pragma once
 
 #include <optional>
@@ -29,34 +25,20 @@
 
 namespace livo::obs {
 
-struct ObsConfig {
-  bool trace = false;            // record spans + dump artifacts
-  bool metrics_export = false;   // dump JSONL snapshots with the trace
-  bool time_series = false;      // sample obs::TimeSeries instruments
-  bool frame_ledger = false;     // record obs::FrameLedger lifecycle hops
-  std::string output_dir = ".";  // where session artifacts are written
-};
-
-// Applies `config` process-wide (toggles span recording, stores the
-// export policy used by DumpSessionArtifacts).
-void Init(const ObsConfig& config);
-
-ObsConfig CurrentConfig();
-
-// Reads LIVO_TRACE / LIVO_TRACE_DIR once per process and applies them.
-// Safe (and cheap) to call from every session entry point.
+// Reads LIVO_TRACE / LIVO_TRACE_DIR once per process and, when LIVO_TRACE
+// is set, turns on spans, time series and the frame ledger. Safe (and
+// cheap) to call from every session entry point.
 void AutoInitFromEnv();
 
 struct SessionArtifacts {
   std::string trace_path;
-  std::string metrics_path;  // empty when metrics export is off
+  std::string metrics_path;  // empty when the file could not be written
 };
 
-// When tracing is enabled, drains the span buffers and writes the trace
-// (and, if configured, a metrics snapshot) for the session identified by
-// `label`. Filenames get a process-unique sequence number, so back-to-back
-// sessions in one bench never overwrite each other. Returns nullopt when
-// tracing is disabled.
+// Under LIVO_TRACE, drains the span buffers and writes the trace and a
+// metrics snapshot for the session identified by `label`. Filenames get a
+// process-unique sequence number, so back-to-back sessions in one bench
+// never overwrite each other. Returns nullopt without LIVO_TRACE.
 std::optional<SessionArtifacts> DumpSessionArtifacts(const std::string& label);
 
 }  // namespace livo::obs

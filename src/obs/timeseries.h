@@ -13,8 +13,8 @@
 //       obs::Registry::Get().GetTimeSeries("runtime.queue_depth");
 //   depth.Sample(now_ms, static_cast<double>(QueueDepth()));
 //
-// Enable process-wide with SetTimeSeriesEnabled(true) (done by obs::Init
-// when ObsConfig::time_series is set, which LIVO_TRACE=1 turns on).
+// Enable process-wide with SetTimeSeriesEnabled(true) (LIVO_TRACE=1 does
+// it through obs::AutoInitFromEnv).
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,10 +17,12 @@
 
 #include "conference/allocator.h"
 #include "conference/conference.h"
+#include "conference/telemetry.h"
 #include "conference/topology.h"
 #include "core/session.h"
 #include "core/types.h"
 #include "obs/obs.h"
+#include "report.h"
 #include "sim/dataset.h"
 #include "sim/nettrace.h"
 #include "sim/usertrace.h"
@@ -108,25 +110,14 @@ TEST(ConferenceAdmission, RejectsRostersTheSfuCannotServe) {
   EXPECT_THROW(RunConference(SmallRoster(1, 4), options),
                std::invalid_argument);
 
-  ConferenceOptions capped = options;
-  capped.max_parties = 3;
-  EXPECT_THROW(RunConference(SmallRoster(4, 4), capped),
+  // One party above the cap of 16.
+  EXPECT_EQ(kMaxParties, 16);
+  EXPECT_THROW(RunConference(SmallRoster(17, 4), options),
                std::invalid_argument);
 
   auto specs = SmallRoster(2, 4);
   specs[1].sequence = nullptr;
   EXPECT_THROW(RunConference(specs, options), std::invalid_argument);
-
-  // The SFU steps its allocation clock by the interval, so a step that is
-  // not positive (or NaN) would never reach the next event: reject it.
-  for (const double interval_ms :
-       {0.0, -100.0, std::numeric_limits<double>::quiet_NaN()}) {
-    SCOPED_TRACE(interval_ms);
-    ConferenceOptions stalled = options;
-    stalled.allocation_interval_ms = interval_ms;
-    EXPECT_THROW(RunConference(SmallRoster(3, 4), stalled),
-                 std::invalid_argument);
-  }
 }
 
 // ---- Seat geometry ----
@@ -148,7 +139,6 @@ TEST(ConferenceTopology, SeatsDegenerateToOriginForTwoParties) {
 
 TEST(ConferenceAllocator, SharesFloorOffscreenRemotesAndSumToOne) {
   AllocatorConfig config;
-  config.share_floor = 0.15;
   DownlinkAllocator alloc(4, config);  // 3 remote slots per subscriber
   alloc.BeginInterval(0, 0.0, 100000.0, {1.0, 0.0, 0.0});
   double sum = 0.0;
@@ -166,14 +156,13 @@ TEST(ConferenceAllocator, SharesFloorOffscreenRemotesAndSumToOne) {
   }
 }
 
-// Regression: with >= 1/share_floor remote slots the old floor clamp
-// (min(share_floor, equal)) consumed the whole budget in floors and
+// Regression: with >= 1/kShareFloor remote slots the old floor clamp
+// (min(kShareFloor, equal)) consumed the whole budget in floors and
 // collapsed every share to uniform regardless of visibility. At 8 parties
 // (7 slots, floor 0.15) distinct visible fractions must still produce
 // strictly ordered, distinct shares.
 TEST(ConferenceAllocator, SharesStayVisibilityDrivenAtEightParties) {
   AllocatorConfig config;
-  config.share_floor = 0.15;
   DownlinkAllocator alloc(8, config);  // 7 remote slots per subscriber
   const std::vector<double> visibility = {0.05, 0.1, 0.2, 0.4,
                                           0.6,  0.8, 1.0};
@@ -212,7 +201,6 @@ std::vector<LayerPairBytes> Ladder3(std::size_t l0, std::size_t l1,
 
 AllocatorConfig LadderConfig() {
   AllocatorConfig config;
-  config.interval_ms = 100.0;
   config.burst_credit_intervals = 0.0;  // no banked credit: exact budgets
   config.layers = 3;
   return config;
@@ -317,7 +305,7 @@ TEST(ConferenceAllocator, AdmitAnchorsOnKeyframesAndHoldsTheLayerMidGop) {
 // at a quarter of its bytes, P ladders then average in at alpha = 0.2, and
 // the price is scaled to pairs per allocation interval.
 TEST(ConferenceAllocator, LadderPricerTracksPPairsPerOrigin) {
-  LadderPricer pricer(2, 3, 100.0);
+  LadderPricer pricer(2, 3);
   auto key = Ladder3(4000, 8000, 16000);
   key[0].valid = false;
   pricer.Price(0, true, 25.0, key);  // 4 pairs per interval
@@ -641,9 +629,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Frame ledger <-> audit reconciliation ----
 
-// With the flight recorder on, the per-interval forwarded bytes summed
-// from ledger `forwarded` hops must reproduce every AllocationAuditRow,
-// and recording must not perturb the simulation (same fingerprint).
+// With the flight recorder on, a run's telemetry must pass every rule
+// livo_report --check enforces (report::CheckInvariants): gate counts
+// against the SFU counters, per-interval audit byte reconciliation
+// (0.5 B), at least 99% terminal pairs, layer switches only at keyframes
+// and, on a cascade, relay conservation. Recording must not perturb the
+// simulation (same fingerprint).
 class ConferenceLedgerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -654,133 +645,52 @@ class ConferenceLedgerTest : public ::testing::Test {
     obs::FrameLedger::Get().SetEnabled(false);
     obs::FrameLedger::Get().Reset();
   }
+
+  // Writes `result`'s telemetry with the ledger as it stands, so call it
+  // before anything else runs a conference.
+  static void ExpectLedgerInvariants(const ConferenceResult& result) {
+    std::stringstream jsonl;
+    WriteConferenceTelemetry(jsonl, result);
+    const report::Telemetry telemetry = report::LoadTelemetry(jsonl);
+    ASSERT_FALSE(telemetry.hops.empty());
+    EXPECT_EQ(report::CheckInvariants(telemetry), std::vector<std::string>{});
+  }
 };
 
 TEST_F(ConferenceLedgerTest, ForwardedHopsReconcileWithEveryAuditInterval) {
   const ConferenceResult result =
       RunConference(SmallRoster(4, 6), SmallConferenceOptions());
+  ExpectLedgerInvariants(result);
   EXPECT_EQ(result.Fingerprint(), FourPartyResult().Fingerprint());
-
-  const std::vector<obs::LedgerEvent> events =
-      obs::FrameLedger::Get().Snapshot();
-  ASSERT_FALSE(events.empty());
-
-  // Ledger hop totals match the SFU counters exactly.
-  std::map<obs::LedgerHop, std::uint64_t> counts;
-  for (const obs::LedgerEvent& e : events) ++counts[e.hop];
-  EXPECT_EQ(counts[obs::LedgerHop::kPairComplete], result.sfu.pairs_completed);
-  EXPECT_EQ(counts[obs::LedgerHop::kForwarded], result.sfu.pairs_forwarded);
-  EXPECT_EQ(counts[obs::LedgerHop::kDroppedBudget],
-            result.sfu.pairs_dropped_budget);
-  EXPECT_EQ(counts[obs::LedgerHop::kDroppedCongestion],
-            result.sfu.pairs_dropped_congestion);
-  EXPECT_EQ(counts[obs::LedgerHop::kDroppedAwaitingKey],
-            result.sfu.pairs_dropped_awaiting_key);
-  EXPECT_EQ(counts[obs::LedgerHop::kDroppedLayerIncomplete],
-            result.sfu.pairs_dropped_layer_incomplete);
-  EXPECT_EQ(counts[obs::LedgerHop::kEvicted],
-            result.sfu.pairs_evicted_incomplete);
-
-  // Bucket forwarded hops into each subscriber's audit intervals and
-  // compare byte sums row by row.
-  std::map<int, std::vector<const AllocationAuditRow*>> rows;
-  for (const AllocationAuditRow& row : result.audits) {
-    rows[row.subscriber].push_back(&row);
-  }
-  std::map<const AllocationAuditRow*, double> ledger_bytes;
-  for (const obs::LedgerEvent& e : events) {
-    if (e.hop != obs::LedgerHop::kForwarded) continue;
-    const auto it = rows.find(e.subscriber);
-    ASSERT_NE(it, rows.end()) << "forwarded to unaudited subscriber";
-    const AllocationAuditRow* match = nullptr;
-    for (const AllocationAuditRow* row : it->second) {
-      if (row->start_ms <= e.t_ms + 1e-9 &&
-          (match == nullptr || row->start_ms > match->start_ms)) {
-        match = row;
-      }
-    }
-    ASSERT_NE(match, nullptr) << "forward precedes first audit interval";
-    ledger_bytes[match] += static_cast<double>(e.bytes);
-  }
-  for (const AllocationAuditRow& row : result.audits) {
-    SCOPED_TRACE("subscriber " + std::to_string(row.subscriber) + " @" +
-                 std::to_string(row.start_ms));
-    EXPECT_NEAR(ledger_bytes[&row], row.forwarded_bytes, 0.5);
-  }
 }
 
 TEST_F(ConferenceLedgerTest, AtLeast99PercentOfCapturedPairsAreTerminal) {
-  (void)RunConference(SmallRoster(4, 6), SmallConferenceOptions());
-  const std::vector<obs::LedgerEvent> events =
-      obs::FrameLedger::Get().Snapshot();
-  // Per (origin, frame): captured must close as skipped, evicted,
-  // lost_uplink, or pair_complete with all forwards displayed/stalled.
-  std::map<std::pair<int, std::int32_t>, int> state;  // bit flags
-  std::map<std::tuple<int, std::int32_t, int>, int> fwd_state;
-  for (const obs::LedgerEvent& e : events) {
-    const std::pair<int, std::int32_t> key{e.origin, e.frame};
-    switch (e.hop) {
-      case obs::LedgerHop::kCaptured: state[key] |= 1; break;
-      case obs::LedgerHop::kSkippedCongestion:
-      case obs::LedgerHop::kEvicted:
-      case obs::LedgerHop::kLostUplink:
-      case obs::LedgerHop::kPairComplete: state[key] |= 2; break;
-      case obs::LedgerHop::kForwarded:
-        fwd_state[{e.origin, e.frame, e.subscriber}] |= 1;
-        break;
-      case obs::LedgerHop::kDisplayed:
-      case obs::LedgerHop::kStalled:
-        fwd_state[{e.origin, e.frame, e.subscriber}] |= 2;
-        break;
-      default: break;
-    }
-  }
-  std::uint64_t captured = 0, terminal = 0;
-  for (const auto& [key, flags] : state) {
-    if ((flags & 1) == 0) continue;
-    ++captured;
-    if ((flags & 2) != 0) ++terminal;
-  }
-  ASSERT_GT(captured, 0u);
-  EXPECT_GE(static_cast<double>(terminal), 0.99 * static_cast<double>(captured));
-  for (const auto& [key, flags] : fwd_state) {
-    EXPECT_EQ(flags, 3) << "forwarded pair not displayed/stalled: origin "
-                        << std::get<0>(key) << " frame " << std::get<1>(key)
-                        << " subscriber " << std::get<2>(key);
-  }
+  ExpectLedgerInvariants(
+      RunConference(SmallRoster(4, 6), SmallConferenceOptions()));
 }
 
 // The GOP continuity invariant behind the 4-way verdict: a (origin,
 // subscriber) stream's forwarded layer may only change on a keyframe
 // pair — a P-pair from a layer the decoder never anchored is garbage.
-// Verified from the ledger (every forwarded hop carries its layer), and
-// the per-layer hop counts must reproduce the SFU histogram.
+// CheckInvariants verifies that from the ledger; here the switches the
+// ledger shows must also reproduce the SFU's switch counters.
 TEST_F(ConferenceLedgerTest, ForwardedLayerChangesOnlyAtKeyframes) {
   const ConferenceResult result =
       RunConference(SmallRoster(4, 6), SmallConferenceOptions());
-  const int layers = static_cast<int>(result.sfu.forwarded_by_layer.size());
-  ASSERT_GT(layers, 0);
+  ASSERT_FALSE(result.sfu.forwarded_by_layer.empty());
+  ExpectLedgerInvariants(result);
 
   // Forwarded hops per (origin, subscriber) stream, in frame order (the
   // ledger appends in virtual-time order, which forwards share per
   // stream — sort by frame index to be explicit).
   std::map<std::pair<int, int>, std::vector<const obs::LedgerEvent*>> streams;
-  std::vector<std::uint64_t> by_layer(
-      static_cast<std::size_t>(layers), 0);
   const std::vector<obs::LedgerEvent> events =
       obs::FrameLedger::Get().Snapshot();
   for (const obs::LedgerEvent& e : events) {
     if (e.hop != obs::LedgerHop::kForwarded) continue;
-    ASSERT_GE(e.layer, 0) << "forwarded hop without a layer";
-    ASSERT_LT(e.layer, layers);
-    ++by_layer[static_cast<std::size_t>(e.layer)];
     streams[{e.origin, e.subscriber}].push_back(&e);
   }
   ASSERT_FALSE(streams.empty());
-  for (std::size_t q = 0; q < by_layer.size(); ++q) {
-    EXPECT_EQ(by_layer[q], result.sfu.forwarded_by_layer[q])
-        << "ledger layer histogram disagrees at layer " << q;
-  }
 
   std::uint64_t switches = 0;
   for (auto& [key, hops] : streams) {
@@ -790,13 +700,7 @@ TEST_F(ConferenceLedgerTest, ForwardedLayerChangesOnlyAtKeyframes) {
               });
     int last_layer = -1;
     for (const obs::LedgerEvent* e : hops) {
-      if (last_layer >= 0 && e->layer != last_layer) {
-        ++switches;
-        EXPECT_TRUE(e->keyframe)
-            << "origin " << key.first << " -> subscriber " << key.second
-            << " switched " << last_layer << " -> " << e->layer
-            << " on a P-pair at frame " << e->frame;
-      }
+      if (last_layer >= 0 && e->layer != last_layer) ++switches;
       last_layer = e->layer;
     }
   }
@@ -913,7 +817,20 @@ TEST(ConferenceCascade, RejectsTopologiesTheCascadeCannotServe) {
                std::invalid_argument);
 }
 
-// Acceptance criterion: on uncongested access links and default relay
+// The root relays an origin's next PLI once the throttle window has passed:
+// requests at 0 and exactly net::kKeyframeRequestThrottleMs later both go
+// through, and one inside the window after them does not.
+TEST(ConferenceCascade, RootRelaysKeyframeRequestsAtTheThrottleBoundary) {
+  const ConferenceOptions options = CascadeOptions(2);
+  RootRelay root({0, 0, 1, 1}, options, /*parties=*/4, /*regions=*/2);
+  root.RelayKeyframeRequest(0, 0.0);
+  root.RelayKeyframeRequest(0, 300.0);
+  EXPECT_EQ(root.stats().pli_relays, 2u);
+  root.RelayKeyframeRequest(0, 599.0);
+  EXPECT_EQ(root.stats().pli_relays, 2u);
+}
+
+// Acceptance criterion: on uncongested access links and 100 Mbps relay
 // pipes, a 2-edge cascade serves every stream with zero stall — every
 // expected frame of every remote stream renders, local and cross-region
 // alike. Constant fat links isolate the cascade machinery itself: any
@@ -944,66 +861,38 @@ TEST(ConferenceCascade, UncongestedCascadeRunsStallFree) {
   }
 }
 
-// Relay-hop conservation in the flight recorder (the same rules
-// livo_report --check enforces): every layer ingested at a destination
-// edge was forwarded to it by the root, root->edge pipes never lose, and
-// nothing is both admitted and dropped for the same (origin, frame).
+// Relay-hop conservation in the flight recorder: CheckInvariants proves
+// that every layer ingested at a destination edge was forwarded to it by
+// the root, that root->edge pipes never lose and that the relay counters
+// match the ledger; here nothing is also both admitted and dropped at its
+// edge for the same (origin, frame).
 TEST_F(ConferenceLedgerTest, RelayHopsConserveAcrossTheCascade) {
   const ConferenceResult result =
       RunConference(SmallRoster(8, 6), CascadeOptions(2));
 
-  // Snapshot before touching CascadedEightPartyResult(): its first call
-  // runs a conference of its own, which must not pollute these events.
+  // Check and snapshot before touching CascadedEightPartyResult(): its
+  // first call runs a conference of its own, which must not pollute these
+  // events.
+  ExpectLedgerInvariants(result);
   const std::vector<obs::LedgerEvent> events =
       obs::FrameLedger::Get().Snapshot();
-  ASSERT_FALSE(events.empty());
   EXPECT_EQ(result.Fingerprint(), CascadedEightPartyResult().Fingerprint());
 
-  using LayerKey = std::tuple<int, std::int32_t, std::int32_t, int>;
-  std::map<LayerKey, int> root_forwarded;  // (origin, frame, layer, dest)
-  std::map<LayerKey, int> ingested;
-  std::size_t edge_forwarded = 0, relay_dropped = 0;
   std::map<std::pair<int, std::int32_t>, int> edge_state;  // 1=fwd, 2=drop
   for (const obs::LedgerEvent& e : events) {
-    switch (e.hop) {
-      case obs::LedgerHop::kRelayForwarded:
-        if (e.subscriber == -1) {  // edge -> root stage
-          ++edge_forwarded;
-          edge_state[{e.origin, e.frame}] |= 1;
-        } else {  // root -> edge stage: subscriber = -2 - dest_region
-          ASSERT_LE(e.subscriber, -2);
-          ++root_forwarded[{e.origin, e.frame, e.layer, -2 - e.subscriber}];
-        }
-        break;
-      case obs::LedgerHop::kRelayIngested:
-        ASSERT_LE(e.subscriber, -2);
-        ++ingested[{e.origin, e.frame, e.layer, -2 - e.subscriber}];
-        break;
-      case obs::LedgerHop::kRelayDropped:
-        ++relay_dropped;
-        if (e.subscriber == -1) edge_state[{e.origin, e.frame}] |= 2;
-        break;
-      default:
-        break;
+    if (e.subscriber != -1) continue;  // the edge -> root stage only
+    if (e.hop == obs::LedgerHop::kRelayForwarded) {
+      edge_state[{e.origin, e.frame}] |= 1;
+    } else if (e.hop == obs::LedgerHop::kRelayDropped) {
+      edge_state[{e.origin, e.frame}] |= 2;
     }
   }
-  ASSERT_GT(edge_forwarded, 0u);
-  std::size_t root_total = 0;
-  for (const auto& [key, n] : root_forwarded) {
-    root_total += static_cast<std::size_t>(n);
-  }
-  // layers_relayed counts layer crossings on *any* pipe: both stages sum.
-  EXPECT_EQ(edge_forwarded + root_total, result.relay.layers_relayed);
-  // Root->edge pipes never lose: per (origin, frame, layer, dest) the
-  // forward and ingest counts match exactly.
-  EXPECT_EQ(root_forwarded, ingested);
+  ASSERT_FALSE(edge_state.empty());
   // An edge ladder is either admitted or dropped, never both.
   for (const auto& [key, flags] : edge_state) {
     EXPECT_NE(flags, 3) << "origin " << key.first << " frame " << key.second
                         << " both admitted and dropped at its edge";
   }
-  // One kRelayDropped record per budget rejection, at either stage.
-  EXPECT_EQ(relay_dropped, result.relay.prefixes_dropped_budget);
 }
 
 // ---- Metric naming convention (S6) ----

@@ -323,6 +323,16 @@ TEST(VideoChannel, UndeliverableFrameRaisesKeyframeRequest) {
   for (double t = 0; t <= 150.0; t += 1.0) first.Step(t);
   EXPECT_EQ(first.stats().frames_lost, 1u);
   EXPECT_TRUE(first.TakeKeyframeRequest(0));
+
+  // The next request passes only once more than kKeyframeRequestThrottleMs
+  // have gone by: frame 1, sent 300 ms after frame 0, is detected lost
+  // exactly 300 ms after it (t = 361 against 61) and raises none.
+  for (double t = 151.0; t < 300.0; t += 1.0) first.Step(t);
+  first.SendFrame(0, 1, false, Blob(12000), 300.0);
+  for (double t = 300.0; t <= 450.0; t += 1.0) first.Step(t);
+  EXPECT_EQ(first.stats().frames_lost, 2u);
+  EXPECT_EQ(first.stats().keyframe_requests, 1u);
+  EXPECT_FALSE(first.TakeKeyframeRequest(0));
 }
 
 TEST(VideoChannel, RttTracksPropagationDelay) {

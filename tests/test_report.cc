@@ -108,7 +108,7 @@ TEST(ReportLoad, SchemeWithControlCharactersRoundTrips) {
     conference::ConferenceResult result;
     result.scheme = scheme;
     std::stringstream telemetry;
-    conference::WriteConferenceTelemetry(telemetry, result, 100.0);
+    conference::WriteConferenceTelemetry(telemetry, result);
     const Telemetry t = LoadTelemetry(telemetry);
     EXPECT_TRUE(t.parse_errors.empty());
     EXPECT_TRUE(t.run.present);
@@ -170,7 +170,7 @@ class ReportRoundTripTest : public ::testing::Test {
     obs::SetTimeSeriesEnabled(true);
     const conference::ConferenceResult result = RunTracedConference();
     std::ostringstream out;
-    conference::WriteConferenceTelemetry(out, result, 100.0);
+    conference::WriteConferenceTelemetry(out, result);
     telemetry_text_ = new std::string(out.str());
     obs::SetTimeSeriesEnabled(false);
     obs::FrameLedger::Get().SetEnabled(false);
@@ -437,7 +437,7 @@ class ReportCascadeRoundTripTest : public ::testing::Test {
     const conference::ConferenceResult result =
         RunTracedConference(/*parties=*/6, /*regions=*/2);
     std::ostringstream out;
-    conference::WriteConferenceTelemetry(out, result, 100.0);
+    conference::WriteConferenceTelemetry(out, result);
     telemetry_text_ = new std::string(out.str());
     obs::SetTimeSeriesEnabled(false);
     obs::FrameLedger::Get().SetEnabled(false);
