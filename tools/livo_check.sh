@@ -8,7 +8,11 @@
 #     runs the tests. TSan is the real gate for the M-threads-M-loops
 #     runtime: cross-loop sends and barrier hand-offs, the thread-pool codec,
 #     multi-session runs, the N-party and cascaded conferences and
-#     capture's pool fan-out race-check here.
+#     capture's pool fan-out race-check here. The same pass configures
+#     perfbench/ (its own CMake project, as perfbench/run.py builds it)
+#     into build-check/perfbench with -Wall -Wextra -Werror and builds
+#     livo_perfbench, so a src/ change that breaks the benchmark's build
+#     fails here.
 #  2. ASan+UBSan pass — builds the livo_asan_tests target with
 #     AddressSanitizer + UndefinedBehaviorSanitizer and libstdc++'s
 #     bounds-checked containers (-D_GLIBCXX_ASSERTIONS), so out-of-bounds
@@ -37,8 +41,9 @@
 #   tools/livo_check.sh            # from the repo root
 #   cmake --build build -t livo_check
 #
-# Uses dedicated build directories (build-check/, build-check-asan/) so
-# sanitizer flags never contaminate the regular build tree.
+# Uses dedicated build directories (build-check/, build-check/perfbench/,
+# build-check-asan/) so sanitizer flags never contaminate the regular
+# build tree.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -83,6 +88,13 @@ fi
   -DCMAKE_CXX_FLAGS="${FLAGS}" > /dev/null
 
 "${CMAKE_BIN}" --build "${BUILD_DIR}" --target livo_check_tests livo_programs \
+  -j "$(nproc)"
+
+echo "[livo_check] building livo_perfbench against this tree"
+"${CMAKE_BIN}" -S "${ROOT}/perfbench" -B "${BUILD_DIR}/perfbench" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="${STRICT_FLAGS}" > /dev/null
+"${CMAKE_BIN}" --build "${BUILD_DIR}/perfbench" --target livo_perfbench \
   -j "$(nproc)"
 
 echo "[livo_check] running livo_check_tests"
