@@ -26,7 +26,8 @@
 
 namespace livo::fec {
 
-// Policy constants, one design point shared by every participant and SFU.
+// Policy constants: one design point for every participant and SFU.
+
 // Hard ceiling on the parity/media packet ratio per frame; the transport
 // clamps every stream's redundancy to it too. Also the planning overhead
 // the allocators price when no live loss estimate is available (see

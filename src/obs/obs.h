@@ -3,7 +3,7 @@
 // The metrics registry (obs/metrics.h) always records; it is cheap enough
 // to stay on unconditionally. Span tracing, time series, the frame ledger
 // and on-disk export are off by default. One environment variable turns
-// all four on together, picked up by the session and conference drivers:
+// all four on together, read by RunLiVoSession and RunConference:
 //
 //   LIVO_TRACE=1 ./build/examples/conference_session
 //

@@ -31,7 +31,7 @@ namespace {
 // ---- Policy math ----
 
 TEST(FecPolicy, RedundancyScalesWithLossAndUtility) {
-  fec::FecPolicy policy;  // cap 0.5, gain 4.0, floor 0.25
+  fec::FecPolicy policy;  // kRedundancyCap 0.5, kLossGain 4, kUtilityFloor 0.25
   policy.enabled = true;
   // A disabled policy asks for nothing regardless of the signals.
   EXPECT_DOUBLE_EQ(fec::ChooseRedundancy(fec::FecPolicy{}, 0.5, 1.0), 0.0);
