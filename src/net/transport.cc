@@ -374,19 +374,7 @@ void VideoChannel::RunNack(double now_ms) {
     frame.nacked_at_ms = now_ms;
     ++stats_.nacks_sent;
     ++stream_nacks_[frame.stream_id];
-    for (auto& [seq, record] : sent_store_) {
-      if (record.packet.parity ||
-          record.packet.stream_id != frame.stream_id ||
-          record.packet.frame_index != frame.frame_index) {
-        continue;
-      }
-      if (record.packet.fragment < frame.have.size() &&
-          !frame.have[record.packet.fragment]) {
-        ++stats_.packets_retransmitted;
-        Metrics().packets_retransmitted.Add();
-        link_->Send(record.packet, now_ms);
-      }
-    }
+    Retransmit(frame, now_ms);
   }
 }
 
@@ -423,21 +411,7 @@ void VideoChannel::RunRepairScheduler(double now_ms) {
         fec_hook_(FecEvent::kRepairScheduled, frame.stream_id,
                   frame.frame_index, now_ms, 0);
       }
-      if (config_.enable_nack) {
-        for (auto& [seq, record] : sent_store_) {
-          if (record.packet.parity ||
-              record.packet.stream_id != frame.stream_id ||
-              record.packet.frame_index != frame.frame_index) {
-            continue;
-          }
-          if (record.packet.fragment < frame.have.size() &&
-              !frame.have[record.packet.fragment]) {
-            ++stats_.packets_retransmitted;
-            Metrics().packets_retransmitted.Add();
-            link_->Send(record.packet, now_ms);
-          }
-        }
-      }
+      if (config_.enable_nack) Retransmit(frame, now_ms);
       ++it;
     } else {
       // No repair can land before the playout deadline: stop spending
@@ -455,6 +429,21 @@ void VideoChannel::RunRepairScheduler(double now_ms) {
                   frame.frame_index, now_ms, 0);
       }
       ++it;
+    }
+  }
+}
+
+void VideoChannel::Retransmit(const PendingFrame& frame, double now_ms) {
+  for (const auto& [seq, record] : sent_store_) {
+    if (record.packet.parity || record.packet.stream_id != frame.stream_id ||
+        record.packet.frame_index != frame.frame_index) {
+      continue;
+    }
+    if (record.packet.fragment < frame.have.size() &&
+        !frame.have[record.packet.fragment]) {
+      ++stats_.packets_retransmitted;
+      Metrics().packets_retransmitted.Add();
+      link_->Send(record.packet, now_ms);
     }
   }
 }

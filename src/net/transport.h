@@ -226,6 +226,8 @@ class VideoChannel {
   void RunNack(double now_ms);
   // Deadline-aware replacement for RunNack when enable_fec is set.
   void RunRepairScheduler(double now_ms);
+  // Resends the media fragments `frame` still lacks from the sender store.
+  void Retransmit(const PendingFrame& frame, double now_ms);
   // Rebuilds every fragment a present parity group can recover; releases
   // the frame if that completes it.
   void TryRecover(const FrameKey& key, double now_ms);
