@@ -188,9 +188,7 @@ RootRelay::RootRelay(const std::vector<int>& region_of,
       parties_(parties),
       regions_(regions),
       dests_(static_cast<std::size_t>(regions)),
-      demand_by_region_(static_cast<std::size_t>(regions)),
-      last_pli_ms_(static_cast<std::size_t>(parties),
-                   -net::kKeyframeRequestThrottleMs) {
+      demand_by_region_(static_cast<std::size_t>(regions)) {
   for (int d = 0; d < regions_; ++d) {
     Dest& dest = dests_[static_cast<std::size_t>(d)];
     dest.slot_of_origin.assign(static_cast<std::size_t>(parties_), -1);
@@ -277,9 +275,7 @@ void RootRelay::OnEdgeLadder(const RelayLadder& ladder, double now_ms) {
 }
 
 void RootRelay::RelayKeyframeRequest(int origin, double now_ms) {
-  double& last = last_pli_ms_[static_cast<std::size_t>(origin)];
-  if (now_ms - last < net::kKeyframeRequestThrottleMs) return;
-  last = now_ms;
+  if (!pli_throttle_.Pass(origin, now_ms)) return;
   ++stats_.pli_relays;
   const Dest& dest =
       dests_[static_cast<std::size_t>(

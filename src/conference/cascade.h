@@ -56,6 +56,7 @@
 #include "conference/allocator.h"
 #include "conference/sfu.h"
 #include "conference/topology.h"
+#include "net/transport.h"
 #include "runtime/cross_loop_channel.h"
 
 namespace livo::conference {
@@ -186,10 +187,11 @@ class RootRelay {
   // An admitted prefix arrived over an edge->root pipe.
   void OnEdgeLadder(const RelayLadder& ladder, double now_ms);
   // The root's one entry for keyframe requests: forwards a PLI for
-  // `origin` to the origin's edge, throttled per origin by
-  // net::kKeyframeRequestThrottleMs. Callers: an edge relaying a local
-  // subscriber's PLI (EdgeRelay::RequestRemoteKeyframe), and OnEdgeLadder
-  // when a root->edge pipe refuses a ladder.
+  // `origin` to the origin's edge, throttled per origin
+  // (net::KeyframeRequestThrottle, the rule the SFU and the transport
+  // apply). Callers: an edge relaying a request for a remote origin
+  // (EdgeRelay::RequestRemoteKeyframe, from SfuActor::RequestOriginKeyframe),
+  // and OnEdgeLadder when a root->edge pipe refuses a ladder.
   void RelayKeyframeRequest(int origin, double now_ms);
 
   const RelayStats& stats() const { return stats_; }
@@ -210,7 +212,7 @@ class RootRelay {
   int regions_;
   std::vector<Dest> dests_;
   std::vector<std::vector<double>> demand_by_region_;  // empty until heard
-  std::vector<double> last_pli_ms_;                    // by origin
+  net::KeyframeRequestThrottle pli_throttle_;          // by origin
   RelayStats stats_;
 };
 

@@ -65,8 +65,6 @@ SfuActor::SfuActor(runtime::EventLoop& loop,
   pending_.resize(specs.size());
   awaiting_key_.assign(specs.size(),
                        std::vector<bool>(specs.size() - 1, true));
-  last_key_relay_ms_.assign(specs.size(),
-                            -net::kKeyframeRequestThrottleMs);
   seat_offsets_.reserve(specs.size() - 1);
   for (int slot = 0; slot < parties_ - 1; ++slot) {
     seat_offsets_.push_back(
@@ -89,6 +87,21 @@ void SfuActor::AddParticipant(ParticipantActor* participant) {
   participant->uplink().SetFrameSink(
       [this, origin](std::vector<net::ReceivedFrame> frames, double now_ms) {
         OnUplinkFrames(origin, frames, now_ms);
+      });
+  // The SFU is the receiver of the origin's uplink: a PLI raised on any
+  // ladder layer's stream re-keys the whole ladder (the origin's layer
+  // encoders run in lockstep).
+  participant->uplink().SetKeyframeRequestSink(
+      [this, origin](std::uint32_t, double now_ms) {
+        RequestOriginKeyframe(origin, now_ms);
+      });
+  // Subscriber-side PLIs arrive (slot, layer)-addressed on the
+  // subscriber's downlink and go to the slot's origin.
+  participant->downlink().SetKeyframeRequestSink(
+      [this, subscriber = origin](std::uint32_t stream_id, double now_ms) {
+        RequestOriginKeyframe(
+            OriginOfSlot(subscriber, SlotOfDownlinkStream(layers_, stream_id)),
+            now_ms);
       });
   if (options_.fec.enabled) {
     // Uplink loss-resilience hops: the SFU is the receiving end, so the
@@ -136,7 +149,6 @@ void SfuActor::OnNetworkActivity(double now_ms) {
   for (ParticipantActor* p : participants_) {
     if (p != nullptr) p->uplink().Step(now_ms);
   }
-  RelayKeyframeRequests(now_ms);
   for (ParticipantActor* p : participants_) {
     if (p != nullptr) p->downlink().Step(now_ms);
   }
@@ -520,47 +532,8 @@ void SfuActor::OnRelayLadder(const RelayLadder& msg, double now_ms) {
   ScheduleNext(now_ms);
 }
 
-void SfuActor::RelayKeyframeRequests(double now_ms) {
-  for (int p = 0; p < parties_; ++p) {
-    if (!IsLocal(p)) continue;
-    ParticipantActor* participant = participants_[static_cast<std::size_t>(p)];
-    // The SFU is the receiver of p's uplink: its own reassembly raises
-    // PLI when the uplink loses frames on any ladder layer's streams. A
-    // PLI re-keys the whole ladder (the origin's layer encoders run in
-    // lockstep), so the requests collapse into one relay. Poll every id —
-    // TakeKeyframeRequest consumes, and short-circuiting would leave a
-    // stale request armed for next time.
-    bool uplink_pli = false;
-    for (std::uint32_t id = 0; id < 2u * static_cast<std::uint32_t>(layers_);
-         ++id) {
-      uplink_pli = participant->uplink().TakeKeyframeRequest(id) || uplink_pli;
-    }
-    if (uplink_pli) RequestOriginKeyframe(p, now_ms);
-    // Subscriber-side PLIs arrive (slot, layer)-addressed on p's downlink
-    // and are relayed to the slot's origin.
-    for (int slot = 0; slot < parties_ - 1; ++slot) {
-      bool downlink_pli = false;
-      for (int q = 0; q < layers_; ++q) {
-        downlink_pli =
-            participant->downlink().TakeKeyframeRequest(
-                DownlinkStream(layers_, slot, q, false)) ||
-            downlink_pli;
-        downlink_pli =
-            participant->downlink().TakeKeyframeRequest(
-                DownlinkStream(layers_, slot, q, true)) ||
-            downlink_pli;
-      }
-      if (downlink_pli) {
-        RequestOriginKeyframe(OriginOfSlot(p, slot), now_ms);
-      }
-    }
-  }
-}
-
 void SfuActor::RequestOriginKeyframe(int origin, double now_ms) {
-  double& last = last_key_relay_ms_[static_cast<std::size_t>(origin)];
-  if (now_ms - last < net::kKeyframeRequestThrottleMs) return;
-  last = now_ms;
+  if (!keyframe_throttle_.Pass(origin, now_ms)) return;
   if (!IsLocal(origin)) {
     // The PLI crosses the cascade; the origin's own edge counts the relay
     // when it lands there (keyframe_relays stays a per-origin-edge stat).

@@ -159,12 +159,13 @@ class SfuActor {
   void OnRelayLadder(const RelayLadder& ladder, double now_ms);
 
   // The SFU's one entry for keyframe requests: asks `origin` for a
-  // keyframe, throttled per origin by net::kKeyframeRequestThrottleMs. A
+  // keyframe, throttled per origin (net::KeyframeRequestThrottle). A
   // remote origin's request goes on to the root relay. Callers: this SFU's
-  // own gate drops and the uplink and downlink PLIs it polls
-  // (RelayKeyframeRequests); its EdgeRelay when the edge->root pipe
-  // refuses a ladder; and the root relay, delivering a PLI from another
-  // region to the origin's edge.
+  // own gate drops; the keyframe-request sinks AddParticipant installs on
+  // each local participant's uplink (the origin's own PLI) and downlink
+  // (a subscriber's PLI, routed to the slot's origin); its EdgeRelay when
+  // the edge->root pipe refuses a ladder; and the root relay, delivering
+  // a PLI from another region to the origin's edge.
   void RequestOriginKeyframe(int origin, double now_ms);
 
   // Largest per-subscriber allocation currently granted to `origin`'s
@@ -212,7 +213,6 @@ class SfuActor {
   }
   void RunAllocations(double now_ms);
   void FeedPoses(double now_ms);
-  void RelayKeyframeRequests(double now_ms);
   void ScheduleNext(double now_ms);
 
   runtime::EventLoop& loop_;
@@ -240,7 +240,7 @@ class SfuActor {
   // Each origin's incomplete ladders by frame, indexed by layer q.
   std::vector<std::map<std::uint32_t, std::vector<LadderPair>>> pending_;
   std::vector<std::vector<bool>> awaiting_key_;  // [subscriber][slot]
-  std::vector<double> last_key_relay_ms_;        // by origin
+  net::KeyframeRequestThrottle keyframe_throttle_;  // by origin
 
   // Cascade wiring (null for a direct conference).
   EdgeRelay* relay_ = nullptr;

@@ -258,6 +258,10 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
 
   LiVoSender sender(config, sequence.rig);
   LiVoReceiver receiver(config, ReceiverConfig{}, sequence.rig);
+  // PLI/FIR from the transport, raised inside Step.
+  channel.SetKeyframeRequestSink([&sender](std::uint32_t stream_id, double) {
+    sender.RequestKeyframe(stream_id);
+  });
 
   const int frames = session.frames();
   const double interval_ms = session.interval_ms();
@@ -274,14 +278,6 @@ SessionResult RunLiVoSessionTickReference(const sim::CapturedSequence& sequence,
       ++pose_feed_index;
     }
     sender.ObserveRtt(channel.SmoothedRttMs());
-
-    // PLI/FIR from the transport.
-    if (channel.TakeKeyframeRequest(kColorStream)) {
-      sender.RequestKeyframe(kColorStream);
-    }
-    if (channel.TakeKeyframeRequest(kDepthStream)) {
-      sender.RequestKeyframe(kDepthStream);
-    }
 
     // Capture + encode + send at the frame cadence, offset by the sender
     // pipeline delay (§A.1 pipelining).

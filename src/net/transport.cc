@@ -52,6 +52,14 @@ obs::TimeSeries* LabeledSeries(const std::string& label, const char* suffix) {
 
 }  // namespace
 
+bool KeyframeRequestThrottle::Pass(std::int64_t key, double now_ms) {
+  const auto [it, first] = last_pass_ms_.try_emplace(key, now_ms);
+  if (first) return true;
+  if (now_ms - it->second < kKeyframeRequestThrottleMs) return false;
+  it->second = now_ms;
+  return true;
+}
+
 VideoChannel::VideoChannel(sim::BandwidthTrace trace,
                            const ChannelConfig& config)
     : config_(config),
@@ -320,28 +328,24 @@ void VideoChannel::ProcessTimers(double now_ms) {
                       << f.frame_index << (f.keyframe ? " (key)" : "")
                       << " lost (" << f.received << "/" << f.have.size()
                       << " fragments by deadline)";
-      // PLI throttling (as WebRTC does): a keyframe request storm after a
-      // loss burst would make every frame an I-frame and deepen the
-      // congestion that caused the losses. Under FEC the speculative PLI
-      // goes away entirely: parity + the deadline-aware scheduler already
-      // spent every repair that could land in time, and a lost delta frame
-      // costs one stall and nothing else. A keyframe lost on an uplink
-      // surfaces as subscribers blocked at the SFU's awaiting-key gate
-      // (SfuActor::FanOutLadder), which requests a re-key on actual demand.
-      // A keyframe lost on a subscriber's downlink does not reach that
-      // gate: the SFU already forwarded it, so the loss itself raises no
-      // request and the subscriber waits for the origin's next keyframe.
-      const bool continuity_broken = !config_.enable_fec;
-      const auto last = last_keyframe_request_ms_.find(f.stream_id);
-      if (continuity_broken &&
-          (last == last_keyframe_request_ms_.end() ||
-           now_ms - last->second > kKeyframeRequestThrottleMs)) {
+      // PLI throttling (per stream): a keyframe request storm after a loss
+      // burst would make every frame an I-frame and deepen the congestion
+      // that caused the losses. A passed request goes to the sink. Under
+      // FEC the speculative PLI goes away entirely: parity + the
+      // deadline-aware scheduler already spent every repair that could land
+      // in time, and a lost delta frame costs one stall and nothing else. A
+      // keyframe lost on an uplink surfaces as subscribers blocked at the
+      // SFU's awaiting-key gate (SfuActor::FanOutLadder), which requests a
+      // re-key on actual demand. A keyframe lost on a subscriber's downlink
+      // does not reach that gate: the SFU already forwarded it, so the loss
+      // itself raises no request and the subscriber waits for the origin's
+      // next keyframe.
+      if (!config_.enable_fec && keyframe_throttle_.Pass(f.stream_id, now_ms)) {
         ++stats_.keyframe_requests;
         Metrics().keyframe_requests.Add();
         obs::TraceInstant("net.keyframe_request");
-        keyframe_requested_[f.stream_id] = true;
-        last_keyframe_request_ms_[f.stream_id] = now_ms;
         ++stream_plis_[f.stream_id];
+        if (keyframe_request_sink_) keyframe_request_sink_(f.stream_id, now_ms);
       }
       last_released_[f.stream_id] =
           std::max(last_released_[f.stream_id], f.frame_index);
@@ -591,13 +595,6 @@ double VideoChannel::NextEventTimeMs() const {
     }
   }
   return next;
-}
-
-bool VideoChannel::TakeKeyframeRequest(std::uint32_t stream_id) {
-  const auto it = keyframe_requested_.find(stream_id);
-  if (it == keyframe_requested_.end() || !it->second) return false;
-  it->second = false;
-  return true;
 }
 
 ReliableChannel::ReliableChannel(sim::BandwidthTrace trace,

@@ -8,7 +8,8 @@
 //     delay variation;
 //   * intra-frame NACK recovers isolated losses when time allows;
 //   * frames still incomplete at their playout deadline are dropped; without
-//     FEC a PLI/FIR-style keyframe request is raised (§A.1);
+//     FEC a throttled PLI/FIR-style keyframe request is pushed to the
+//     owner's keyframe-request sink (§A.1);
 //   * periodic receiver reports feed the GCC estimator whose output is the
 //     bandwidth handed to LiVo's splitter (§3.3);
 //   * with FEC enabled (src/fec, DESIGN.md §12), frames carry XOR
@@ -44,11 +45,22 @@ class TimeSeries;
 
 namespace livo::net {
 
-// Keyframe requests toward one stream are spaced at least this far apart
-// (PLI throttling, as WebRTC does): by the transport's own PLI, and by the
-// conference relays that forward subscribers' requests to an origin. A
-// stream's first request always passes.
+// Keyframe requests toward one stream or origin are spaced at least this
+// far apart (PLI throttling, as WebRTC does).
 inline constexpr double kKeyframeRequestThrottleMs = 300.0;
+
+// The one throttle rule. Per key (a stream id or an origin), a request
+// passes if it is the key's first, or once kKeyframeRequestThrottleMs have
+// gone by since the key's last request that passed; a refused request does
+// not move the window. VideoChannel holds one per stream, SfuActor and
+// RootRelay one per origin.
+class KeyframeRequestThrottle {
+ public:
+  bool Pass(std::int64_t key, double now_ms);
+
+ private:
+  std::map<std::int64_t, double> last_pass_ms_;
+};
 
 struct ReceivedFrame {
   std::uint32_t stream_id = 0;
@@ -101,6 +113,10 @@ class VideoChannel {
   // receivers. When set, Step() drains PopReady() into the sink.
   using FrameSink =
       std::function<void(std::vector<ReceivedFrame> frames, double now_ms)>;
+  // Keyframe requests the receiver raised during Step(), one call per
+  // request that passed the channel's KeyframeRequestThrottle.
+  using KeyframeRequestSink =
+      std::function<void(std::uint32_t stream_id, double now_ms)>;
 
   VideoChannel(sim::BandwidthTrace trace, const ChannelConfig& config);
 
@@ -133,6 +149,11 @@ class VideoChannel {
   double NextEventTimeMs() const;
 
   void SetFrameSink(FrameSink sink) { frame_sink_ = std::move(sink); }
+  // Called from ProcessTimers while the channel walks its pending frames:
+  // the sink must not call back into the channel.
+  void SetKeyframeRequestSink(KeyframeRequestSink sink) {
+    keyframe_request_sink_ = std::move(sink);
+  }
 
   // Frames whose jitter-buffer release time has passed, in order.
   std::vector<ReceivedFrame> PopReady(double now_ms);
@@ -140,9 +161,6 @@ class VideoChannel {
   // Current sender-side available-bandwidth estimate (the value LiVo's
   // splitter divides between depth and color).
   double TargetBitrateBps() const { return estimator_.EstimateBps(); }
-
-  // True once if the receiver requested a keyframe since the last call.
-  bool TakeKeyframeRequest(std::uint32_t stream_id);
 
   // Smoothed application-level RTT (§3.4 halves this for the prediction
   // horizon).
@@ -247,6 +265,8 @@ class VideoChannel {
   obs::TimeSeries* queue_delay_series_ = nullptr;
   obs::TimeSeries* delivered_series_ = nullptr;
   FrameSink frame_sink_;
+  KeyframeRequestSink keyframe_request_sink_;
+  KeyframeRequestThrottle keyframe_throttle_;  // by stream id
   GccEstimator estimator_;
   util::Ewma rtt_ms_{0.2};
   util::Ewma loss_ewma_{0.3};
@@ -263,8 +283,6 @@ class VideoChannel {
   std::map<FrameKey, PendingFrame> pending_;
   std::map<std::uint32_t, std::uint32_t> last_released_;  // per stream
   std::vector<ReceivedFrame> ready_;
-  std::map<std::uint32_t, bool> keyframe_requested_;
-  std::map<std::uint32_t, double> last_keyframe_request_ms_;
 
   // Feedback accounting for the current interval.
   double last_feedback_ms_ = 0.0;

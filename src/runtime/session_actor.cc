@@ -29,6 +29,11 @@ SessionActor::SessionActor(EventLoop& loop, SessionSpec spec,
       [this](std::vector<net::ReceivedFrame> frames, double now_ms) {
         recorder_.OnReleased(receiver_, frames, now_ms);
       });
+  // PLI/FIR from the transport, raised inside Step: the sender re-keys at
+  // its next encode.
+  channel_->SetKeyframeRequestSink([this](std::uint32_t stream_id, double) {
+    sender_.RequestKeyframe(stream_id);
+  });
 }
 
 void SessionActor::Start() {
@@ -55,14 +60,6 @@ void SessionActor::OnWake(double now_ms) {
       static_cast<long>(std::llround(now_ms - last_tick_ms_));
   for (long t = 0; t < elapsed_ticks; ++t) {
     sender_.ObserveRtt(channel_->SmoothedRttMs());
-  }
-
-  // PLI/FIR from the transport.
-  if (channel_->TakeKeyframeRequest(core::kColorStream)) {
-    sender_.RequestKeyframe(core::kColorStream);
-  }
-  if (channel_->TakeKeyframeRequest(core::kDepthStream)) {
-    sender_.RequestKeyframe(core::kDepthStream);
   }
 
   // Capture + encode + send at the frame cadence, offset by the sender

@@ -6,8 +6,9 @@
 // close live in a core::SessionRecorder, shared with the tick reference.
 // The EventLoop drives it entirely through scheduled wakes. At each wake
 // the actor executes the same body the old 1 ms tick loop ran every
-// millisecond — pose feedback, RTT observation, PLI consumption,
-// capture/encode/send, channel timers, jitter-buffer release — then asks
+// millisecond — pose feedback, RTT observation, capture/encode/send,
+// channel timers (whose keyframe-request sink re-keys the sender before
+// its next encode), jitter-buffer release — then asks
 // every component for its next possible event time (capture timer, pose
 // feed, VideoChannel::NextEventTimeMs, SharedLink::NextEventTimeMs) and
 // schedules exactly one wake at the earliest of them, quantized to the

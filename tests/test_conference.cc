@@ -135,6 +135,26 @@ TEST(ConferenceTopology, SeatsDegenerateToOriginForTwoParties) {
   }
 }
 
+// The SFU's downlink keyframe-request sink maps a stream id back to its
+// remote slot: every (layer, lane) stream of a slot inverts to that slot.
+TEST(ConferenceTopology, SlotOfDownlinkStreamInvertsDownlinkStream) {
+  const int remotes = 7;  // an 8-party roster
+  for (int layers = 1; layers <= 3; ++layers) {
+    for (int slot = 0; slot < remotes; ++slot) {
+      for (int q = 0; q < layers; ++q) {
+        for (const bool depth : {false, true}) {
+          SCOPED_TRACE("layers " + std::to_string(layers) + " slot " +
+                       std::to_string(slot) + " q " + std::to_string(q) +
+                       (depth ? " depth" : " color"));
+          EXPECT_EQ(SlotOfDownlinkStream(
+                        layers, DownlinkStream(layers, slot, q, depth)),
+                    slot);
+        }
+      }
+    }
+  }
+}
+
 // ---- Allocator unit behavior ----
 
 TEST(ConferenceAllocator, SharesFloorOffscreenRemotesAndSumToOne) {

@@ -304,6 +304,11 @@ TEST(VideoChannel, UndeliverableFrameRaisesKeyframeRequest) {
   config.link.loss_rate = 0.6;      // heavy loss
   config.link.seed = 3;
   VideoChannel channel(FlatTrace(50.0), config);
+  std::vector<std::uint32_t> requested;  // stream ids, one per request
+  channel.SetKeyframeRequestSink(
+      [&requested](std::uint32_t stream_id, double) {
+        requested.push_back(stream_id);
+      });
   std::uint32_t next = 0;
   for (double t = 0; t < 700.0; t += 1.0) {
     if (next < 10 && t >= next * 33.0) {
@@ -313,26 +318,67 @@ TEST(VideoChannel, UndeliverableFrameRaisesKeyframeRequest) {
     channel.Step(t);
   }
   EXPECT_GT(channel.stats().frames_lost, 0u);
-  EXPECT_TRUE(channel.TakeKeyframeRequest(0));
-  EXPECT_FALSE(channel.TakeKeyframeRequest(0));  // one-shot
+  ASSERT_FALSE(requested.empty());
+  EXPECT_EQ(requested.size(), channel.stats().keyframe_requests);
+  for (const std::uint32_t id : requested) EXPECT_EQ(id, 0u);
 
   // A stream's first request is not throttled: frame 0, lost before
   // t = 300 ms, raises one.
   VideoChannel first(FlatTrace(50.0), config);
+  std::vector<double> request_ms;
+  first.SetKeyframeRequestSink([&request_ms](std::uint32_t, double now_ms) {
+    request_ms.push_back(now_ms);
+  });
   first.SendFrame(0, 0, true, Blob(12000), 0.0);
   for (double t = 0; t <= 150.0; t += 1.0) first.Step(t);
   EXPECT_EQ(first.stats().frames_lost, 1u);
-  EXPECT_TRUE(first.TakeKeyframeRequest(0));
+  EXPECT_EQ(request_ms.size(), 1u);
 
-  // The next request passes only once more than kKeyframeRequestThrottleMs
-  // have gone by: frame 1, sent 300 ms after frame 0, is detected lost
-  // exactly 300 ms after it (t = 361 against 61) and raises none.
+  // The next request passes once kKeyframeRequestThrottleMs have gone by:
+  // frame 1, sent 300 ms after frame 0, is detected lost exactly 300 ms
+  // after it (t = 361 against 61) and raises a second.
   for (double t = 151.0; t < 300.0; t += 1.0) first.Step(t);
   first.SendFrame(0, 1, false, Blob(12000), 300.0);
   for (double t = 300.0; t <= 450.0; t += 1.0) first.Step(t);
   EXPECT_EQ(first.stats().frames_lost, 2u);
-  EXPECT_EQ(first.stats().keyframe_requests, 1u);
-  EXPECT_FALSE(first.TakeKeyframeRequest(0));
+  EXPECT_EQ(first.stats().keyframe_requests, 2u);
+  ASSERT_EQ(request_ms.size(), 2u);
+  EXPECT_DOUBLE_EQ(request_ms[1] - request_ms[0], kKeyframeRequestThrottleMs);
+}
+
+TEST(KeyframeRequestThrottle, FirstRequestOfAKeyPasses) {
+  KeyframeRequestThrottle throttle;
+  EXPECT_TRUE(throttle.Pass(0, 0.0));
+  EXPECT_TRUE(throttle.Pass(7, 1234.5));
+}
+
+TEST(KeyframeRequestThrottle, PassesExactlyAtTheThrottleBoundary) {
+  KeyframeRequestThrottle throttle;
+  ASSERT_TRUE(throttle.Pass(0, 100.0));
+  EXPECT_FALSE(throttle.Pass(0, 100.0));
+  EXPECT_FALSE(throttle.Pass(0, 100.0 + 299.9));
+  EXPECT_TRUE(throttle.Pass(0, 100.0 + kKeyframeRequestThrottleMs));
+}
+
+TEST(KeyframeRequestThrottle, RefusedRequestDoesNotMoveTheWindow) {
+  KeyframeRequestThrottle throttle;
+  ASSERT_TRUE(throttle.Pass(0, 0.0));
+  EXPECT_FALSE(throttle.Pass(0, 200.0));
+  // Measured from the pass at 0, not from the refusal at 200.
+  EXPECT_TRUE(throttle.Pass(0, 300.0));
+  EXPECT_FALSE(throttle.Pass(0, 599.0));
+  EXPECT_TRUE(throttle.Pass(0, 600.0));
+}
+
+TEST(KeyframeRequestThrottle, KeysAreIndependent) {
+  KeyframeRequestThrottle throttle;
+  ASSERT_TRUE(throttle.Pass(0, 0.0));
+  EXPECT_TRUE(throttle.Pass(1, 10.0));  // key 0's window does not hold 1
+  EXPECT_FALSE(throttle.Pass(0, 20.0));
+  EXPECT_FALSE(throttle.Pass(1, 20.0));
+  EXPECT_TRUE(throttle.Pass(0, 300.0));
+  EXPECT_FALSE(throttle.Pass(1, 300.0));  // 290 ms after key 1's pass
+  EXPECT_TRUE(throttle.Pass(1, 310.0));
 }
 
 TEST(VideoChannel, RttTracksPropagationDelay) {
