@@ -13,11 +13,10 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-// NaN means "no virtual clock active". An atomic double (not a Clock
-// pointer) keeps reads race-free from codec pool threads while the event
-// loop advances its plain now_ms_ on the driver thread.
-std::atomic<double> g_virtual_now_ms{
-    std::numeric_limits<double>::quiet_NaN()};
+// NaN means "no virtual clock active". One value per thread: each loop
+// thread of a LoopGroup publishes its own shard's clock, and no other
+// thread reads or clears it.
+thread_local double t_virtual_now_ms = std::numeric_limits<double>::quiet_NaN();
 
 // Bound chosen so a worst-case session (every stage instrumented, tens of
 // thousands of frames) fits while a runaway per-pixel span cannot eat the
@@ -78,22 +77,16 @@ double TraceNowUs() {
       .count();
 }
 
-void SetVirtualNowMs(double now_ms) {
-  g_virtual_now_ms.store(now_ms, std::memory_order_relaxed);
-}
+void SetVirtualNowMs(double now_ms) { t_virtual_now_ms = now_ms; }
 
 void ClearVirtualNow() {
-  g_virtual_now_ms.store(std::numeric_limits<double>::quiet_NaN(),
-                         std::memory_order_relaxed);
+  t_virtual_now_ms = std::numeric_limits<double>::quiet_NaN();
 }
 
-bool HasVirtualNow() {
-  return !std::isnan(g_virtual_now_ms.load(std::memory_order_relaxed));
-}
+bool HasVirtualNow() { return !std::isnan(t_virtual_now_ms); }
 
 double VirtualNowMs() {
-  const double v = g_virtual_now_ms.load(std::memory_order_relaxed);
-  return std::isnan(v) ? -1.0 : v;
+  return std::isnan(t_virtual_now_ms) ? -1.0 : t_virtual_now_ms;
 }
 
 void TraceInstant(const char* name) {

@@ -38,9 +38,12 @@ void SetTraceEnabled(bool enabled);
 double TraceNowUs();
 
 // Virtual-time bridge. A running EventLoop publishes its current virtual
-// time here (one atomic store per dispatch) so spans, instants, and log
-// lines recorded anywhere in the process can be stamped with virtual ms
-// alongside the wall clock. Cleared when the loop exits.
+// time here (one thread-local store per dispatch) so spans, instants, log
+// lines and time-series samples recorded on the loop's thread are stamped
+// with that loop's virtual ms alongside the wall clock; each loop thread of
+// a LoopGroup carries its own shard's clock. Spans on codec pool workers
+// (util::SharedPool) carry no virtual time; a pool task that a waiting loop
+// thread runs carries that thread's clock. Cleared when the loop exits.
 void SetVirtualNowMs(double now_ms);
 void ClearVirtualNow();
 bool HasVirtualNow();

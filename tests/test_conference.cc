@@ -805,6 +805,41 @@ TEST(ConferenceCascade, FingerprintInvariantAcrossShardsAndReruns) {
             fingerprint);
 }
 
+// Each loop thread publishes its own shard's virtual clock, so a sender
+// samples its time series at its own edge's time whatever the other
+// shards are doing: every participant's split and target series read the
+// same points on one loop and on three.
+TEST(ConferenceCascade, SenderSeriesInvariantAcrossShards) {
+  using Points = std::vector<std::pair<double, double>>;
+  const auto sender_series = [](int shards) {
+    obs::SetTimeSeriesEnabled(true);
+    RunConference(SmallRoster(8, 6), CascadeOptions(2, shards));
+    obs::SetTimeSeriesEnabled(false);
+    const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+    std::map<std::string, Points> series;
+    for (int i = 0; i < 8; ++i) {
+      for (const char* suffix : {".split", ".target_bps"}) {
+        const std::string name =
+            "participant" + std::to_string(i) + ".sender" + suffix;
+        const obs::TimeSeriesSnapshot* ts = snap.FindTimeSeries(name);
+        Points& points = series[name];
+        if (ts == nullptr) continue;
+        for (const obs::TimeSeriesPoint& p : ts->points) {
+          points.emplace_back(p.t_ms, p.value);
+        }
+      }
+    }
+    return series;
+  };
+  const std::map<std::string, Points> one_loop = sender_series(1);
+  const std::map<std::string, Points> three_loops = sender_series(3);
+  for (const auto& [name, points] : one_loop) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(points.empty());
+    EXPECT_EQ(three_loops.at(name), points);
+  }
+}
+
 // A direct conference is one coupling domain: the shards knob must not
 // change the results.
 TEST(ConferenceCascade, DirectConferenceIgnoresShardKnob) {

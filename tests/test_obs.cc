@@ -534,6 +534,25 @@ TEST_F(VirtualTimeTest, SpansOutsideVirtualRunsAreUnstamped) {
   EXPECT_LT(events[0].vt_ms, 0.0);
 }
 
+// Each loop thread publishes its own clock: another thread neither sees
+// this thread's virtual time nor overwrites or clears it.
+TEST_F(VirtualTimeTest, EachThreadPublishesItsOwnClock) {
+  SetVirtualNowMs(10.0);
+  bool other_saw_clock = true;
+  double other_now_ms = 0.0;
+  std::thread other([&] {
+    other_saw_clock = HasVirtualNow();
+    SetVirtualNowMs(20.0);
+    other_now_ms = VirtualNowMs();
+    ClearVirtualNow();
+  });
+  other.join();
+  EXPECT_FALSE(other_saw_clock);
+  EXPECT_DOUBLE_EQ(other_now_ms, 20.0);
+  EXPECT_TRUE(HasVirtualNow());
+  EXPECT_DOUBLE_EQ(VirtualNowMs(), 10.0);
+}
+
 TEST_F(VirtualTimeTest, ChromeTraceExportsVirtualTimeArg) {
   SetVirtualNowMs(77.0);
   {
