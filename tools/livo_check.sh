@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Strict-mode gate for the sanitizer-sensitive parts of the tree, in four
+# Strict-mode gate for the sanitizer-sensitive parts of the tree, in five
 # passes:
 #
 #  1. TSan pass — builds the livo_check_tests target and every bench and
@@ -34,6 +34,10 @@
 #     links with FEC enabled (--loss=0.05 --fec), checked for the repair
 #     conservation rules: recoveries cite parity ingests, abandoned
 #     repairs are terminal, and the ledger totals match the run counters.
+#  5. Cascade gate — the lossy FEC run cascaded over 2 edge regions and a
+#     root relay (--regions=2, 3 loop shards), so relay-hop conservation,
+#     the cross-region repair rules and the root's PLI relays go through
+#     livo_report --check on a run with shard threads under TSan.
 #
 # For the fast unsanitized subset of the same surface, use the ctest
 # label instead: ctest --test-dir build -L quick.
@@ -171,5 +175,25 @@ if [ ! -e "${LOSSY_FILES[0]}" ]; then
   exit 1
 fi
 "${BUILD_DIR}/tools/livo_report" --check --quiet "${LOSSY_FILES[@]}"
+
+# --- Pass 5: cascaded lossy FEC run on loop shards -> telemetry gate ---
+
+echo "[livo_check] telemetry gate: lossy traced 8-party conference" \
+     "cascaded over 2 regions (3 loop shards) + livo_report"
+CASCADE_DIR="$(mktemp -d)"
+trap 'rm -rf "${TELEMETRY_DIR}" "${LOSSY_DIR}" "${CASCADE_DIR}"' EXIT
+(
+  cd "${CASCADE_DIR}"
+  LIVO_TRACE=1 LIVO_TRACE_DIR="${CASCADE_DIR}" \
+    "${BUILD_DIR}/bench/bench_conference" --parties=8 --regions=2 \
+    --loss=0.05 --fec > /dev/null
+)
+CASCADE_FILES=("${CASCADE_DIR}"/*.telemetry.jsonl)
+if [ ! -e "${CASCADE_FILES[0]}" ]; then
+  echo "[livo_check] FAIL: cascaded traced run produced no telemetry JSONL" \
+       >&2
+  exit 1
+fi
+"${BUILD_DIR}/tools/livo_report" --check --quiet "${CASCADE_FILES[@]}"
 
 echo "[livo_check] OK"
