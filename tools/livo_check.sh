@@ -131,69 +131,50 @@ else
        "the memory/UB pass"
 fi
 
-# --- Pass 3: traced conference -> livo_report --check telemetry gate ---
+# --- Passes 3-5: traced conferences -> livo_report --check telemetry gates ---
 
-echo "[livo_check] telemetry gate: traced layered 8-party conference" \
-     "+ livo_report"
 "${CMAKE_BIN}" --build "${BUILD_DIR}" --target bench_conference livo_report \
   -j "$(nproc)"
 
-TELEMETRY_DIR="$(mktemp -d)"
-trap 'rm -rf "${TELEMETRY_DIR}"' EXIT
-(
-  cd "${TELEMETRY_DIR}"
-  LIVO_TRACE=1 LIVO_TRACE_DIR="${TELEMETRY_DIR}" \
-    "${BUILD_DIR}/bench/bench_conference" --parties=8 > /dev/null
-)
-TELEMETRY_FILES=("${TELEMETRY_DIR}"/*.telemetry.jsonl)
-if [ ! -e "${TELEMETRY_FILES[0]}" ]; then
-  echo "[livo_check] FAIL: traced run produced no telemetry JSONL" >&2
-  exit 1
-fi
-"${BUILD_DIR}/tools/livo_report" --check --quiet "${TELEMETRY_FILES[@]}"
+GATE_DIRS=()
+trap 'rm -rf "${GATE_DIRS[@]}"' EXIT
 
-# --- Pass 4: lossy FEC run -> repair-conservation telemetry gate ---
-#
+# telemetry_gate LABEL ARGS...: runs bench_conference ARGS under LIVO_TRACE=1
+# in a fresh directory and feeds the telemetry JSONL it writes through
+# livo_report --check.
+telemetry_gate() {
+  local label="$1"
+  shift
+  echo "[livo_check] telemetry gate: ${label} + livo_report"
+  local dir
+  dir="$(mktemp -d)"
+  GATE_DIRS+=("${dir}")
+  (
+    cd "${dir}"
+    LIVO_TRACE=1 LIVO_TRACE_DIR="${dir}" \
+      "${BUILD_DIR}/bench/bench_conference" "$@" > /dev/null
+  )
+  local files=("${dir}"/*.telemetry.jsonl)
+  if [ ! -e "${files[0]}" ]; then
+    echo "[livo_check] FAIL: ${label}: traced run produced no telemetry" \
+         "JSONL" >&2
+    exit 1
+  fi
+  "${BUILD_DIR}/tools/livo_report" --check --quiet "${files[@]}"
+}
+
+telemetry_gate "traced layered 8-party conference" --parties=8
+
 # The same traced 8-party conference on 5%-loss links with the FEC
 # subsystem enabled (DESIGN.md §12): livo_report --check now also proves
 # every recovered fragment cites an earlier parity ingest and every
 # abandoned repair is terminal (no NACK after giving up).
+telemetry_gate "lossy traced 8-party conference (5% iid loss, FEC on)" \
+  --parties=8 --loss=0.05 --fec
 
-echo "[livo_check] telemetry gate: lossy traced 8-party conference" \
-     "(5% iid loss, FEC on) + livo_report"
-LOSSY_DIR="$(mktemp -d)"
-trap 'rm -rf "${TELEMETRY_DIR}" "${LOSSY_DIR}"' EXIT
-(
-  cd "${LOSSY_DIR}"
-  LIVO_TRACE=1 LIVO_TRACE_DIR="${LOSSY_DIR}" \
-    "${BUILD_DIR}/bench/bench_conference" --parties=8 --loss=0.05 --fec \
-    > /dev/null
-)
-LOSSY_FILES=("${LOSSY_DIR}"/*.telemetry.jsonl)
-if [ ! -e "${LOSSY_FILES[0]}" ]; then
-  echo "[livo_check] FAIL: lossy traced run produced no telemetry JSONL" >&2
-  exit 1
-fi
-"${BUILD_DIR}/tools/livo_report" --check --quiet "${LOSSY_FILES[@]}"
-
-# --- Pass 5: cascaded lossy FEC run on loop shards -> telemetry gate ---
-
-echo "[livo_check] telemetry gate: lossy traced 8-party conference" \
-     "cascaded over 2 regions (3 loop shards) + livo_report"
-CASCADE_DIR="$(mktemp -d)"
-trap 'rm -rf "${TELEMETRY_DIR}" "${LOSSY_DIR}" "${CASCADE_DIR}"' EXIT
-(
-  cd "${CASCADE_DIR}"
-  LIVO_TRACE=1 LIVO_TRACE_DIR="${CASCADE_DIR}" \
-    "${BUILD_DIR}/bench/bench_conference" --parties=8 --regions=2 \
-    --loss=0.05 --fec > /dev/null
-)
-CASCADE_FILES=("${CASCADE_DIR}"/*.telemetry.jsonl)
-if [ ! -e "${CASCADE_FILES[0]}" ]; then
-  echo "[livo_check] FAIL: cascaded traced run produced no telemetry JSONL" \
-       >&2
-  exit 1
-fi
-"${BUILD_DIR}/tools/livo_report" --check --quiet "${CASCADE_FILES[@]}"
+# The lossy FEC call cascaded over 2 regions on 3 loop shards: relay-hop
+# conservation and the root's PLI relays on a run with shard threads.
+telemetry_gate "lossy traced 8-party conference on 2 regions, 3 loop shards" \
+  --parties=8 --regions=2 --loss=0.05 --fec
 
 echo "[livo_check] OK"
