@@ -114,7 +114,9 @@ class VideoChannel {
   using FrameSink =
       std::function<void(std::vector<ReceivedFrame> frames, double now_ms)>;
   // Keyframe requests the receiver raised during Step(), one call per
-  // request that passed the channel's KeyframeRequestThrottle.
+  // request that passed the channel's KeyframeRequestThrottle. The call
+  // comes while the channel walks its pending frames: the sink must not
+  // call back into the channel.
   using KeyframeRequestSink =
       std::function<void(std::uint32_t stream_id, double now_ms)>;
 
@@ -149,8 +151,6 @@ class VideoChannel {
   double NextEventTimeMs() const;
 
   void SetFrameSink(FrameSink sink) { frame_sink_ = std::move(sink); }
-  // Called from ProcessTimers while the channel walks its pending frames:
-  // the sink must not call back into the channel.
   void SetKeyframeRequestSink(KeyframeRequestSink sink) {
     keyframe_request_sink_ = std::move(sink);
   }
